@@ -8,7 +8,7 @@ certificates, and the numerical almost-invariance reports.
 """
 
 from .words import Alphabet, Word
-from .caps import Caps, DEFAULT as DEFAULT_CAPS
+from .caps import Caps
 from .language import (LanguageEngine, SFTEngine, SubstitutionEngine,
                        SturmianEngine, RecodedEngine, RecodingMap,
                        build_engine, sft_engine, substitution_engine,
@@ -20,7 +20,7 @@ from .elements import (Element, CanonicalForm, make_element,
                        make_semigroup_element, identity, shift, compose,
                        inverse, power, commutator, is_identity, equal, order,
                        support, element_image, ball_sizes, canonical_form,
-                       canonical_dump, parse_dump, apply_to_window)
+                       canonical_dump, parse_dump)
 from .constructions import (is_good, sigma_U, cylinder, symmetric_embed,
                             SymmetricEmbedding, first_return, TowerPartition,
                             kr_towers, rokhlin_base, GWTransport, gw_transport,

@@ -9,7 +9,6 @@ window of x around -n, and j_x(psi)(n) = n + kappa(phi^n x).
 import json
 from dataclasses import dataclass
 
-from . import caps as caps_mod
 from .elements import equal, inverse, make_element
 from .errors import (CapExceeded, NotAperiodic, NotInjective, NotSurjective,
                      PartialTable, SemanticError, StabilizerViolated,
@@ -184,7 +183,7 @@ def block_orbits(elements, block):
 
 def clopen_orbit(closet, cap=None):
     """Size of the phi-orbit of the clopen set, or None past the cap."""
-    cap = cap if cap is not None else caps_mod.DEFAULT.orbit
+    cap = cap if cap is not None else closet.engine.caps.orbit
     seen = {closet.key()}
     current = closet
     for _ in range(cap):
@@ -250,12 +249,11 @@ def lef_certificate(elements, n_cap=None, p_cap=None):
     """A finite quotient separating the given distinct elements: the least
     approximation order n whose lifts are certified bijective, then the least
     period p whose periodic points separate every pair."""
-    caps = caps_mod.DEFAULT
-    n_cap = n_cap if n_cap is not None else caps.lef_n
-    p_cap = p_cap if p_cap is not None else caps.lef_p
     if not elements:
         raise SemanticError("need at least one element")
     engine = elements[0].engine
+    n_cap = n_cap if n_cap is not None else engine.caps.lef_n
+    p_cap = p_cap if p_cap is not None else engine.caps.lef_p
     if engine.minimal is not True and not (isinstance(engine, SFTEngine) and engine.is_irreducible()):
         raise SemanticError("certificates need a minimal engine or an irreducible SFT")
     for i in range(len(elements)):

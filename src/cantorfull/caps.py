@@ -1,13 +1,16 @@
 """Configurable computation caps.
 
 All open-ended searches in the package are bounded by a cap from this module.
-The environment variable CANTORFULL_CAPS overrides defaults with a
-comma-separated list of key=value pairs, e.g. ``CANTORFULL_CAPS=dbound=32,orbit=128``.
-Documented keys: dbound, order, orbit, lef_n, lef_p.
+Each engine owns one :class:`Caps`, ``engine.caps``, read from the environment
+variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
+approximation takes the caps of the engine it comes from.  The variable
+overrides defaults with a comma-separated list of key=value pairs, e.g.
+``CANTORFULL_CAPS=dbound=32,orbit=128``.  Keys: dbound, order, orbit, lef_n,
+lef_p, period_scan, seed_power, word_store, radius_search.
 """
 
 import os
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -23,10 +26,7 @@ class Caps:
     radius_search: int = 64   # cover-refinement radius guard
 
 
-def parse_caps(text, base=None):
-    base = base if base is not None else Caps()
-    if not text:
-        return base
+def parse_caps(text):
     names = {f.name for f in fields(Caps)}
     updates = {}
     for item in text.split(","):
@@ -38,11 +38,9 @@ def parse_caps(text, base=None):
         if key not in names:
             raise ValueError(f"unknown cap {key!r}")
         updates[key] = int(value)
-    return replace(base, **updates)
+    return Caps(**updates)
 
 
 def caps_from_env():
     return parse_caps(os.environ.get("CANTORFULL_CAPS", ""))
 
-
-DEFAULT = caps_from_env()

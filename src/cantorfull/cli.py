@@ -10,14 +10,12 @@ in the alphabet's reference order and floats print via repr.  Exit codes:
 import argparse
 import sys
 
-from . import caps as caps_mod
 from .actions import (clopen_orbit, lef_certificate, orbit_permutation,
                       putnam_blocks, index_mod)
 from .constructions import (gw_transport, houghton_profile, kr_towers,
                             lamplighter_pair, matui_generators, sigma_U,
-                            van_douwen_involutions, van_douwen_walk,
-                            van_douwen_witness)
-from .elements import (ball_sizes, canonical_dump, equal, is_identity, order)
+                            van_douwen_certify, van_douwen_involutions)
+from .elements import ball_sizes, canonical_dump, equal, order
 from .errors import CantorfullError, ParseError
 from .jm import decay_report, correlation
 from .language import proper_recode, recurrence_bound
@@ -152,7 +150,7 @@ def _run(args):
             sys.stdout.write(canonical_dump(session.eval_program(args.expr)))
         elif command == "order":
             n = order(session.eval_program(args.expr), cap=args.cap)
-            cap = args.cap if args.cap is not None else caps_mod.DEFAULT.order
+            cap = args.cap if args.cap is not None else session.engine.caps.order
             print(n if n is not None else f"exceeds-cap {cap}")
         elif command == "mod":
             print(index_mod(session.eval_program(args.expr)))
@@ -166,29 +164,14 @@ def _run(args):
     if group == "construct":
         if command == "vandouwen":
             engine, sigmas = van_douwen_involutions(args.q)
-            checked = 0
-            agree = True
-            stack = [()]
             words = []
-            while stack:
-                prefix = stack.pop()
-                if 0 < len(prefix):
-                    words.append(prefix)
-                if len(prefix) < args.max_len:
-                    for k in range(args.q - 1, -1, -1):
-                        if not prefix or prefix[-1] != k:
-                            stack.append(prefix + (k,))
-            from .elements import compose, identity
-            for ks in words:
-                m = identity(engine)
-                for k in ks:
-                    m = compose(m, sigmas[k])
-                window, total = van_douwen_witness(engine, ks)
-                walked = van_douwen_walk(sigmas, ks, window)
-                ok = (not is_identity(m)) and walked == total
-                agree = agree and ok
-                checked += 1
-            print(f"checked={checked} all_nonidentity={str(agree).lower()}")
+            frontier = [()]
+            for _ in range(args.max_len):
+                frontier = [w + (k,) for w in frontier for k in range(args.q)
+                            if not w or w[-1] != k]
+                words += frontier
+            agree = all(all(van_douwen_certify(engine, sigmas, ks)) for ks in words)
+            print(f"checked={len(words)} all_nonidentity={str(agree).lower()}")
             return 0
         session = _session(args)
         if command == "sigma":
@@ -235,7 +218,7 @@ def _run(args):
             sys.stdout.write(cert.to_json())
         elif command == "odometer":
             size = clopen_orbit(session.eval_closet_text(args.closet), cap=args.cap)
-            cap = args.cap if args.cap is not None else caps_mod.DEFAULT.orbit
+            cap = args.cap if args.cap is not None else session.engine.caps.orbit
             print(f"finite {size}" if size is not None else f"exceeds-cap {cap}")
         _emit_warnings(session)
         return 0
@@ -269,7 +252,6 @@ def _run(args):
 
 
 def main(argv=None):
-    caps_mod.DEFAULT = caps_mod.caps_from_env()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

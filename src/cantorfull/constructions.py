@@ -9,13 +9,13 @@ relations) are verified rather than assumed.
 import json
 from dataclasses import dataclass, field
 
-from . import caps as caps_mod
+from .actions import clopen_orbit, index_mod
 from .closets import CloSet
 from .elements import (Element, commutator, compose, element_image, equal,
                        identity, inverse, is_identity, make_element, power,
                        shift)
-from .errors import (CapExceeded, FixedPointFound, NotGood, NotMinimal,
-                     NotOmniscient, OdometerLike, OverlapError,
+from .errors import (CapExceeded, FixedPointFound, NotBijective, NotGood,
+                     NotMinimal, NotOmniscient, OdometerLike, OverlapError,
                      PreconditionViolated, SearchExhausted, SemanticError,
                      SurplusViolated, WindowTooSmall)
 from .language import max_gap, proper_recode, recurrence_bound, sft_engine
@@ -389,7 +389,6 @@ def _gw_attempt(engine, base, class_sets, A, B):
     alpha = make_element(engine, radius, table)
 
     contained = element_image(B, alpha).is_subset(A)
-    from .actions import index_mod
     index = index_mod(alpha)
     report = []
     for t, (piece, height, classes, perm) in enumerate(plans):
@@ -559,16 +558,14 @@ def _swap_element(closet):
     return make_element(engine, radius, table)
 
 
-def lamplighter_pair(U, independence=3, search_width=8, verify=True, caps=None):
+def lamplighter_pair(U, independence=3, search_width=8, verify=True):
     """A lamplighter inside the full group: Psi acts as the shift on the lamps
     sigma_F, F a finite subset of Z.  Requires U disjoint from phi(U) and a
     clopen orbit of U that does not close up (non-odometer behaviour)."""
-    caps = caps or caps_mod.DEFAULT
     engine = U.engine
     if not U.is_disjoint(U.shift_image(1)):
         raise OverlapError("U must be disjoint from phi(U)")
-    from .actions import clopen_orbit
-    if clopen_orbit(U, cap=caps.orbit) is not None:
+    if clopen_orbit(U) is not None:
         raise OdometerLike("the clopen orbit of U closes up")
     psi = first_return(U)
     phi = shift(engine)
@@ -586,7 +583,7 @@ def lamplighter_pair(U, independence=3, search_width=8, verify=True, caps=None):
         cand = CloSet(engine, rho, {w})
         if not cand.is_subset(U) or cand.is_empty():
             continue
-        if _psi_orbit_infinite(psi, cand, caps.orbit):
+        if _psi_orbit_infinite(psi, cand, engine.caps.orbit):
             V = cand
             break
     if V is None:
@@ -782,7 +779,6 @@ def houghton_profile(f, window):
     """Per-end eventual translations and the exceptional set of the induced
     integer permutation.  Ends: (+inf,) then (-inf,) for Y; (+inf, even -inf,
     odd -inf) for Y'."""
-    from .errors import NotBijective
     if not f.bijective:
         raise NotBijective("profiles are defined for group elements")
     engine = f.engine
@@ -818,12 +814,12 @@ def houghton_profile(f, window):
 # Rokhlin bases for fixed-point-free powers
 
 
-def rokhlin_base(f, n, caps=None):
+def rokhlin_base(f, n):
     """A clopen U with f^i(U), 0 <= i < n, pairwise disjoint and whose full
     f-orbit covers the space; greedy subcover construction from per-word
     neighborhoods, requiring f^i fixed-point-free for 1 <= i <= n-1."""
-    caps = caps or caps_mod.DEFAULT
     engine = f.engine
+    caps = engine.caps
     if n < 1:
         raise SemanticError("n must be >= 1")
     if n == 1:

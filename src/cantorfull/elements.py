@@ -12,7 +12,6 @@ Composition follows compose(f, g) = f o g, apply g first.
 
 from dataclasses import dataclass
 
-from . import caps as caps_mod
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
                      NotBijective, NotInjective, NotSurjective, PartialTable)
@@ -132,22 +131,16 @@ def _check_same_engine(f, g):
         raise EngineMismatch("elements live on different engines")
 
 
-def make_element(engine, radius, table, caps=None):
+def make_element(engine, radius, table):
     """Group element with an eagerly computed bijectivity certificate."""
-    e = _build(engine, radius, table, caps)
+    e = make_semigroup_element(engine, radius, table)
     e._witness = e._run_certificate()
     e._bijective = True
     return e
 
 
-def make_semigroup_element(engine, radius, table, caps=None):
+def make_semigroup_element(engine, radius, table):
     """Semigroup element; bijectivity is attempted but failure is not an error."""
-    e = _build(engine, radius, table, caps)
-    return e
-
-
-def _build(engine, radius, table, caps):
-    caps = caps or caps_mod.DEFAULT
     words = engine.allowed_words(2 * radius + 1)
     cleaned = {}
     missing = []
@@ -159,8 +152,8 @@ def _build(engine, radius, table, caps):
     if missing:
         raise PartialTable(missing)
     d = max((abs(v) for v in cleaned.values()), default=0)
-    if d > caps.dbound:
-        raise CapExceeded("displacement bound exceeded", cap=caps.dbound)
+    if d > engine.caps.dbound:
+        raise CapExceeded("displacement bound exceeded", cap=engine.caps.dbound)
     return Element(engine, radius, cleaned, None).canonical_element()
 
 
@@ -233,7 +226,7 @@ def equal(f, g):
 
 def order(f, cap=None):
     """Least n >= 1 with f^n = id, or None past the cap."""
-    cap = cap if cap is not None else caps_mod.DEFAULT.order
+    cap = cap if cap is not None else f.engine.caps.order
     if not f.bijective:
         raise NotBijective("order is defined for group elements")
     g = f
@@ -280,16 +273,9 @@ def element_image(closet, f):
     return CloSet(engine, big, out)
 
 
-def apply_to_window(f, point):
-    """Apply f to a concrete anchored window around 0; returns (k, shifted word)."""
-    k = f.cocycle_at(point, 0)
-    return k, point.shifted(k)
-
-
-def ball_sizes(generators, radius, caps=None, return_store=False):
+def ball_sizes(generators, radius):
     """Sizes |B(1)| <= ... <= |B(radius)| for the symmetrized generating set
     (identity included), deduplicated by canonical forms."""
-    caps = caps or caps_mod.DEFAULT
     if not generators:
         raise ValueError("need at least one generator")
     engine = generators[0].engine
@@ -317,21 +303,16 @@ def ball_sizes(generators, radius, caps=None, return_store=False):
                 if key not in store:
                     store[key] = e
                     fresh.append(e)
-                    if len(store) > caps.word_store:
-                        raise MemoryCapExceeded(f"ball grew past {caps.word_store} elements")
+                    if len(store) > engine.caps.word_store:
+                        raise MemoryCapExceeded(f"ball grew past {engine.caps.word_store} elements")
         frontier = fresh
         sizes.append(len(store))
-    if return_store:
-        return sizes, store
     return sizes
 
 
 def canonical_form(f):
-    c = f.canonical_element()
-    order_key = f.engine.alphabet.sort_key
-    return CanonicalForm(c.radius,
-                         tuple(sorted(c.table.items(), key=lambda kv: order_key(kv[0]))),
-                         c.dbound)
+    radius, entries = f.canonical_key()
+    return CanonicalForm(radius, entries, f.canonical_element().dbound)
 
 
 def canonical_dump(f):

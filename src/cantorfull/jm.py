@@ -89,13 +89,14 @@ def _delta_at(g, n, j):
     return theta(n, j) - theta(n, _evaluate(g, j))
 
 
-def _deltas(g, n):
-    c = g.c
-    span = n + c
+def _span(g, n):
+    """n + c, the half-width beyond which every factor is exactly 1; checked
+    against the view's window when it has one."""
+    span = n + g.c
     window = getattr(g, "window", None)
     if window is not None and window < span:
         raise RangeUnavailable(f"view window {window} < n + c = {span}")
-    return [_delta_at(g, n, j) for j in range(-span, span + 1)]
+    return span
 
 
 def correlation(g, n):
@@ -104,11 +105,7 @@ def correlation(g, n):
     Factors are paired j with -j before the balanced tree product, so the
     result is bit-identical under reflection and under widening the range.
     """
-    c = g.c
-    span = n + c
-    window = getattr(g, "window", None)
-    if window is not None and window < span:
-        raise RangeUnavailable(f"view window {window} < n + c = {span}")
+    span = _span(g, n)
     factors = [math.cos(_delta_at(g, n, 0))]
     factors += [math.cos(_delta_at(g, n, j)) * math.cos(_delta_at(g, n, -j))
                 for j in range(1, span + 1)]
@@ -121,7 +118,8 @@ def correlation(g, n):
 
 def hn_lower_bound(g, n):
     """exp(-sum of squared angle differences) <= C(n)."""
-    deltas = _deltas(g, n)
+    span = _span(g, n)
+    deltas = (_delta_at(g, n, j) for j in range(-span, span + 1))
     return math.exp(-math.fsum(d * d for d in deltas))
 
 

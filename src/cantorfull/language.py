@@ -18,9 +18,7 @@ central window of phi^n(x) is x[-n-r .. -n+r].
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
-from . import caps as caps_mod
+from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
                      EmptySubshift, MemoryCapExceeded, NonPrimitiveSubstitution,
                      NotAperiodic, NotImplementedSeed, NotMinimal, SemanticError)
@@ -43,6 +41,7 @@ class LanguageEngine:
         self.alphabet = alphabet
         self.minimal = minimal      # tri-state: True / False / None (unknown)
         self.aperiodic = aperiodic
+        self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
         self._word_sets = {}        # length -> frozenset, for membership tests
 
@@ -71,11 +70,6 @@ class LanguageEngine:
     def point_window(self, radius):
         """The window x[-radius..radius] of the engine's canonical point."""
         raise NotImplementedError
-
-    def point_segment(self, lo, hi):
-        """Letters x[lo..hi] of the canonical point (helper over point_window)."""
-        m = max(abs(lo), abs(hi))
-        return self.point_window(m).segment(lo, hi)
 
     # -- hooks -------------------------------------------------------------
 
@@ -122,60 +116,56 @@ class SFTEngine(LanguageEngine):
 
     kind = "sft"
 
-    def __init__(self, alphabet, forbidden, caps=None):
-        caps = caps or caps_mod.DEFAULT
+    def __init__(self, alphabet, forbidden):
+        LanguageEngine.__init__(self, alphabet)
         forbidden = [tuple(w) for w in forbidden]
         if any(len(w) == 0 for w in forbidden):
             raise EmptySubshift("the empty word is forbidden")
         k = max([2] + [len(w) for w in forbidden])
-        if len(alphabet) ** k > caps.word_store:
+        if len(alphabet) ** k > self.caps.word_store:
             raise MemoryCapExceeded(f"normalizing forbidden words needs {len(alphabet)}^{k} windows")
         bad = set(forbidden)
-        allowed_k = frozenset(
+        self._init_graph(k, frozenset(
             w for w in itertools.product(alphabet.letters, repeat=k)
-            if not any(contains_factor(w, f) for f in bad))
-        self._init_graph(alphabet, k, allowed_k, tuple(sorted(bad, key=lambda w: (len(w), alphabet.sort_key(w)))))
+            if not any(contains_factor(w, f) for f in bad)))
 
     @classmethod
     def from_allowed(cls, alphabet, k, allowed_k):
         self = cls.__new__(cls)
-        self._init_graph(alphabet, k, frozenset(allowed_k), None)
+        LanguageEngine.__init__(self, alphabet)
+        self._init_graph(k, frozenset(allowed_k))
         return self
 
-    def _init_graph(self, alphabet, k, allowed_k, forbidden_input):
-        LanguageEngine.__init__(self, alphabet)
+    def _init_graph(self, k, allowed_k):
         self.k = k
         self.allowed_k = allowed_k
-        self.forbidden_input = forbidden_input
-        g = nx.DiGraph()
+        succ, pred = {}, {}
         for w in allowed_k:
-            g.add_edge(w[:-1], w[1:], letter=w[-1])
-        core = set()
-        for scc in nx.strongly_connected_components(g):
-            if len(scc) > 1 or any(g.has_edge(v, v) for v in scc):
-                core.update(scc)
-        if not core:
+            succ.setdefault(w[:-1], set()).add(w[1:])
+            pred.setdefault(w[1:], set()).add(w[:-1])
+        # the essential graph: prune vertices without a live successor or
+        # predecessor until none is left (what remains lies on bi-infinite paths)
+        live = set(succ) | set(pred)
+        stack = list(live)
+        while stack:
+            v = stack.pop()
+            if v in live and not (any(u in live for u in succ.get(v, ()))
+                                  and any(u in live for u in pred.get(v, ()))):
+                live.discard(v)
+                stack.extend(succ.get(v, ()))
+                stack.extend(pred.get(v, ()))
+        if not live:
             raise EmptySubshift("transfer graph has no cycle")
-        fwd = set(core)
-        for v in core:
-            fwd.update(nx.ancestors(g, v))
-        bwd = set(core)
-        for v in core:
-            bwd.update(nx.descendants(g, v))
-        self.essential = frozenset(fwd & bwd)
-        self.graph = g.subgraph(self.essential).copy()
-        self.core = frozenset(v for v in core if v in self.essential)
-        # deterministic successor order for greedy walks
-        self._succ = {
-            v: sorted(((d["letter"], u) for _, u, d in self.graph.out_edges(v, data=True)),
-                      key=lambda e: alphabet.index(e[0]))
-            for v in self.graph
-        }
-        self._pred = {
-            v: sorted(((u[0], u) for u, _ in self.graph.in_edges(v)),
-                      key=lambda e: alphabet.index(e[0]))
-            for v in self.graph
-        }
+        self.essential = frozenset(live)
+        # edges labelled by the letter they add, in alphabet order, so greedy
+        # walks are deterministic
+        index = self.alphabet.index
+        self._succ = {v: sorted(((u[-1], u) for u in succ[v] if u in live),
+                                key=lambda e: index(e[0]))
+                      for v in live}
+        self._pred = {v: sorted(((u[0], u) for u in pred[v] if u in live),
+                                key=lambda e: index(e[0]))
+                      for v in live}
         self._short = {}          # length < k-1 -> allowed words
         self._defect = {}         # window size -> (overlap graph, defect edge map)
         self._periodic = {}       # period -> blocks
@@ -183,8 +173,7 @@ class SFTEngine(LanguageEngine):
         self.aperiodic = False    # a nonempty SFT always has periodic points
 
     def _single_cycle(self):
-        return all(self.graph.out_degree(v) == 1 and self.graph.in_degree(v) == 1
-                   for v in self.graph)
+        return all(len(self._succ[v]) == len(self._pred[v]) == 1 for v in self.essential)
 
     def _enumerate(self, length):
         k = self.k
@@ -197,8 +186,8 @@ class SFTEngine(LanguageEngine):
                                        for i in range(k - 1 - length + 1)}
             return self._short[length]
         shorter = self.allowed_words(length - 1)
-        if len(shorter) * len(self.alphabet) > caps_mod.DEFAULT.word_store:
-            raise MemoryCapExceeded(f"more than {caps_mod.DEFAULT.word_store} words at length {length}")
+        if len(shorter) * len(self.alphabet) > self.caps.word_store:
+            raise MemoryCapExceeded(f"more than {self.caps.word_store} words at length {length}")
         out = set()
         for w in shorter:
             for letter, _ in self._succ[w[-(k - 1):]]:
@@ -242,10 +231,15 @@ class SFTEngine(LanguageEngine):
         if period in self._periodic:
             return self._periodic[period]
         blocks = set()
-        sub = self.graph.subgraph(self.core)
-        for v0 in sorted(self.core, key=self.alphabet.sort_key):
-            # distance to v0, for pruning walks that cannot close in time
-            back = nx.single_source_shortest_path_length(sub.reverse(copy=False), v0)
+        for v0 in self.essential:
+            # distance to v0 (those below `period`), for pruning walks that
+            # cannot close in time; a closed walk stays in v0's component
+            back = {v0: 0}
+            frontier = [v0]
+            for distance in range(1, period):
+                frontier = {u: distance for v in frontier for _, u in self._pred[v]
+                            if u not in back}
+                back.update(frontier)
             stack = [(v0, ())]
             while stack:
                 v, path = stack.pop()
@@ -262,7 +256,9 @@ class SFTEngine(LanguageEngine):
         return out
 
     def is_irreducible(self):
-        return nx.is_strongly_connected(self.graph)
+        start = next(iter(self.essential))
+        return all(len(_reachable(edges, start)) == len(self.essential)
+                   for edges in (self._succ, self._pred))
 
     def cylinder_periodic_exists(self, word, period):
         q = abs(period)
@@ -294,7 +290,7 @@ class SFTEngine(LanguageEngine):
             raise ValueError("period must be nonzero")
         if not self._is_allowed(word):
             return False
-        size = max(q, self.k - 1)
+        size = max(q, self.k)
         if len(word) < size + 1:
             pad = size + 1 - len(word)
             left = pad // 2
@@ -346,8 +342,7 @@ class SubstitutionEngine(LanguageEngine):
 
     kind = "substitution"
 
-    def __init__(self, alphabet, rules, caps=None):
-        caps = caps or caps_mod.DEFAULT
+    def __init__(self, alphabet, rules):
         super().__init__(alphabet, minimal=True)
         self.rules = {a: tuple(rules[a]) for a in alphabet.letters}
         for a, image in self.rules.items():
@@ -360,8 +355,7 @@ class SubstitutionEngine(LanguageEngine):
             raise NonPrimitiveSubstitution("no power of the substitution matrix is positive")
         if max(len(im) for im in self.rules.values()) < 2:
             raise NonPrimitiveSubstitution("substitution does not expand (all images are single letters)")
-        self._caps = caps
-        self._scan_periodicity(caps)
+        self._scan_periodicity()
 
     def _primitive(self):
         letters = self.alphabet.letters
@@ -425,10 +419,10 @@ class SubstitutionEngine(LanguageEngine):
                                               key=self.alphabet.sort_key))
         return by_length.get(length, set())
 
-    def _scan_periodicity(self, caps):
+    def _scan_periodicity(self):
         maxrule = max(len(im) for im in self.rules.values())
         self._finite = None
-        for p in range(1, caps.period_scan + 1):
+        for p in range(1, self.caps.period_scan + 1):
             probe = 3 * p + 3 * maxrule + 12
             if any(has_period(w, p) for w in self.allowed_words(probe)):
                 # a p-periodic point exists; minimal => the subshift is one
@@ -474,7 +468,7 @@ class SubstitutionEngine(LanguageEngine):
         return False
 
     def _seed_pair(self):
-        for power in range(1, self._caps.seed_power + 1):
+        for power in range(1, self.caps.seed_power + 1):
             images = {a: self.apply_power((a,), power) for a in self.alphabet.letters}
             rights = [a for a in self.alphabet.letters if images[a][0] == a]
             lefts = [a for a in self.alphabet.letters if images[a][-1] == a]
@@ -482,7 +476,7 @@ class SubstitutionEngine(LanguageEngine):
             if pairs:
                 pairs.sort(key=lambda pq: (self.alphabet.index(pq[0]), self.alphabet.index(pq[1])))
                 return power, pairs[0]
-        raise NotImplementedSeed(f"no fixed-point seed pair up to power {self._caps.seed_power}")
+        raise NotImplementedSeed(f"no fixed-point seed pair up to power {self.caps.seed_power}")
 
     def point_window(self, radius):
         power, (p, q) = self._seed_pair()
@@ -567,6 +561,7 @@ class RecodedEngine(LanguageEngine):
         blocks = source.allowed_words(block_length)
         names = tuple(source.alphabet.format_word(b) for b in blocks)
         super().__init__(Alphabet(names), minimal=source.minimal, aperiodic=source.aperiodic)
+        self.caps = source.caps
         self.source = source
         self.block_length = block_length
         self.decode = dict(zip(names, blocks))
@@ -613,37 +608,37 @@ class RecodedEngine(LanguageEngine):
 # module-level operations
 
 
-def sft_engine(letters, forbidden, caps=None):
+def sft_engine(letters, forbidden):
     alphabet = Alphabet(letters)
     return SFTEngine(alphabet, [alphabet.parse_word(w) if isinstance(w, str) else tuple(w)
-                                for w in forbidden], caps=caps)
+                                for w in forbidden])
 
 
-def substitution_engine(rules, order=None, caps=None):
+def substitution_engine(rules, order=None):
     order = tuple(order) if order is not None else tuple(rules)
     alphabet = Alphabet(order)
     parsed = {a: (alphabet.parse_word(im) if isinstance(im, str) else tuple(im))
               for a, im in rules.items()}
-    return SubstitutionEngine(alphabet, parsed, caps=caps)
+    return SubstitutionEngine(alphabet, parsed)
 
 
 def sturmian_engine(quotients, depth_cap, letters=("a", "b")):
     return SturmianEngine(Alphabet(letters), quotients, depth_cap)
 
 
-def build_engine(description, caps=None):
+def build_engine(description):
     """Build an engine from a parsed description dict (see the file format)."""
     kind = description.get("kind")
     letters = description.get("alphabet")
     if not letters:
         raise SemanticError("missing alphabet")
     if kind == "sft":
-        return sft_engine(letters, description.get("forbidden", ()), caps=caps)
+        return sft_engine(letters, description.get("forbidden", ()))
     if kind == "substitution":
         rules = description.get("rules")
         if not rules or set(rules) != set(letters):
             raise SemanticError("substitution needs one rule per letter")
-        return substitution_engine(rules, order=letters, caps=caps)
+        return substitution_engine(rules, order=letters)
     if kind == "sturmian":
         return sturmian_engine(description.get("cf", ()), description.get("depth", 1),
                                letters=letters)
@@ -676,21 +671,18 @@ class RecodingMap:
     block_length: int
     letter_decode: dict
 
-    def decode_letters(self, word):
-        return tuple(self.letter_decode[a] for a in word)
 
-
-def proper_recode(engine, d, caps=None):
+def proper_recode(engine, d):
     """Conjugate d-proper engine via higher-block recoding, plus the decode map.
 
     The block length is the least L such that no allowed (L+d)-word has a
     period <= d; the output is checked exhaustively on its (d+1)-words.
     """
-    caps = caps or caps_mod.DEFAULT
     if engine.aperiodic is not True:
         raise NotAperiodic("proper recoding requires a certified-aperiodic engine")
     if d < 1:
         raise ValueError("d must be >= 1")
+    caps = engine.caps
     block = None
     for length in range(1, caps.radius_search + 1):
         if not any(has_period(w, p)
@@ -723,9 +715,23 @@ def sft_approximation(engine, n):
         raise ValueError("approximation order must be >= 1")
     if n == 1:
         letters = [w[0] for w in engine.allowed_words(1)]
-        allowed = {(a, b) for a in letters for b in letters}
-        return SFTEngine.from_allowed(engine.alphabet, 2, allowed)
-    return SFTEngine.from_allowed(engine.alphabet, n, engine.allowed_words(n))
+        approx = SFTEngine.from_allowed(engine.alphabet, 2, {(a, b) for a in letters for b in letters})
+    else:
+        approx = SFTEngine.from_allowed(engine.alphabet, n, engine.allowed_words(n))
+    approx.caps = engine.caps
+    return approx
+
+
+def _reachable(edges, start):
+    """Vertices reachable from `start` along (letter, vertex) adjacency lists."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _, u in edges[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def is_irreducible(engine):

@@ -22,8 +22,10 @@ Errors carry line/column and the expected-token set.
 from dataclasses import dataclass
 
 from .closets import CloSet
+from .constructions import first_return, sigma_U
 from .elements import compose, commutator, element_image, identity, inverse, shift
 from .errors import ParseError, SemanticError
+from .language import build_engine
 from .words import Word
 
 
@@ -339,10 +341,8 @@ class Session:
         if kind == "phi":
             return shift(self.engine, tree[1])
         if kind == "sigma":
-            from .constructions import sigma_U
             return sigma_U(self.eval_closet(tree[1]))
         if kind == "ret":
-            from .constructions import first_return
             return first_return(self.eval_closet(tree[1]))
         if kind == "inv":
             return inverse(self.eval_element(tree[1]))
@@ -431,8 +431,7 @@ def parse_subshift(text):
     return description
 
 
-def load_engine(path, caps=None):
-    from .language import build_engine
+def load_engine(path):
     with open(path, "r", encoding="utf-8") as handle:
         description = parse_subshift(handle.read())
-    return build_engine(description, caps=caps)
+    return build_engine(description)

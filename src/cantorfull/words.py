@@ -105,18 +105,6 @@ class Word:
         the letter previously at n - k."""
         return Word(self.letters, self.anchor + k)
 
-    def same_letters(self, other):
-        """Unanchored comparison."""
-        return self.letters == other.letters
-
-
-def centered(letters, radius):
-    """Anchor a (2*radius+1)-tuple at -radius."""
-    letters = tuple(letters)
-    if len(letters) != 2 * radius + 1:
-        raise ValueError(f"expected {2 * radius + 1} letters, got {len(letters)}")
-    return Word(letters, -radius)
-
 
 def factors(word, length):
     """All length-`length` factors of an unanchored word, in occurrence order."""

@@ -11,6 +11,7 @@ from cantorfull.elements import (Element, ball_sizes, canonical_dump,
 from cantorfull.errors import (EngineMismatch, NotBijective, NotInjective,
                                NotSurjective, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
+from cantorfull.language import sft_engine
 from cantorfull.words import Word
 from conftest import sample_elements
 
@@ -139,6 +140,16 @@ def test_is_identity_on_periodic_sft(period_two):
 def test_is_identity_on_y(y_engine):
     table = {w: (1 if w[1] == "b" else 0) for w in y_engine.allowed_words(3)}
     assert not is_identity(make_semigroup_element(y_engine, 1, table))
+
+
+def test_identity_through_a_fixed_point_only():
+    # c only follows c, so the table moves just the fixed point c^inf
+    engine = sft_engine("abc", ["ac", "ca", "bc", "cb"])
+    f = make_element(engine, 0, {("a",): 0, ("b",): 0, ("c",): 1})
+    assert is_identity(f)
+    assert order(f) == 1
+    assert support(f).is_empty()
+    assert equal(f, identity(engine))
 
 
 def test_order_examples(fibonacci):

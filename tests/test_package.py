@@ -1,0 +1,44 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import cantorfull
+from cantorfull.elements import shift
+from cantorfull.errors import CapExceeded
+from cantorfull.language import proper_recode, sft_engine, substitution_engine
+
+PACKAGE = pathlib.Path(cantorfull.__file__).parent
+
+
+def test_import_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, cantorfull, cantorfull.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_caps_are_read_when_an_engine_is_built(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "dbound=1")
+    engine = sft_engine("01", [])
+    fib = substitution_engine({"a": "ab", "b": "a"})
+    monkeypatch.delenv("CANTORFULL_CAPS")
+    with pytest.raises(CapExceeded) as err:
+        shift(engine, 2)
+    assert err.value.cap == 1
+    assert proper_recode(fib, 2)[0].caps is fib.caps
+    assert shift(sft_engine("01", []), 2).dbound == 2
+
+
+def test_no_function_local_imports():
+    local = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local.update(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                             if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    assert sorted(local) == []
