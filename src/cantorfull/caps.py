@@ -37,7 +37,10 @@ def parse_caps(text):
         key = key.strip()
         if key not in names:
             raise ValueError(f"unknown cap {key!r}")
-        updates[key] = int(value)
+        try:
+            updates[key] = int(value)
+        except ValueError:
+            raise ValueError(f"cap {key!r} needs an integer, got {value.strip()!r}") from None
     return Caps(**updates)
 
 

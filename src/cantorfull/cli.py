@@ -12,6 +12,7 @@ import sys
 
 from .actions import (clopen_orbit, lef_certificate, orbit_permutation,
                       putnam_blocks, index_mod)
+from .caps import caps_from_env
 from .constructions import (gw_transport, houghton_profile, kr_towers,
                             lamplighter_pair, matui_generators, sigma_U,
                             van_douwen_certify, van_douwen_involutions)
@@ -111,7 +112,11 @@ def _build_parser():
 def _session(args):
     if not args.subshift:
         raise UsageError("this command needs --subshift FILE")
-    return Session(load_engine(args.subshift))
+    try:
+        engine = load_engine(args.subshift)
+    except OSError as err:
+        raise UsageError(f"cannot read --subshift {args.subshift}: {err.strerror}") from None
+    return Session(engine)
 
 
 def _emit_warnings(session):
@@ -254,6 +259,10 @@ def _run(args):
 def main(argv=None):
     parser = _build_parser()
     try:
+        try:
+            caps_from_env()
+        except ValueError as err:
+            raise UsageError(f"bad CANTORFULL_CAPS: {err}") from None
         args = parser.parse_args(argv)
         return _run(args)
     except UsageError as err:

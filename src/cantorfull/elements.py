@@ -35,6 +35,9 @@ class Element:
         self.dbound = max((abs(v) for v in table.values()), default=0)
         self._bijective = bijective      # True / False / None (not yet certified)
         self._witness = witness
+        # canonical form: None until computed, False when it is this element
+        # (a reference to itself would make a cycle that only the cyclic
+        # garbage collector frees)
         self._canonical = None
 
     # -- basic views ---------------------------------------------------------
@@ -96,7 +99,7 @@ class Element:
 
     def canonical_element(self):
         if self._canonical is not None:
-            return self._canonical
+            return self._canonical or self
         table, radius = self.table, self.radius
         for target in range(0, radius):
             groups = {}
@@ -110,10 +113,10 @@ class Element:
                     break
             if ok:
                 reduced = Element(self.engine, target, groups, self._bijective)
-                reduced._canonical = reduced
+                reduced._canonical = False
                 self._canonical = reduced
                 return reduced
-        self._canonical = self
+        self._canonical = False
         return self
 
     def canonical_key(self):

@@ -355,6 +355,7 @@ class SubstitutionEngine(LanguageEngine):
             raise NonPrimitiveSubstitution("no power of the substitution matrix is positive")
         if max(len(im) for im in self.rules.values()) < 2:
             raise NonPrimitiveSubstitution("substitution does not expand (all images are single letters)")
+        self._pairs = self._allowed_pairs()
         self._scan_periodicity()
 
     def _primitive(self):
@@ -377,47 +378,34 @@ class SubstitutionEngine(LanguageEngine):
         return word
 
     def _enumerate(self, length):
-        """All length-`length` factors, harvested from the images sigma^m(c).
+        """All length-`length` factors, read off sigma^m(a) sigma^m(b).
 
-        Once one full round adds no new factor of length <= target, the
-        harvested set is closed under taking factors of sigma-images, hence
-        equals the whole language up to that length.  All lengths up to a
-        geometric overshoot are cached in one pass, so growing queries stay
-        near-linear overall.
+        Two-block lemma (Queffelec, *Substitution Dynamical Systems - Spectral
+        Analysis*, LNM 1294, section 5; Pytheas Fogg, *Substitutions in
+        Dynamics, Arithmetics and Combinatorics*, LNM 1794, ch. 1): every
+        point is a shift of sigma^m(y) for a point y of the subshift, so every
+        factor lies in sigma^m(w) for an allowed word w.  Take the least m
+        with every block sigma^m(c) at least length-1 long.  A factor of that
+        length cannot cover a whole block plus a letter on each side, so it
+        lies in sigma^m(a) sigma^m(b) for an allowed 2-word ab.  Lengths 1
+        and 2 take m = 0 and read the letters and 2-words off `self._pairs`.
         """
-        target = max(2 * length, 32)
-        found = set()
+        blocks = {c: (c,) for c in self.alphabet.letters}
+        while min(len(w) for w in blocks.values()) < length - 1:
+            blocks = {c: self.apply(w) for c, w in blocks.items()}
+        return {f for a, b in self._pairs for f in factors(blocks[a] + blocks[b], length)}
 
-        def harvest(word):
-            grew = False
-            n = len(word)
-            for l in range(1, min(target, n) + 1):
-                for i in range(n - l + 1):
-                    f = word[i:i + l]
-                    if f not in found:
-                        found.add(f)
-                        grew = True
-            return grew
-
-        words = {c: (c,) for c in self.alphabet.letters}
-        for w in words.values():
-            harvest(w)
-        while True:
-            words = {c: self.apply(w) for c, w in words.items()}
-            grew = False
-            for w in words.values():
-                if harvest(w):
-                    grew = True
-            if not grew:
-                break
-        by_length = {}
-        for w in found:
-            by_length.setdefault(len(w), set()).add(w)
-        for l in range(1, target + 1):
-            if l != length and l not in self._words:
-                self._words[l] = tuple(sorted(by_length.get(l, ()),
-                                              key=self.alphabet.sort_key))
-        return by_length.get(length, set())
+    def _allowed_pairs(self):
+        """The allowed 2-words: the 2-factors of each sigma(c), closed under
+        adding the 2-factors of sigma(ab) for each ab already found."""
+        pairs = set()
+        pending = [self.rules[c] for c in self.alphabet.letters]
+        while pending:
+            for pair in factors(pending.pop(), 2):
+                if pair not in pairs:
+                    pairs.add(pair)
+                    pending.append(self.apply(pair))
+        return pairs
 
     def _scan_periodicity(self):
         maxrule = max(len(im) for im in self.rules.values())
@@ -427,8 +415,7 @@ class SubstitutionEngine(LanguageEngine):
             if any(has_period(w, p) for w in self.allowed_words(probe)):
                 # a p-periodic point exists; minimal => the subshift is one
                 # finite orbit, recoverable from any long enough word
-                sizes = [len(self.allowed_words(l)) for l in range(1, probe + 1)]
-                n = sizes[-1]
+                n = len(self.allowed_words(probe))
                 long_word = self.allowed_words(3 * n)[0]
                 blocks = sorted({tuple(long_word[i % n] for i in range(j, j + n))
                                  for j in range(n)}, key=self.alphabet.sort_key)

@@ -47,7 +47,7 @@ class Alphabet:
             raise KeyError(f"letter {letter!r} not in alphabet") from None
 
     def sort_key(self, word):
-        return tuple(self._index[a] for a in word)
+        return tuple(map(self._index.__getitem__, word))
 
     def format_word(self, word):
         if not word:

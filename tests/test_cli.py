@@ -192,6 +192,24 @@ def test_cli_exit_codes(capsys, fib_file):
     assert code == 1 and "usage" in err
 
 
+def test_cli_missing_subshift_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.subshift")
+    code, out, err = run(capsys, "--subshift", missing, "elem", "eval", "--expr", "phi")
+    assert code == 1 and out == ""
+    assert err == f"usage error: cannot read --subshift {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("caps, message", [
+    ("bogus=1", "unknown cap 'bogus'"),
+    ("dbound=32,orbit=x", "cap 'orbit' needs an integer, got 'x'"),
+])
+def test_cli_bad_caps_variable(capsys, monkeypatch, fib_file, caps, message):
+    monkeypatch.setenv("CANTORFULL_CAPS", caps)
+    code, out, err = run(capsys, "--subshift", fib_file, "lang", "words", "--length", "2")
+    assert code == 1 and out == ""
+    assert err == f"usage error: bad CANTORFULL_CAPS: {message}\n"
+
+
 def test_cli_determinism(capsys, fib_file):
     first = run(capsys, "--subshift", fib_file, "construct", "towers",
                 "--closet", 'cyl(0,"b")')

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -130,6 +131,19 @@ def test_canonical_radius_detection(fibonacci):
     f = make_semigroup_element(fibonacci, 1, base)
     padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
     assert canonical_form(padded).radius == canonical_form(f).radius == 1
+
+
+def test_canonical_element_holds_no_reference_to_itself(fibonacci):
+    """A canonical element that referred to itself would be a reference cycle,
+    freed only by the cyclic garbage collector."""
+    base = {w: (2 if w[0] == "a" else -1) for w in fibonacci.allowed_words(3)}
+    f = make_semigroup_element(fibonacci, 1, base)
+    padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
+    reduced = padded.canonical_element()
+    assert reduced.radius == 1
+    for e in (f, reduced):
+        assert e.canonical_element() is e
+        assert not any(x is e for x in gc.get_referents(e))
 
 
 def test_is_identity_on_periodic_sft(period_two):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
                                EmptySubshift, NonPrimitiveSubstitution,
@@ -17,6 +18,80 @@ def brute_force_factors(engine_rules, length, power=12):
     for _ in range(power):
         word = tuple(c for a in word for c in engine_rules[a])
     return set(factors(word, length))
+
+
+def iterate_factors(rules, lengths):
+    """Independent oracle: the factors of the given lengths of sigma^n(c), over
+    every letter c, at the first n from which that set no longer changes.
+    Only n with every sigma^n(c) at least max(lengths) long are compared."""
+    def collect(images):
+        return {w[i:i + l] for w in images for l in lengths for i in range(len(w) - l + 1)}
+
+    images = list(rules)
+    while min(map(len, images)) < max(lengths):
+        images = ["".join(rules[c] for c in w) for w in images]
+    current = collect(images)
+    while True:
+        images = ["".join(rules[c] for c in w) for w in images]
+        following = collect(images)
+        if following == current:
+            return current
+        current = following
+
+
+def language_strings(engine, lengths):
+    return {"".join(w) for l in lengths for w in engine.allowed_words(l)}
+
+
+@st.composite
+def substitutions(draw):
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    return {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+
+
+@settings(deadline=None, database=None)
+@given(substitutions())
+def test_substitution_language_against_iterates(rules):
+    try:
+        engine = substitution_engine(rules)
+    except NonPrimitiveSubstitution:
+        assume(False)
+    lengths = range(1, 13)
+    assert language_strings(engine, lengths) == iterate_factors(rules, lengths)
+
+
+@pytest.mark.parametrize("rules, finite", [
+    ({"a": "ab", "b": "a"}, None),                              # Fibonacci
+    ({"a": "ab", "b": "ba"}, None),                             # Thue-Morse
+    ({"a": "aab", "b": "bc", "c": "ca"}, None),
+    ({"a": "ab", "b": "aa"}, None),                             # period doubling
+    ({"a": "ab", "b": "ac", "c": "db", "d": "dc"}, None),       # Rudin-Shapiro
+    ({"a": "ab", "b": "ac", "c": "a"}, None),
+    ({"a": "abc", "b": "cab", "c": "bca"}, None),
+    ({"a": "ab", "b": "ab"}, (2, (("a", "b"), ("b", "a")))),    # one periodic orbit
+])
+def test_substitution_fixtures_against_iterates(rules, finite):
+    engine = substitution_engine(rules)
+    lengths = range(1, 31)
+    assert language_strings(engine, lengths) == iterate_factors(rules, lengths)
+    assert engine.finite_points() == finite
+
+
+def thue_morse_complexity(n):
+    """Brlek's formula: for n = 2^r + q + 1 with 0 < q <= 2^r, the count is
+    6*2^(r-1) + 4q when q <= 2^(r-1), else 8*2^(r-1) + 2q."""
+    if n <= 2:
+        return (1, 2, 4)[n]
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2 ** r
+    return 3 * 2 ** r + 4 * q if 2 * q <= 2 ** r else 4 * 2 ** r + 2 * q
+
+
+def test_thue_morse_complexity_brlek():
+    engine = substitution_engine({"a": "ab", "b": "ba"})
+    assert [thue_morse_complexity(n) for n in range(1, 9)] == [2, 4, 6, 10, 12, 16, 20, 22]
+    for n in range(1, 201):
+        assert len(engine.allowed_words(n)) == thue_morse_complexity(n)
 
 
 def test_build_engine_fibonacci_flags(fibonacci):
