@@ -6,7 +6,7 @@ variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
 approximation takes the caps of the engine it comes from.  The variable
 overrides defaults with a comma-separated list of key=value pairs, e.g.
 ``CANTORFULL_CAPS=dbound=32,orbit=128``.  Keys: dbound, order, orbit, lef_n,
-lef_p, period_scan, seed_power, word_store, radius_search.
+lef_p, period_scan, word_store, radius_search.
 """
 
 import os
@@ -21,7 +21,6 @@ class Caps:
     lef_n: int = 8            # lef_certificate approximation-order cap
     lef_p: int = 12           # lef_certificate period cap
     period_scan: int = 12     # aperiodicity scan: periods checked
-    seed_power: int = 12      # substitution fixed-point seed: powers tried
     word_store: int = 500_000  # enumeration guard (words, ball elements)
     radius_search: int = 64   # cover-refinement radius guard
 

@@ -3,8 +3,11 @@
 Every element command needs a session engine (``--subshift FILE``); elements
 are not portable across engines.  All outputs are deterministic: words print
 in the alphabet's reference order and floats print via repr.  Exit codes:
-0 success, 1 usage (bad arguments or unparsable expressions), 2 domain errors
-(stable codes from the error hierarchy, printed to stderr).
+0 success; 1 for a bad argument (a missing or out-of-range option, an
+unreadable file, an unparsable expression); 2 for a domain error (a
+well-formed request the subshift refuses, such as a word outside its
+language), with a stable code from the error hierarchy.  Errors print to
+stderr.
 """
 
 import argparse
@@ -32,6 +35,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_from(low):
+    """argparse type: an integer >= low (argparse names it in its messages)."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def increasing_list(text):
+    """argparse type for ``jm report --n``: increasing integers >= 2."""
+    values = [_int_from(2)(v) for v in text.split(",") if v]
+    if not values or any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"expected an increasing list, got {text}")
+    return values
+
+
 def _build_parser():
     parser = _Parser(prog="cantorfull", description=__doc__)
     parser.add_argument("--subshift", help="subshift definition file")
@@ -39,12 +59,12 @@ def _build_parser():
 
     lang = sub.add_parser("lang").add_subparsers(dest="command", required=True)
     words = lang.add_parser("words")
-    words.add_argument("--length", type=int, required=True)
+    words.add_argument("--length", type=_int_from(0), required=True)
     recur = lang.add_parser("recur")
     recur.add_argument("--word", required=True)
     recur.add_argument("--cap", type=int)
     recode = lang.add_parser("recode")
-    recode.add_argument("--d", type=int, required=True)
+    recode.add_argument("--d", type=_int_from(1), required=True)
 
     elem = sub.add_parser("elem").add_subparsers(dest="command", required=True)
     for name in ("eval", "canon"):
@@ -96,16 +116,17 @@ def _build_parser():
     jm = sub.add_parser("jm").add_subparsers(dest="command", required=True)
     cmd = jm.add_parser("corr")
     cmd.add_argument("--g", required=True)
-    cmd.add_argument("--n", type=int, required=True)
+    cmd.add_argument("--n", type=_int_from(1), required=True)
     cmd = jm.add_parser("report")
     cmd.add_argument("--g", required=True)
-    cmd.add_argument("--n", required=True, help="comma-separated increasing list")
+    cmd.add_argument("--n", type=increasing_list, required=True,
+                     help="comma-separated increasing list")
     cmd.add_argument("--loglog", action="store_true")
 
     group = sub.add_parser("group").add_subparsers(dest="command", required=True)
     cmd = group.add_parser("ball")
     cmd.add_argument("--gen", action="append", required=True)
-    cmd.add_argument("--radius", type=int, required=True)
+    cmd.add_argument("--radius", type=_int_from(0), required=True)
     return parser
 
 
@@ -116,6 +137,8 @@ def _session(args):
         engine = load_engine(args.subshift)
     except OSError as err:
         raise UsageError(f"cannot read --subshift {args.subshift}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise UsageError(f"cannot read --subshift {args.subshift}: not UTF-8 text ({err.reason})") from None
     return Session(engine)
 
 
@@ -234,9 +257,8 @@ def _run(args):
             view = _orbit_view(session, args.g, args.n)
             print(repr(correlation(view, args.n)))
         elif command == "report":
-            ns = [int(v) for v in args.n.split(",") if v]
-            view = _orbit_view(session, args.g, max(ns))
-            report = decay_report(view, ns)
+            view = _orbit_view(session, args.g, args.n[-1])
+            report = decay_report(view, args.n)
             sys.stdout.write(report.tsv())
             if args.loglog:
                 sys.stdout.write(report.loglog_table())

@@ -8,8 +8,15 @@ of k in [-D, D] with table(y[k-r..k+r]) = k must be exactly 1 (the witness k
 is the displacement of the unique preimage, which is what inversion uses).
 
 Composition follows compose(f, g) = f o g, apply g first.
+
+The canonical form (``canonical_key``, ``canonical_dump``) names the table,
+which orbit reads on periodic points depend on.  ``map_key`` names the
+induced map, which ``is_identity``, ``equal`` and ``ball_sizes`` decide: on a
+cylinder of periodic points, values that differ by a multiple of its
+``local_period`` give the same map.
 """
 
+import math
 from dataclasses import dataclass
 
 from .closets import CloSet
@@ -124,9 +131,48 @@ class Element:
         order = self.engine.alphabet.sort_key
         return (c.radius, tuple(sorted(c.table.items(), key=lambda kv: order(kv[0]))))
 
+    def map_key(self):
+        """(radius, values in allowed_words(2 radius + 1) order), a complete
+        invariant of the induced map: the canonical table with each value
+        reduced modulo its window's local period (0 keeps it exact), at the
+        least radius where the extensions of every core have a common value."""
+        c = self.canonical_element()
+        engine, radius = self.engine, c.radius
+        words = engine.allowed_words(2 * radius + 1)
+        periods = [engine.local_period(w) for w in words]
+        if not any(periods):
+            return (radius, tuple(c.table[w] for w in words))
+        table = {w: (c.table[w] % m if m else c.table[w], m) for w, m in zip(words, periods)}
+        while radius > 0:
+            coarser = {}
+            for w, congruence in table.items():
+                coarser[w[1:-1]] = _crt(coarser.get(w[1:-1], (0, 1)), congruence)
+            if None in coarser.values():
+                break
+            table, radius = coarser, radius - 1
+        return (radius, tuple(table[w][0] for w in engine.allowed_words(2 * radius + 1)))
+
     def __repr__(self):
         c = self.canonical_element()
         return f"<element r={c.radius} d={c.dbound} over {self.engine.kind}>"
+
+
+def _crt(a, b):
+    """The common solution (value, modulus) of x = u (mod m) and x = v (mod n),
+    or None if there is none or `a` is None; modulus 0 means an exact value."""
+    if a is None:
+        return None
+    (u, m), (v, n) = a, b
+    if m == 0 or n == 0:
+        x = u if m == 0 else v
+        if all(x == y if k == 0 else (x - y) % k == 0 for y, k in (a, b)):
+            return (x, 0)
+        return None
+    g = math.gcd(m, n)
+    if (v - u) % g:
+        return None
+    lcm = m // g * n
+    return ((u + m * ((v - u) // g * pow(m // g, -1, n // g))) % lcm, lcm)
 
 
 def _check_same_engine(f, g):
@@ -207,24 +253,13 @@ def commutator(f, g):
 
 
 def is_identity(f):
-    c = f.canonical_element()
-    if all(v == 0 for v in c.table.values()):
-        return True
-    if f.engine.aperiodic is True:
-        return False
-    return not any(v != 0 and f.engine.cylinder_nonperiodic_exists(w, v)
-                   for w, v in c.table.items())
+    return not any(f.map_key()[1])
 
 
 def equal(f, g):
     """Do f and g induce the same self-map of the subshift?"""
     _check_same_engine(f, g)
-    radius = max(f.radius, g.radius)
-    if f.padded_table(radius) == g.padded_table(radius):
-        return True
-    if f.engine.aperiodic is True:
-        return False
-    return is_identity(compose(f, inverse(g)))
+    return f.map_key() == g.map_key()
 
 
 def order(f, cap=None):
@@ -246,12 +281,8 @@ def support(f):
     c = f.canonical_element()
     radius = c.radius + c.dbound
     table = c.padded_table(radius)
-    members = set()
-    for w, v in table.items():
-        if v == 0:
-            continue
-        if engine.aperiodic is True or engine.cylinder_nonperiodic_exists(w, v):
-            members.add(w)
+    members = {w for w, v in table.items()
+               if v != 0 and engine.cylinder_nonperiodic_exists(w, v)}
     return CloSet(engine, radius, members)
 
 
@@ -278,7 +309,7 @@ def element_image(closet, f):
 
 def ball_sizes(generators, radius):
     """Sizes |B(1)| <= ... <= |B(radius)| for the symmetrized generating set
-    (identity included), deduplicated by canonical forms."""
+    (identity included), deduplicated by map keys."""
     if not generators:
         raise ValueError("need at least one generator")
     engine = generators[0].engine
@@ -290,11 +321,11 @@ def ball_sizes(generators, radius):
     seen_gens = set()
     for g in generators:
         for h in (g, inverse(g)):
-            key = h.canonical_key()
+            key = h.map_key()
             if key not in seen_gens:
                 seen_gens.add(key)
                 gens.append(h)
-    store = {identity(engine).canonical_key(): identity(engine)}
+    store = {identity(engine).map_key(): identity(engine)}
     frontier = list(store.values())
     sizes = []
     for _ in range(radius):
@@ -302,7 +333,7 @@ def ball_sizes(generators, radius):
         for h in frontier:
             for g in gens:
                 e = compose(g, h)
-                key = e.canonical_key()
+                key = e.map_key()
                 if key not in store:
                     store[key] = e
                     fresh.append(e)

@@ -43,10 +43,6 @@ class MemoryCapExceeded(CantorfullError):
     code = "memory-cap-exceeded"
 
 
-class NotImplementedSeed(CantorfullError):
-    code = "no-fixed-point-seed"
-
-
 class PartialTable(CantorfullError):
     code = "partial-table"
 

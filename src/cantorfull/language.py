@@ -8,20 +8,25 @@ kind, the higher-block recoding of another engine, is produced by
 
 Every engine answers the same queries: ``allowed_words(L)`` (the length-L
 factors, sorted in the alphabet's reference order), ``is_allowed(word)``,
-and ``point_window(M)`` (the window x[-M..M] of a canonical point).  Engines
-are immutable after construction; the caches behave as computed-once.
+``point_window(M)`` (the window x[-M..M] of a canonical point) and
+``local_period(word)`` (the lcm of the least periods of the points through the
+cylinder of an allowed word when all of them are periodic, else 0).  Every
+decision of the form "does phi^q fix each point of this cylinder?" reads
+``local_period``: the answer is yes exactly when it divides q.  Engines are
+immutable after construction; the caches behave as computed-once.
 
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
                      EmptySubshift, MemoryCapExceeded, NonPrimitiveSubstitution,
-                     NotAperiodic, NotImplementedSeed, NotMinimal, SemanticError)
+                     NotAperiodic, NotMinimal, SemanticError)
 from .words import Alphabet, Word, factors, has_period
 
 
@@ -84,13 +89,23 @@ class LanguageEngine:
     def _is_allowed(self, word):
         return not word or word in self.word_set(len(word))
 
-    def cylinder_nonperiodic_exists(self, word, period):
-        """Is some point through the cylinder of `word` not |period|-periodic?
+    def local_period(self, word):
+        """The lcm of the least periods of the points through the cylinder of
+        the allowed `word` when all of them are periodic, else 0.
 
-        Exact for every engine kind; the workhorse behind identity decisions
-        on engines with periodic points.
+        phi^q and phi^q' agree on the cylinder exactly when this number
+        divides q - q' (0 divides only 0).
         """
+        if self.aperiodic is True:
+            return 0
         raise NotImplementedError
+
+    def cylinder_nonperiodic_exists(self, word, period):
+        """Is some point through the cylinder of `word` not |period|-periodic?"""
+        if not self._is_allowed(word):
+            return False
+        m = self.local_period(word)
+        return m == 0 or period % m != 0
 
     def cylinder_periodic_exists(self, word, period):
         """Is some |period|-periodic point inside the cylinder of `word`
@@ -167,13 +182,27 @@ class SFTEngine(LanguageEngine):
                                 key=lambda e: index(e[0]))
                       for v in live}
         self._short = {}          # length < k-1 -> allowed words
-        self._defect = {}         # window size -> (overlap graph, defect edge map)
         self._periodic = {}       # period -> blocks
-        self.minimal = self._single_cycle()
         self.aperiodic = False    # a nonempty SFT always has periodic points
-
-    def _single_cycle(self):
-        return all(len(self._succ[v]) == len(self._pred[v]) == 1 for v in self.essential)
+        # {vertex: cycle length} on the cycles whose vertices all have one
+        # successor and one predecessor.  Only such a cycle carries a cylinder
+        # of periodic points: a second successor or predecessor anywhere on
+        # the cycle lets a point loop and then leave, and that point is not
+        # periodic.  A walk that leaves `single` or meets an earlier walk
+        # closes no cycle, so every vertex is walked once.
+        single = {v for v in live if len(self._succ[v]) == len(self._pred[v]) == 1}
+        self._cycles = {}
+        seen = set()
+        for v in single:
+            path, u = [], v
+            while u in single and u not in seen:
+                seen.add(u)
+                path.append(u)
+                u = self._succ[u][0][1]
+            if path and u == path[0]:
+                self._cycles.update(dict.fromkeys(path, len(path)))
+        # minimal exactly when the essential graph is one cycle
+        self.minimal = set(self._cycles.values()) == {len(live)}
 
     def _enumerate(self, length):
         k = self.k
@@ -269,68 +298,15 @@ class SFTEngine(LanguageEngine):
                 return True
         return False
 
-    # -- identity automaton -------------------------------------------------
-
-    def _defect_graph(self, size):
-        """Overlap graph on allowed `size`-words with q-apart-mismatch edges marked."""
-        if size not in self._defect:
-            words = self.allowed_words(size)
-            succ = {}
-            index = {}
-            for w in words:
-                index.setdefault(w[:-1], []).append(w)
-            for w in words:
-                succ[w] = [u for u in index.get(w[1:], ())]
-            self._defect[size] = succ
-        return self._defect[size]
-
-    def cylinder_nonperiodic_exists(self, word, period):
-        q = abs(period)
-        if q == 0:
-            raise ValueError("period must be nonzero")
-        if not self._is_allowed(word):
-            return False
-        size = max(q, self.k)
-        if len(word) < size + 1:
-            pad = size + 1 - len(word)
-            left = pad // 2
-            extended = [u for u in self.allowed_words(size + 1)
-                        if u[left:left + len(word)] == word]
-            return any(self.cylinder_nonperiodic_exists(u, period) for u in extended)
-        succ = self._defect_graph(size)
-
-        def is_defect(u, v):
-            return v[-1] != u[size - q]
-
-        path = [word[i:i + size] for i in range(len(word) - size + 1)]
-        for u, v in zip(path, path[1:]):
-            if is_defect(u, v):
-                return True
-        seen = {path[-1]}
-        frontier = [path[-1]]
-        while frontier:
-            u = frontier.pop()
-            for v in succ[u]:
-                if is_defect(u, v):
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        pred = {}
-        for u, vs in succ.items():
-            for v in vs:
-                pred.setdefault(v, []).append(u)
-        seen = {path[0]}
-        frontier = [path[0]]
-        while frontier:
-            v = frontier.pop()
-            for u in pred.get(v, ()):
-                if is_defect(u, v):
-                    return True
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return False
+    def local_period(self, word):
+        # a cylinder of periodic points holds one point, on an isolated cycle
+        # through each of its (k-1)-windows; a shorter word is the union of
+        # the cylinders of the vertices it starts
+        n = self.k - 1
+        if len(word) >= n:
+            return self._cycles.get(word[len(word) - n:], 0)
+        periods = [self._cycles.get(v, 0) for v in self.essential if v[:len(word)] == word]
+        return 0 if 0 in periods else math.lcm(*periods)
 
 
 # ---------------------------------------------------------------------------
@@ -428,42 +404,33 @@ class SubstitutionEngine(LanguageEngine):
         """(period, blocks) when the subshift is a single finite orbit, else None."""
         return self._finite
 
-    def cylinder_nonperiodic_exists(self, word, period):
-        q = abs(period)
-        if not self._is_allowed(word):
-            return False
-        if self.aperiodic:
-            return True
-        n, blocks = self._finite
-        r = (len(word) - 1) // 2
-        for b in blocks:
-            window = tuple(b[i % n] for i in range(-r, r + 1))
-            if window == word and any(b[j] != b[(j + q) % n] for j in range(n)):
-                return True
-        return False
+    def local_period(self, word):
+        # every point of a single finite orbit has its period as least period
+        return 0 if self.aperiodic else self._finite[0]
 
     def cylinder_periodic_exists(self, word, period):
-        if self.aperiodic:
-            return False
-        q = abs(period)
-        n, blocks = self._finite
-        r = (len(word) - 1) // 2
-        for b in blocks:
-            window = tuple(b[i % n] for i in range(-r, r + 1))
-            if window == word and all(b[j] == b[(j + q) % n] for j in range(n)):
-                return True
-        return False
+        return not self.aperiodic and self._is_allowed(word) and period % self._finite[0] == 0
 
     def _seed_pair(self):
-        for power in range(1, self.caps.seed_power + 1):
-            images = {a: self.apply_power((a,), power) for a in self.alphabet.letters}
-            rights = [a for a in self.alphabet.letters if images[a][0] == a]
-            lefts = [a for a in self.alphabet.letters if images[a][-1] == a]
-            pairs = [(p, q) for p in lefts for q in rights if self._is_allowed((p, q))]
-            if pairs:
-                pairs.sort(key=lambda pq: (self.alphabet.index(pq[0]), self.alphabet.index(pq[1])))
-                return power, pairs[0]
-        raise NotImplementedSeed(f"no fixed-point seed pair up to power {self.caps.seed_power}")
+        """(power, (p, q)): the least power at which sigma^power(p) ends with p
+        and sigma^power(q) starts with q for an allowed 2-word pq, the first
+        such pq in alphabet order.
+
+        ab -> last(sigma(a)) first(sigma(b)) maps allowed 2-words to allowed
+        2-words, so it has a cycle of length at most len(self._pairs), and
+        every pair on that cycle is a seed at that power.
+        """
+        letters = self.alphabet.letters
+        first = {a: a for a in letters}
+        last = dict(first)
+        for power in range(1, len(self._pairs) + 1):
+            first = {a: self.rules[c][0] for a, c in first.items()}
+            last = {a: self.rules[c][-1] for a, c in last.items()}
+            for p in letters:
+                for q in letters:
+                    if last[p] == p and first[q] == q and (p, q) in self._pairs:
+                        return power, (p, q)
+        raise AssertionError("the pair map has a cycle no longer than its domain")
 
     def point_window(self, radius):
         power, (p, q) = self._seed_pair()
@@ -531,9 +498,6 @@ class SturmianEngine(LanguageEngine):
         letters = tuple(self.alphabet.letters[bit(n)] for n in range(-radius, radius + 1))
         return Word(letters, -radius)
 
-    def cylinder_nonperiodic_exists(self, word, period):
-        return self._is_allowed(word)
-
 
 # ---------------------------------------------------------------------------
 # higher-block recodings
@@ -586,9 +550,6 @@ class RecodedEngine(LanguageEngine):
         letters = tuple(self._encode[src.segment(n, n + L - 1)]
                         for n in range(-radius, radius + 1))
         return Word(letters, -radius)
-
-    def cylinder_nonperiodic_exists(self, word, period):
-        return self._is_allowed(word)
 
 
 # ---------------------------------------------------------------------------

@@ -363,10 +363,7 @@ class Session:
         if kind == "empty":
             return CloSet.empty(self.engine)
         if kind == "cyl":
-            try:
-                letters = self.engine.alphabet.parse_word(tree[2])
-            except KeyError as err:
-                raise SemanticError(str(err)) from None
+            letters = self.engine.alphabet.parse_word(tree[2])
             out = CloSet.cylinder(self.engine, Word(letters, tree[1]))
             if out.is_empty() and letters:
                 self.warnings.append(

@@ -9,6 +9,8 @@ type is deliberate; it removes a whole class of off-by-one mistakes.
 
 from dataclasses import dataclass
 
+from .errors import SemanticError
+
 
 class Alphabet:
     """An ordered finite set of letter tokens.
@@ -55,13 +57,13 @@ class Alphabet:
         return ("" if self.joined else ".").join(word)
 
     def parse_word(self, text):
-        """Inverse of :meth:`format_word`; raises KeyError on unknown letters."""
+        """Inverse of :meth:`format_word`; raises SemanticError on unknown letters."""
         if text == "-" or text == "":
             return ()
         parts = tuple(text) if self.joined else tuple(text.split("."))
         for letter in parts:
             if letter not in self._index:
-                raise KeyError(f"letter {letter!r} not in alphabet")
+                raise SemanticError(f"letter {letter!r} not in alphabet")
         return parts
 
     def __repr__(self):

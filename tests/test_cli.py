@@ -199,6 +199,34 @@ def test_cli_missing_subshift_file(capsys, tmp_path):
     assert err == f"usage error: cannot read --subshift {missing}: No such file or directory\n"
 
 
+def test_cli_subshift_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bytes.subshift"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "--subshift", str(path), "lang", "words", "--length", "2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot read --subshift {path}: ")
+
+
+def test_cli_recur_unknown_letter(capsys, fib_file):
+    code, out, err = run(capsys, "--subshift", fib_file, "lang", "recur", "--word", "zz")
+    assert code == 2 and out == "" and "semantic-error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "words", "--length", "-1"],
+    ["lang", "recode", "--d", "0"],
+    ["jm", "corr", "--g", "phi", "--n", "0"],
+    ["jm", "report", "--g", "phi", "--n", "5,3"],
+    ["jm", "report", "--g", "phi", "--n", "1,x"],
+    ["jm", "report", "--g", "phi", "--n", "1,5"],
+    ["group", "ball", "--gen", "phi", "--radius", "-1"],
+])
+def test_cli_out_of_range_numbers_are_usage_errors(capsys, fib_file, argv):
+    code, out, err = run(capsys, "--subshift", fib_file, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: argument ")
+
+
 @pytest.mark.parametrize("caps, message", [
     ("bogus=1", "unknown cap 'bogus'"),
     ("dbound=32,orbit=x", "cap 'orbit' needs an integer, got 'x'"),

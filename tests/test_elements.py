@@ -166,6 +166,53 @@ def test_identity_through_a_fixed_point_only():
     assert equal(f, identity(engine))
 
 
+def test_ball_sizes_count_maps_not_tables():
+    engine = sft_engine("abc", ["ac", "ca", "bc", "cb"])
+    f = make_element(engine, 0, {("a",): 0, ("b",): 0, ("c",): 1})
+    assert ball_sizes([f], 3) == [1, 1, 1]
+
+
+def sft_from_allowed_3_words(letters, allowed):
+    return sft_engine(letters, ["".join(w) for w in itertools.product(letters, repeat=3)
+                                if "".join(w) not in allowed])
+
+
+def radius_one(table):
+    return {tuple(w): v for w, v in table.items()}
+
+
+def test_map_key_solves_congruences_across_cycles():
+    # a 2-cycle (ab) and a 3-cycle (acd) that share the letter a
+    engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "acd", "cda", "dac"})
+    # phi on the 2-cycle and phi^2 on the 3-cycle, at radius 1 and at radius 0
+    # (5 = 1 mod 2 = 2 mod 3 on the letter a)
+    g = make_element(engine, 1, radius_one({"bab": 1, "aba": 1, "dac": 2, "acd": 2, "cda": 2}))
+    h = make_element(engine, 0, {("a",): 5, ("b",): 1, ("c",): 2, ("d",): 2})
+    assert equal(g, h) and g.map_key() == h.map_key()
+    assert canonical_dump(g) != canonical_dump(h)
+    assert ball_sizes([g], 4) == [3, 5, 6, 6]
+
+
+def test_map_key_keeps_the_radius_when_congruences_conflict():
+    # a 2-cycle (ab) and a 4-cycle (acad) that share the letter a
+    engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "aca", "cad", "ada", "dac"})
+    two = {"bab": 1, "aba": 1}
+    # on a: 1 mod 2 and 3 mod 4 meet in 3 mod 4; 1 mod 2 and 2 mod 4 never meet
+    meet = make_element(engine, 1, radius_one({**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 3)}))
+    clash = make_element(engine, 1, radius_one({**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 2)}))
+    assert meet.map_key() == (0, (3, 1, 3, 3))
+    assert clash.map_key()[0] == 1
+    assert not equal(clash, make_semigroup_element(engine, 0, {("a",): 2, ("b",): 1,
+                                                               ("c",): 2, ("d",): 2}))
+
+
+def test_equal_semigroup_elements_on_periodic_points(period_two):
+    f = make_semigroup_element(period_two, 0, {("a",): 0, ("b",): 1})
+    g = make_semigroup_element(period_two, 0, {("a",): 2, ("b",): 1})
+    assert f.bijective is False
+    assert equal(f, g)
+
+
 def test_order_examples(fibonacci):
     assert order(identity(fibonacci)) == 1
     s = sigma_U(cylinder(fibonacci, -1, ("a", "a", "b")))

@@ -188,6 +188,18 @@ def test_point_window_fibonacci_seed(fibonacci):
     assert window[-1] == "a" and window[0] == "a"
 
 
+def test_point_window_seed_past_power_twelve():
+    # the pair map ab -> last(sigma(a)) first(sigma(b)) on the 17 allowed
+    # 2-words first closes a cycle through ca at power 15
+    engine = substitution_engine({"a": "b", "b": "dec", "c": "ed", "d": "ce", "e": "acc"})
+    assert len(engine.allowed_words(2)) == 17
+    window = engine.point_window(5)
+    assert len(window) == 11 and engine.is_allowed(window.letters)
+    assert window[-1] == "c" and window[0] == "a"
+    assert engine.apply_power(("c",), 15)[-1] == "c"
+    assert engine.apply_power(("a",), 15)[0] == "a"
+
+
 def test_point_window_prefix_property(fibonacci, golden_mean, sturmian_fib):
     for engine in (fibonacci, golden_mean, sturmian_fib):
         small, big = engine.point_window(3), engine.point_window(7)
@@ -288,6 +300,12 @@ def test_finite_substitution_detected():
     period, blocks = engine.finite_points()
     assert all(has_period(b * 2, period) for b in blocks)
     assert {"".join(b) for b in blocks} == {"ab", "ba"}
+
+
+def test_sft_is_minimal_only_on_one_cycle(period_two):
+    assert period_two.minimal is True
+    # the two fixed points a^inf and b^inf
+    assert sft_engine("ab", ["ab", "ba"]).minimal is False
 
 
 def test_thue_morse_is_aperiodic():

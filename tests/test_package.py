@@ -1,12 +1,15 @@
 import ast
+import dataclasses
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import cantorfull
+from cantorfull.caps import Caps
 from cantorfull.elements import shift
 from cantorfull.errors import CapExceeded
 from cantorfull.language import proper_recode, sft_engine, substitution_engine
@@ -42,3 +45,10 @@ def test_no_function_local_imports():
                 local.update(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                              if isinstance(inner, (ast.Import, ast.ImportFrom)))
     assert sorted(local) == []
+
+
+def test_every_cap_is_read():
+    source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
+    unread = [f.name for f in dataclasses.fields(Caps)
+              if not re.search(rf"\bcaps\.{f.name}\b", source)]
+    assert unread == []
