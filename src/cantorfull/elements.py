@@ -141,6 +141,8 @@ class Element:
         words = engine.allowed_words(2 * radius + 1)
         periods = [engine.local_period(w) for w in words]
         if not any(periods):
+            # every value is exact, so the CRT step would fail at once: the
+            # canonical table has a core whose extensions disagree
             return (radius, tuple(c.table[w] for w in words))
         table = {w: (c.table[w] % m if m else c.table[w], m) for w, m in zip(words, periods)}
         while radius > 0:

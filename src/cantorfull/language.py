@@ -101,8 +101,9 @@ class LanguageEngine:
         raise NotImplementedError
 
     def cylinder_nonperiodic_exists(self, word, period):
-        """Is some point through the cylinder of `word` not |period|-periodic?"""
-        if not self._is_allowed(word):
+        """Is some point through the cylinder of `word` not |period|-periodic?
+        Never for period 0: the identity fixes every point."""
+        if period == 0 or not self._is_allowed(word):
             return False
         m = self.local_period(word)
         return m == 0 or period % m != 0
@@ -183,6 +184,7 @@ class SFTEngine(LanguageEngine):
                       for v in live}
         self._short = {}          # length < k-1 -> allowed words
         self._periodic = {}       # period -> blocks
+        self.minimal = self._single_cycle()
         self.aperiodic = False    # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
@@ -201,8 +203,9 @@ class SFTEngine(LanguageEngine):
                 u = self._succ[u][0][1]
             if path and u == path[0]:
                 self._cycles.update(dict.fromkeys(path, len(path)))
-        # minimal exactly when the essential graph is one cycle
-        self.minimal = set(self._cycles.values()) == {len(live)}
+
+    def _single_cycle(self):
+        return all(len(self._succ[v]) == len(self._pred[v]) == 1 for v in self.essential)
 
     def _enumerate(self, length):
         k = self.k

@@ -302,10 +302,12 @@ def test_finite_substitution_detected():
     assert {"".join(b) for b in blocks} == {"ab", "ba"}
 
 
-def test_sft_is_minimal_only_on_one_cycle(period_two):
-    assert period_two.minimal is True
-    # the two fixed points a^inf and b^inf
-    assert sft_engine("ab", ["ab", "ba"]).minimal is False
+def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmian_fib):
+    finite = substitution_engine({"a": "ab", "b": "ab"})
+    recoded, _ = proper_recode(fibonacci, 2)
+    for engine in (period_two, golden_mean, fibonacci, sturmian_fib, finite, recoded):
+        for w in engine.allowed_words(3):
+            assert not engine.cylinder_nonperiodic_exists(w, 0)
 
 
 def test_thue_morse_is_aperiodic():
