@@ -42,10 +42,12 @@ def orbit_permutation(psi, window, base_shift=0):
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
     point = psi.engine.point_window(window + r + abs(base_shift))
+    kappa = psi.table
     table = {}
     for n in range(-window, window + 1):
+        # the cocycle at phi^m x reads the window of x around -m
         m = n + base_shift
-        table[n] = n + psi.cocycle_at(point, -m)
+        table[n] = n + kappa[point.segment(-m - r, -m + r)]
     if len(set(table.values())) != len(table):
         raise AssertionError("orbit restriction is not injective")
     return WindowedPermutation(window, table, d)
@@ -60,11 +62,13 @@ def index_mod(psi, shifts=5):
     if psi.engine.aperiodic is not True:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
     r, d = psi.radius, psi.dbound
+    kappa = psi.table
     values = []
     for s in range(shifts):
         point = psi.engine.point_window(d + r + shifts)
-        left = sum(1 for n in range(-d, 0) if n + psi.cocycle_at(point, -(n + s)) >= 0)
-        right = sum(1 for n in range(0, d) if n + psi.cocycle_at(point, -(n + s)) < 0)
+        image = {n: n + kappa[point.segment(-(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
+        left = sum(1 for n in range(-d, 0) if image[n] >= 0)
+        right = sum(1 for n in range(0, d) if image[n] < 0)
         values.append(left - right)
     if len(set(values)) != 1:
         raise AssertionError("index is not basepoint-independent")
@@ -229,11 +233,12 @@ class FiniteQuotientCert:
 
 
 def _lift_to(approx, element):
+    source = element.table
     table = {}
     for w in approx.allowed_words(2 * element.radius + 1):
-        if w not in element.table:
+        if w not in source:
             raise PartialTable([approx.alphabet.format_word(w)])
-        table[w] = element.table[w]
+        table[w] = source[w]
     return make_element(approx, element.radius, table)
 
 

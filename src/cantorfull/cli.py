@@ -62,7 +62,7 @@ def _build_parser():
     words.add_argument("--length", type=_int_from(0), required=True)
     recur = lang.add_parser("recur")
     recur.add_argument("--word", required=True)
-    recur.add_argument("--cap", type=int)
+    recur.add_argument("--cap", type=_int_from(1))
     recode = lang.add_parser("recode")
     recode.add_argument("--d", type=_int_from(1), required=True)
 
@@ -72,7 +72,7 @@ def _build_parser():
         cmd.add_argument("--expr", required=True)
     cmd = elem.add_parser("order")
     cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--cap", type=int)
+    cmd.add_argument("--cap", type=_int_from(1))
     cmd = elem.add_parser("mod")
     cmd.add_argument("--expr", required=True)
     cmd = elem.add_parser("equal")
@@ -93,25 +93,25 @@ def _build_parser():
     cmd.add_argument("--closet", required=True)
     cmd = cons.add_parser("vandouwen")
     cmd.add_argument("--q", type=int, default=3)
-    cmd.add_argument("--max-len", type=int, default=4)
+    cmd.add_argument("--max-len", type=_int_from(1), default=4)
     cmd = cons.add_parser("houghton")
     cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--window", type=int, default=64)
+    cmd.add_argument("--window", type=_int_from(0), default=64)
 
     act = sub.add_parser("act").add_subparsers(dest="command", required=True)
     cmd = act.add_parser("orbit")
     cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--window", type=int, required=True)
+    cmd.add_argument("--window", type=_int_from(0), required=True)
     cmd = act.add_parser("putnam")
     cmd.add_argument("--expr", action="append", required=True)
-    cmd.add_argument("--window", type=int, required=True)
+    cmd.add_argument("--window", type=_int_from(0), required=True)
     cmd = act.add_parser("lef")
     cmd.add_argument("--expr", action="append", required=True)
-    cmd.add_argument("--n-cap", type=int)
-    cmd.add_argument("--p-cap", type=int)
+    cmd.add_argument("--n-cap", type=_int_from(1))
+    cmd.add_argument("--p-cap", type=_int_from(1))
     cmd = act.add_parser("odometer")
     cmd.add_argument("--closet", required=True)
-    cmd.add_argument("--cap", type=int)
+    cmd.add_argument("--cap", type=_int_from(1))
 
     jm = sub.add_parser("jm").add_subparsers(dest="command", required=True)
     cmd = jm.add_parser("corr")

@@ -105,16 +105,16 @@ class SymmetricEmbedding:
         if sorted(perm) != list(range(self.n)):
             raise SemanticError(f"{perm} is not a permutation of 0..{self.n - 1}")
         engine = self.engine
-        radius = max([im.radius for im in self.images] +
-                     [self._swaps[(i, perm[i])].radius for i in range(self.n)])
+        swaps = [self._swaps[(i, perm[i])] for i in range(self.n)]
+        radius = max([im.radius for im in self.images] + [h.radius for h in swaps])
         images = [im.at_radius(radius) for im in self.images]
+        reads = [(h.table, h.radius) for h in swaps]
         table = {}
         for w in engine.allowed_words(2 * radius + 1):
             value = 0
-            for i, im in enumerate(images):
+            for im, (swap, r) in zip(images, reads):
                 if w in im.members:
-                    h = self._swaps[(i, perm[i])]
-                    value = h.value_in(w, radius)
+                    value = swap[w[radius - r: radius + r + 1]]
                     break
             table[w] = value
         return make_element(engine, radius, table)
@@ -684,10 +684,12 @@ def van_douwen_witness(engine, indices):
 def van_douwen_walk(sigmas, indices, word):
     """Apply sigma_{k_1}, ..., sigma_{k_n} in turn (the inverse of the reduced
     word m = sigma_{k_1} ... sigma_{k_n}); returns the cumulative shift."""
+    reads = [(sigma.table, sigma.radius) for sigma in sigmas]
     total = 0
     current = word
     for k in indices:
-        step = sigmas[k].cocycle_at(current, 0)
+        table, r = reads[k]
+        step = table[current.segment(-r, r)]
         current = current.shifted(step)
         total += step
     return total
@@ -761,10 +763,11 @@ def houghton_orbit_map(f, window):
     engine = f.engine
     kind = _houghton_kind(engine)
     r = f.radius
+    kappa = f.table
     table = {}
     for n in range(-window, window + 1):
         w = _orbit_window(engine, kind, n, r)
-        table[n] = n + f.cocycle_at(w, 0)
+        table[n] = n + kappa[w.segment(-r, r)]
     return table
 
 
@@ -783,6 +786,8 @@ def houghton_profile(f, window):
         raise NotBijective("profiles are defined for group elements")
     engine = f.engine
     kind = _houghton_kind(engine)
+    if window < 1:
+        raise WindowTooSmall("the ends are read off positions 1..window on each side")
     table = houghton_orbit_map(f, window)
     quarter = max(1, window // 4)
     if kind == "y2":

@@ -2,10 +2,19 @@
 
 An Element over an engine is a total map from allowed (2r+1)-windows to
 integer shift powers; it induces f(x) = phi^{kappa(x)} x with
-kappa(x) = table(x[-r..r]).  Bijectivity is certified at construction by
-preimage counting: over every allowed window y of length 2(r+D)+1 the number
-of k in [-D, D] with table(y[k-r..k+r]) = k must be exactly 1 (the witness k
-is the displacement of the unique preimage, which is what inversion uses).
+kappa(x) = table(x[-r..r]).  Its representation is ``values``, a tuple
+aligned with ``engine.allowed_words(2r+1)``: composition, certification,
+inversion and canonical forms are position arithmetic through the engine's
+restriction maps (``LanguageEngine.restriction``), with no window sliced or
+hashed.  ``table`` is a read-only {window: value} view derived from
+``values`` on first use, for readers that look windows up by word; a reader
+of many windows takes the view once.
+
+Bijectivity is certified at construction by preimage counting: over every
+allowed window y of length 2(r+D)+1 the number of k in [-D, D] with
+table(y[k-r..k+r]) = k must be exactly 1 (the witness k is the displacement
+of the unique preimage, which is what inversion uses); the witnesses form a
+tuple aligned with ``allowed_words(2(r+D)+1)``.
 
 Composition follows compose(f, g) = f o g, apply g first.
 
@@ -18,11 +27,12 @@ cylinder of periodic points, values that differ by a multiple of its
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from types import MappingProxyType
 
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
                      NotBijective, NotInjective, NotSurjective, PartialTable)
-from .words import Word
 
 
 @dataclass(frozen=True)
@@ -33,57 +43,67 @@ class CanonicalForm:
 
 
 class Element:
-    __slots__ = ("engine", "radius", "table", "dbound", "_bijective", "_witness", "_canonical")
+    __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness",
+                 "_canonical", "_table")
 
-    def __init__(self, engine, radius, table, bijective, witness=None):
+    def __init__(self, engine, radius, values, bijective):
+        """`values` is a tuple aligned with engine.allowed_words(2 radius + 1),
+        or a {window: value} dict over every one of those windows."""
+        if isinstance(values, dict):
+            values = tuple(values[w] for w in engine.allowed_words(2 * radius + 1))
         self.engine = engine
         self.radius = radius
-        self.table = table
-        self.dbound = max((abs(v) for v in table.values()), default=0)
+        self.values = values
+        self.dbound = max(max(values), -min(values))
         self._bijective = bijective      # True / False / None (not yet certified)
-        self._witness = witness
+        self._witness = None
         # canonical form: None until computed, False when it is this element
         # (a reference to itself would make a cycle that only the cyclic
         # garbage collector frees)
         self._canonical = None
+        self._table = None
 
     # -- basic views ---------------------------------------------------------
 
-    def value_in(self, word, center_index):
-        """Table value for the window centered at `center_index` of a letter tuple."""
-        r = self.radius
-        return self.table[word[center_index - r: center_index + r + 1]]
-
-    def cocycle_at(self, point, position):
-        """kappa(phi^{-position} ... ) read off an anchored point window: the
-        value of the cocycle at the point whose central window sits at
-        `position` in `point`."""
-        return self.table[point.segment(position - self.radius, position + self.radius)]
+    @property
+    def table(self):
+        """Read-only {window: value} view of `values`, built on first use.
+        Readers that look up many windows read it once, not once per window."""
+        if self._table is None:
+            words = self.engine.allowed_words(2 * self.radius + 1)
+            self._table = MappingProxyType(dict(zip(words, self.values)))
+        return self._table
 
     def padded_table(self, radius):
         if radius < self.radius:
             raise ValueError("cannot pad to a smaller radius")
-        if radius == self.radius:
-            return dict(self.table)
-        pad = radius - self.radius
-        size = 2 * self.radius + 1
-        return {w: self.table[w[pad:pad + size]]
-                for w in self.engine.allowed_words(2 * radius + 1)}
+        engine, values = self.engine, self.values
+        positions = engine.restriction(2 * radius + 1, radius - self.radius, 2 * self.radius + 1)
+        return {w: values[j] for w, j in zip(engine.allowed_words(2 * radius + 1), positions)}
 
     # -- certification -------------------------------------------------------
 
     def _run_certificate(self):
-        r, d = self.radius, self.dbound
-        witness = {}
-        for y in self.engine.allowed_words(2 * (r + d) + 1):
-            ks = [k for k in range(-d, d + 1)
-                  if self.table[y[k + d: k + d + 2 * r + 1]] == k]
-            if len(ks) > 1:
-                raise NotInjective(self.engine.alphabet.format_word(y), len(ks))
-            if not ks:
-                raise NotSurjective(self.engine.alphabet.format_word(y))
-            witness[y] = ks[0]
-        return witness
+        """For each window y of allowed_words(2(r+D)+1), in that order, the one
+        k in [-D, D] with table(y[k+D .. k+D+2r]) = k."""
+        engine, r, d, values = self.engine, self.radius, self.dbound, self.values
+        size = 2 * (r + d) + 1
+        n = len(engine.allowed_words(size))
+        counts = [0] * n
+        witness = [0] * n
+        for k in range(-d, d + 1):
+            hits = [v == k for v in values]
+            cores = engine.restriction(size, k + d, 2 * r + 1)
+            for i in compress(range(n), map(hits.__getitem__, cores)):
+                counts[i] += 1
+                witness[i] = k
+        if counts.count(1) != n:
+            for y, count in zip(engine.allowed_words(size), counts):
+                if count > 1:
+                    raise NotInjective(engine.alphabet.format_word(y), count)
+                if not count:
+                    raise NotSurjective(engine.alphabet.format_word(y))
+        return tuple(witness)
 
     @property
     def bijective(self):
@@ -107,29 +127,27 @@ class Element:
     def canonical_element(self):
         if self._canonical is not None:
             return self._canonical or self
-        table, radius = self.table, self.radius
-        for target in range(0, radius):
-            groups = {}
-            ok = True
-            pad = radius - target
-            size = 2 * target + 1
-            for w, v in table.items():
-                core = w[pad:pad + size]
-                if groups.setdefault(core, v) != v:
-                    ok = False
-                    break
-            if ok:
-                reduced = Element(self.engine, target, groups, self._bijective)
-                reduced._canonical = False
-                self._canonical = reduced
-                return reduced
-        self._canonical = False
-        return self
+        # A table that is a function of its central (2t+1)-cores is one of
+        # every larger core too, so the least radius is where the first step
+        # down fails.
+        engine, radius, values = self.engine, self.radius, self.values
+        while radius > 0:
+            coarser = _coarsen(values, engine.restriction(2 * radius + 1, 1, 2 * radius - 1),
+                               len(engine.allowed_words(2 * radius - 1)))
+            if coarser is None:
+                break
+            radius, values = radius - 1, coarser
+        if radius == self.radius:
+            self._canonical = False
+            return self
+        reduced = Element(engine, radius, values, self._bijective)
+        reduced._canonical = False
+        self._canonical = reduced
+        return reduced
 
     def canonical_key(self):
         c = self.canonical_element()
-        order = self.engine.alphabet.sort_key
-        return (c.radius, tuple(sorted(c.table.items(), key=lambda kv: order(kv[0]))))
+        return (c.radius, tuple(zip(self.engine.allowed_words(2 * c.radius + 1), c.values)))
 
     def map_key(self):
         """(radius, values in allowed_words(2 radius + 1) order), a complete
@@ -138,25 +156,37 @@ class Element:
         least radius where the extensions of every core have a common value."""
         c = self.canonical_element()
         engine, radius = self.engine, c.radius
-        words = engine.allowed_words(2 * radius + 1)
-        periods = [engine.local_period(w) for w in words]
+        periods = engine.local_periods(2 * radius + 1)
         if not any(periods):
             # every value is exact, so the CRT step would fail at once: the
             # canonical table has a core whose extensions disagree
-            return (radius, tuple(c.table[w] for w in words))
-        table = {w: (c.table[w] % m if m else c.table[w], m) for w, m in zip(words, periods)}
+            return (radius, c.values)
+        table = [(v % m if m else v, m) for v, m in zip(c.values, periods)]
         while radius > 0:
-            coarser = {}
-            for w, congruence in table.items():
-                coarser[w[1:-1]] = _crt(coarser.get(w[1:-1], (0, 1)), congruence)
-            if None in coarser.values():
+            coarser = [(0, 1)] * len(engine.allowed_words(2 * radius - 1))
+            for j, congruence in zip(engine.restriction(2 * radius + 1, 1, 2 * radius - 1), table):
+                coarser[j] = _crt(coarser[j], congruence)
+            if None in coarser:
                 break
             table, radius = coarser, radius - 1
-        return (radius, tuple(table[w][0] for w in engine.allowed_words(2 * radius + 1)))
+        return (radius, tuple(v for v, _ in table))
 
     def __repr__(self):
         c = self.canonical_element()
         return f"<element r={c.radius} d={c.dbound} over {self.engine.kind}>"
+
+
+def _coarsen(values, cores, count):
+    """The values as a function of the `count` cores their windows restrict
+    to (positions `cores`), or None when some core meets two values."""
+    coarser = [None] * count
+    for j, v in zip(cores, values):
+        seen = coarser[j]
+        if seen is None:
+            coarser[j] = v
+        elif seen != v:
+            return None
+    return tuple(coarser)
 
 
 def _crt(a, b):
@@ -193,19 +223,13 @@ def make_element(engine, radius, table):
 def make_semigroup_element(engine, radius, table):
     """Semigroup element; bijectivity is attempted but failure is not an error."""
     words = engine.allowed_words(2 * radius + 1)
-    cleaned = {}
-    missing = []
-    for w in words:
-        if w in table:
-            cleaned[w] = int(table[w])
-        else:
-            missing.append(engine.alphabet.format_word(w))
+    missing = [engine.alphabet.format_word(w) for w in words if w not in table]
     if missing:
         raise PartialTable(missing)
-    d = max((abs(v) for v in cleaned.values()), default=0)
-    if d > engine.caps.dbound:
+    e = Element(engine, radius, tuple(int(table[w]) for w in words), None)
+    if e.dbound > engine.caps.dbound:
         raise CapExceeded("displacement bound exceeded", cap=engine.caps.dbound)
-    return Element(engine, radius, cleaned, None).canonical_element()
+    return e.canonical_element()
 
 
 def identity(engine):
@@ -221,23 +245,22 @@ def compose(f, g):
     """x -> f(g(x)).  Radius max(r_g, r_f + D_g); displacements add."""
     _check_same_engine(f, g)
     engine = f.engine
-    radius = max(g.radius, f.radius + g.dbound)
     rf, rg = f.radius, g.radius
-    table = {}
-    for w in engine.allowed_words(2 * radius + 1):
-        kg = g.table[w[radius - rg: radius + rg + 1]]
-        # the window of phi^{kg} x sits at position -kg
-        kf = f.table[w[-kg - rf + radius: -kg + rf + radius + 1]]
-        table[w] = kg + kf
+    radius = max(rg, rf + g.dbound)
+    size = 2 * radius + 1
+    kg = list(map(g.values.__getitem__, engine.restriction(size, radius - rg, 2 * rg + 1)))
+    # the window of phi^{kg} x sits at position -kg
+    f_at = {k: engine.restriction(size, radius - k - rf, 2 * rf + 1) for k in set(kg)}
+    fv = f.values
+    values = tuple([k + fv[f_at[k][i]] for i, k in enumerate(kg)])
     bij = True if (f._bijective and g._bijective) else None
-    return Element(engine, radius, table, bij).canonical_element()
+    return Element(engine, radius, values, bij).canonical_element()
 
 
 def inverse(f):
     """kappa_inv(y) = -k(y), k(y) the certificate witness."""
-    witness = f.witness()
-    table = {y: -k for y, k in witness.items()}
-    return Element(f.engine, f.radius + f.dbound, table, True).canonical_element()
+    values = tuple([-k for k in f.witness()])
+    return Element(f.engine, f.radius + f.dbound, values, True).canonical_element()
 
 
 def power(f, n):
@@ -303,8 +326,9 @@ def element_image(closet, f):
     for u in engine.allowed_words(2 * big + 1):
         for k in range(-d, d + 1):
             buckets.setdefault((k, u[k + d: k + d + span]), []).append(u)
+    table = f.table
     for w in src.members:
-        k = f.table[w[radius - f.radius: radius + f.radius + 1]]
+        k = table[w[radius - f.radius: radius + f.radius + 1]]
         out.update(buckets.get((k, w), ()))
     return CloSet(engine, big, out)
 

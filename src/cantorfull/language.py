@@ -12,7 +12,16 @@ factors, sorted in the alphabet's reference order), ``is_allowed(word)``,
 ``local_period(word)`` (the lcm of the least periods of the points through the
 cylinder of an allowed word when all of them are periodic, else 0).  Every
 decision of the form "does phi^q fix each point of this cylinder?" reads
-``local_period``: the answer is yes exactly when it divides q.  Engines are
+``local_period``: the answer is yes exactly when it divides q.  An SFT builds
+its words of length >= k sorted: it extends the sorted shorter words by the
+letters of its transfer graph in letter order, so only the other engines and
+the short SFT levels are sorted after enumeration.
+
+Positions in ``allowed_words(L)`` name words wherever a table is aligned with
+a level, as element tables are.  Three computed-once maps work on positions:
+``word_index(L)`` (word -> position), ``restriction(L, start, size)`` (for
+each word of length L, the position of its factor w[start:start+size]) and
+``local_periods(L)`` (``local_period`` of each word of length L).  Engines are
 immutable after construction; the caches behave as computed-once.
 
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
@@ -49,6 +58,9 @@ class LanguageEngine:
         self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
         self._word_sets = {}        # length -> frozenset, for membership tests
+        self._word_index = {}       # length -> {word: position}
+        self._restrictions = {}     # (length, start, size) -> tuple of positions
+        self._local_periods = {}    # length -> tuple of local periods
 
     # -- queries ----------------------------------------------------------
 
@@ -60,8 +72,47 @@ class LanguageEngine:
                 self._words[0] = ((),)
             else:
                 found = self._enumerate(length)
-                self._words[length] = tuple(sorted(found, key=self.alphabet.sort_key))
+                if not isinstance(found, tuple):
+                    found = tuple(sorted(found, key=self.alphabet.sort_key))
+                self._words[length] = found
         return self._words[length]
+
+    def word_index(self, length):
+        """{word: its position in allowed_words(length)}."""
+        index = self._word_index.get(length)
+        if index is None:
+            index = {w: i for i, w in enumerate(self.allowed_words(length))}
+            self._word_index[length] = index
+        return index
+
+    def restriction(self, length, start, size):
+        """For each word w of allowed_words(length), the position of its factor
+        w[start:start + size] in allowed_words(size).
+
+        Only the maps that drop one letter are read off the words; the others
+        are composed from them, one dropped letter at a time."""
+        key = (length, start, size)
+        positions = self._restrictions.get(key)
+        if positions is None:
+            if size == length:
+                positions = tuple(range(len(self.allowed_words(length))))
+            elif size == length - 1:
+                index = self.word_index(size)
+                positions = tuple([index[w[start:start + size]] for w in self.allowed_words(length)])
+            else:
+                first = min(start, 1)
+                rest = self.restriction(length - 1, start - first, size)
+                positions = tuple(map(rest.__getitem__, self.restriction(length, first, length - 1)))
+            self._restrictions[key] = positions
+        return positions
+
+    def local_periods(self, length):
+        """local_period of each word of allowed_words(length), in that order."""
+        periods = self._local_periods.get(length)
+        if periods is None:
+            periods = tuple(map(self.local_period, self.allowed_words(length)))
+            self._local_periods[length] = periods
+        return periods
 
     def is_allowed(self, word):
         if isinstance(word, Word):
@@ -79,6 +130,8 @@ class LanguageEngine:
     # -- hooks -------------------------------------------------------------
 
     def _enumerate(self, length):
+        """The length-`length` factors: a tuple when already in reference
+        order without repeats, else any iterable of distinct words."""
         raise NotImplementedError
 
     def word_set(self, length):
@@ -184,7 +237,6 @@ class SFTEngine(LanguageEngine):
                       for v in live}
         self._short = {}          # length < k-1 -> allowed words
         self._periodic = {}       # period -> blocks
-        self.minimal = self._single_cycle()
         self.aperiodic = False    # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
@@ -203,9 +255,8 @@ class SFTEngine(LanguageEngine):
                 u = self._succ[u][0][1]
             if path and u == path[0]:
                 self._cycles.update(dict.fromkeys(path, len(path)))
-
-    def _single_cycle(self):
-        return all(len(self._succ[v]) == len(self._pred[v]) == 1 for v in self.essential)
+        # minimal exactly when the essential graph is one isolated cycle
+        self.minimal = set(self._cycles.values()) == {len(self.essential)}
 
     def _enumerate(self, length):
         k = self.k
@@ -220,11 +271,9 @@ class SFTEngine(LanguageEngine):
         shorter = self.allowed_words(length - 1)
         if len(shorter) * len(self.alphabet) > self.caps.word_store:
             raise MemoryCapExceeded(f"more than {self.caps.word_store} words at length {length}")
-        out = set()
-        for w in shorter:
-            for letter, _ in self._succ[w[-(k - 1):]]:
-                out.add(w + (letter,))
-        return out
+        # the shorter words are sorted and each extends in letter order, so
+        # the extensions come out sorted and distinct
+        return tuple(w + (letter,) for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
 
     def _is_allowed(self, word):
         if not word:

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cantorfull
 from cantorfull.cli import main
 from cantorfull.elements import equal, parse_dump, shift
 from cantorfull.errors import ParseError, SemanticError
@@ -21,6 +26,12 @@ Y = """\
 alphabet: a b
 kind: sft
 forbidden: ba
+"""
+
+GOLDEN = """\
+alphabet: a b
+kind: sft
+forbidden: bb
 """
 
 STURM = """\
@@ -220,6 +231,14 @@ def test_cli_recur_unknown_letter(capsys, fib_file):
     ["jm", "report", "--g", "phi", "--n", "1,x"],
     ["jm", "report", "--g", "phi", "--n", "1,5"],
     ["group", "ball", "--gen", "phi", "--radius", "-1"],
+    ["construct", "houghton", "--expr", "phi", "--window", "-2"],
+    ["elem", "order", "--expr", "phi", "--cap", "-1"],
+    ["act", "odometer", "--closet", 'cyl(0,"a")', "--cap", "-1"],
+    ["construct", "vandouwen", "--q", "3", "--max-len", "-1"],
+    ["lang", "recur", "--word", "a", "--cap", "0"],
+    ["act", "orbit", "--expr", "phi", "--window", "-1"],
+    ["act", "lef", "--expr", "phi", "--n-cap", "0"],
+    ["act", "lef", "--expr", "phi", "--p-cap", "-1"],
 ])
 def test_cli_out_of_range_numbers_are_usage_errors(capsys, fib_file, argv):
     code, out, err = run(capsys, "--subshift", fib_file, *argv)
@@ -238,12 +257,41 @@ def test_cli_bad_caps_variable(capsys, monkeypatch, fib_file, caps, message):
     assert err == f"usage error: bad CANTORFULL_CAPS: {message}\n"
 
 
+def test_cli_recur_on_two_fixed_points_is_not_minimal(capsys, tmp_path):
+    path = tmp_path / "fixed.subshift"
+    path.write_text("alphabet: a b\nkind: sft\nforbidden: ab ba\n")
+    code, out, err = run(capsys, "--subshift", str(path), "lang", "recur", "--word", "a")
+    assert code == 2 and out == ""
+    assert err.startswith("error: not-minimal: ")
+
+
 def test_cli_determinism(capsys, fib_file):
     first = run(capsys, "--subshift", fib_file, "construct", "towers",
                 "--closet", 'cyl(0,"b")')
     second = run(capsys, "--subshift", fib_file, "construct", "towers",
                  "--closet", 'cyl(0,"b")')
     assert first == second and first[0] == 0
+
+
+@pytest.mark.parametrize("text", [FIB, GOLDEN], ids=["fibonacci", "golden_mean"])
+def test_cli_determinism_across_hash_seeds(tmp_path, text):
+    """Set and dict-of-set iteration order follows the hash seed; the output
+    must not, so each command runs in fresh interpreters under two seeds."""
+    path = tmp_path / "engine.subshift"
+    path.write_text(text)
+    env = {k: v for k, v in os.environ.items() if k != "CANTORFULL_CAPS"}
+    env["PYTHONPATH"] = str(pathlib.Path(cantorfull.__file__).parent.parent)
+    sigma = 'sigma(cyl(-1,"aab"))'
+    for argv in (["elem", "canon", "--expr", f"phi*{sigma}"],
+                 ["group", "ball", "--gen", "phi", "--gen", sigma, "--radius", "3"],
+                 ["lang", "words", "--length", "6"]):
+        results = []
+        for seed in ("0", "1"):
+            done = subprocess.run([sys.executable, "-m", "cantorfull.cli", "--subshift",
+                                   str(path), *argv],
+                                  env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True)
+            results.append((done.returncode, done.stdout))
+        assert results[0] == results[1] and results[0][0] == 0 and results[0][1]
 
 
 def test_cli_sturmian_session(capsys, tmp_path):

@@ -8,7 +8,7 @@ from cantorfull.elements import (compose, equal, identity, inverse,
                                  element_image)
 from cantorfull.errors import (FixedPointFound, NotGood, OdometerLike,
                                OverlapError, PreconditionViolated,
-                               SurplusViolated)
+                               SurplusViolated, WindowTooSmall)
 from cantorfull.language import sft_engine, SFTEngine
 from cantorfull.words import Alphabet, Word, factors
 from cantorfull.constructions import (HoughtonProfile, cylinder, first_return,
@@ -337,6 +337,12 @@ def test_houghton_transposition_fixture():
     assert profile.exceptional_set == (0, 1)
     mapping = houghton_orbit_map(t, 4)
     assert mapping[0] == 1 and mapping[1] == 0 and mapping[2] == 2
+
+
+@pytest.mark.parametrize("build", [houghton_engine_y, houghton_engine_y3])
+def test_houghton_window_zero_is_too_small(build):
+    with pytest.raises(WindowTooSmall):
+        houghton_profile(shift(build()), 0)
 
 
 def test_houghton_y3_shift():

@@ -318,3 +318,22 @@ def test_contains_factor():
     assert contains_factor(("a", "b", "a"), ("b", "a"))
     assert not contains_factor(("a", "b"), ("b", "b"))
     assert contains_factor(("a",), ())
+
+
+def test_sft_minimal_only_on_one_cycle(period_two):
+    assert period_two.minimal is True
+    assert sft_engine("ab", ["ab", "ba"]).minimal is False
+    assert sft_engine("abc", ["ab", "ac", "ba", "ca", "bb", "cc"]).minimal is False
+
+
+def test_position_maps(golden_mean, fibonacci):
+    for engine in (golden_mean, fibonacci):
+        for length in range(1, 7):
+            words = engine.allowed_words(length)
+            assert [engine.word_index(length)[w] for w in words] == list(range(len(words)))
+            for size in range(length + 1):
+                for start in range(length - size + 1):
+                    positions = engine.restriction(length, start, size)
+                    assert [engine.allowed_words(size)[j] for j in positions] == \
+                        [w[start:start + size] for w in words]
+            assert engine.local_periods(length) == tuple(map(engine.local_period, words))

@@ -1,9 +1,11 @@
-"""SFT graph queries and map-level element decisions against brute-force
-oracles on random small SFTs.
+"""SFT graph queries, the element layer and map-level element decisions
+against brute-force oracles on random small SFTs.
 
 The graph oracles work on strings straight from the forbidden words: a word
 is admissible when it has no forbidden factor.  The periodicity oracle is a
-search for a q-apart mismatch along the overlap graph of allowed words.
+search for a q-apart mismatch along the overlap graph of allowed words.  The
+element oracle is the dict-based element layer: tables keyed by window,
+composed, certified and canonicalised by slicing each window.
 """
 
 import functools
@@ -11,9 +13,10 @@ import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from cantorfull.elements import (ball_sizes, canonical_dump, compose, equal,
+from cantorfull.closets import CloSet
+from cantorfull.elements import (_crt, ball_sizes, canonical_dump, compose, equal,
                                  identity, inverse, is_identity,
-                                 make_semigroup_element, parse_dump)
+                                 make_semigroup_element, order, parse_dump)
 from cantorfull.errors import EmptySubshift
 from cantorfull.language import sft_engine
 
@@ -212,3 +215,168 @@ def test_ball_sizes_against_oracle(data):
     f = data.draw(tables(engine, -1, 1))
     assume(f.bijective)
     assert ball_sizes([f], 3) == brute_force_ball(f, 3)
+
+
+def oracle_words(letters, forbidden, length):
+    """Allowed words from strings: a word of length >= k-1 is allowed when it
+    is admissible and its first and last (k-1)-windows extend both ways; a
+    shorter one when it is a factor of such a window."""
+    k = max([2] + [len(f) for f in forbidden])
+    n = k - 1
+    ends = extendable(letters, forbidden, k)
+    if length < n:
+        return {v[i:i + length] for v in ends for i in range(n - length + 1)}
+    return {w for w in map("".join, itertools.product(letters, repeat=length))
+            if admissible(w, forbidden) and w[:n] in ends and w[length - n:] in ends}
+
+
+@settings(deadline=None, database=None)
+@given(sfts())
+def test_sft_words_sorted_by_construction(sft):
+    letters, forbidden = sft
+    try:
+        engine = sft_engine(letters, forbidden)
+    except EmptySubshift:
+        assume(False)
+    for length in range(1, 9):
+        expected = {tuple(w) for w in oracle_words(letters, forbidden, length)}
+        assert engine.allowed_words(length) == tuple(sorted(expected,
+                                                            key=engine.alphabet.sort_key))
+
+
+# -- the dict-based element layer, as the oracle for the positional one ------
+# An element is (radius, {window: value}).
+
+
+def dbound(table):
+    return max(abs(v) for v in table.values())
+
+
+def oracle_certificate(engine, element):
+    """{window of length 2(r+D)+1: witness}, or None when not bijective."""
+    r, table = element
+    d = dbound(table)
+    witness = {}
+    for y in engine.allowed_words(2 * (r + d) + 1):
+        ks = [k for k in range(-d, d + 1) if table[y[k + d: k + d + 2 * r + 1]] == k]
+        if len(ks) != 1:
+            return None
+        witness[y] = ks[0]
+    return witness
+
+
+def oracle_canonical(element):
+    r, table = element
+    for target in range(r):
+        groups = {}
+        pad, size = r - target, 2 * target + 1
+        if all(groups.setdefault(w[pad:pad + size], v) == v for w, v in table.items()):
+            return target, groups
+    return r, table
+
+
+def oracle_compose(engine, f, g):
+    (rf, tf), (rg, tg) = f, g
+    radius = max(rg, rf + dbound(tg))
+    table = {}
+    for w in engine.allowed_words(2 * radius + 1):
+        kg = tg[w[radius - rg: radius + rg + 1]]
+        table[w] = kg + tf[w[-kg - rf + radius: -kg + rf + radius + 1]]
+    return oracle_canonical((radius, table))
+
+
+def oracle_inverse(engine, f):
+    witness = oracle_certificate(engine, f)
+    return oracle_canonical((f[0] + dbound(f[1]), {y: -k for y, k in witness.items()}))
+
+
+def oracle_dump(engine, f):
+    radius, table = oracle_canonical(f)
+    fmt, order_key = engine.alphabet.format_word, engine.alphabet.sort_key
+    lines = [f"radius={radius} dbound={dbound(table)}"]
+    lines += [f"{fmt(w)} -> {v}" for w, v in sorted(table.items(), key=lambda kv: order_key(kv[0]))]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_map_key(engine, f):
+    radius, values = oracle_canonical(f)
+    periods = {w: engine.local_period(w) for w in values}
+    table = {w: (v % periods[w] if periods[w] else v, periods[w]) for w, v in values.items()}
+    while radius > 0:
+        coarser = {}
+        for w, congruence in table.items():
+            coarser[w[1:-1]] = _crt(coarser.get(w[1:-1], (0, 1)), congruence)
+        if None in coarser.values():
+            break
+        table, radius = coarser, radius - 1
+    return (radius, tuple(table[w][0] for w in engine.allowed_words(2 * radius + 1)))
+
+
+def raw_tables(engine, low, high):
+    """(radius, {window: value}) with radius <= 1 and values in low..high."""
+    def build(radius):
+        words = engine.allowed_words(2 * radius + 1)
+        return st.lists(st.integers(low, high), min_size=len(words), max_size=len(words)).map(
+            lambda values: (radius, dict(zip(words, values))))
+    return st.integers(0, 1).flatmap(build)
+
+
+def as_pair(element):
+    return element.radius, dict(element.table)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_element_layer_against_dict_oracle(data):
+    engine = data.draw(sft_engines())
+    raw_f, raw_g = data.draw(raw_tables(engine, -2, 2)), data.draw(raw_tables(engine, -2, 2))
+    f, g = (make_semigroup_element(engine, *raw) for raw in (raw_f, raw_g))
+    of, og = oracle_canonical(raw_f), oracle_canonical(raw_g)
+    assert as_pair(f) == of and as_pair(g) == og
+    assert canonical_dump(f) == oracle_dump(engine, raw_f)
+    assert f.map_key() == oracle_map_key(engine, raw_f)
+    fg = compose(f, g)
+    assert as_pair(fg) == oracle_compose(engine, of, og)
+    assert canonical_dump(fg) == oracle_dump(engine, oracle_compose(engine, of, og))
+    assert fg.map_key() == oracle_map_key(engine, as_pair(fg))
+    witness = oracle_certificate(engine, of)
+    assert f.bijective == (witness is not None)
+    if witness is not None:
+        assert f.witness() == tuple(witness.values())
+        assert as_pair(inverse(f)) == oracle_inverse(engine, of)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_order_against_oracle(data):
+    engine = data.draw(sft_engines())
+    f = data.draw(tables(engine, -1, 1))
+    assume(f.bijective)
+    cap = 4
+    expected, g = None, f
+    for n in range(1, cap + 1):
+        if same_map_oracle(g, identity(engine)):
+            expected = n
+            break
+        g = compose(g, f)
+    assert order(f, cap) == expected
+
+
+@st.composite
+def closets(draw, engine):
+    radius = draw(st.integers(0, 2))
+    words = engine.allowed_words(2 * radius + 1)
+    return CloSet(engine, radius, draw(st.sets(st.sampled_from(words))))
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_closet_boolean_laws(data):
+    engine = data.draw(sft_engines())
+    a, b, c = (data.draw(closets(engine)) for _ in range(3))
+    assert a.union(b).complement() == a.complement().intersect(b.complement())
+    assert a.intersect(b).complement() == a.complement().union(b.complement())
+    assert a.intersect(b.union(c)) == a.intersect(b).union(a.intersect(c))
+    assert a.union(b.intersect(c)) == a.union(b).intersect(a.union(c))
+    assert a.complement().complement() == a
+    assert a.is_subset(b) == a.minus(b).is_empty()
