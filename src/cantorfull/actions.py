@@ -42,12 +42,11 @@ def orbit_permutation(psi, window, base_shift=0):
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
     point = psi.engine.point_window(window + r + abs(base_shift))
-    kappa = psi.table
-    table = {}
-    for n in range(-window, window + 1):
-        # the cocycle at phi^m x reads the window of x around -m
-        m = n + base_shift
-        table[n] = n + kappa[point.segment(-m - r, -m + r)]
+    kappa, letters, size = psi.table, point.letters, 2 * r + 1
+    # the cocycle at phi^m x, m = n + base_shift, reads the window of x around
+    # -m: the letters from index top - n on
+    top = -base_shift - r - point.anchor
+    table = {n: n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)}
     if len(set(table.values())) != len(table):
         raise AssertionError("orbit restriction is not injective")
     return WindowedPermutation(window, table, d)
@@ -62,11 +61,13 @@ def index_mod(psi, shifts=5):
     if psi.engine.aperiodic is not True:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
     r, d = psi.radius, psi.dbound
-    kappa = psi.table
+    point = psi.engine.point_window(d + r + shifts)
+    kappa, letters, size = psi.table, point.letters, 2 * r + 1
     values = []
     for s in range(shifts):
-        point = psi.engine.point_window(d + r + shifts)
-        image = {n: n + kappa[point.segment(-(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
+        # the window of x around -(n + s) starts at index top - n
+        top = -s - r - point.anchor
+        image = {n: n + kappa[letters[top - n:top - n + size]] for n in range(-d, d)}
         left = sum(1 for n in range(-d, 0) if image[n] >= 0)
         right = sum(1 for n in range(0, d) if image[n] < 0)
         values.append(left - right)

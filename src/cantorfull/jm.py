@@ -10,11 +10,16 @@ exp(-sum_j (theta(n,j) - theta(n,g(j)))^2) <= C(n) <= 1, the per-factor bound
 being cos(x) >= exp(-x^2) on [-pi/4, pi/4].  The kernels themselves are never
 materialized; everything reduces to this product.
 
+The angle differences theta(n, j) - theta(n, g(j)) for one n are computed
+once, with g evaluated once per j, and shared by C(n) and its lower bound.
 Products are evaluated as a balanced tree over the sorted j range and
 cross-checked against the sum-of-logs form to 1e-9 relative.
 """
 
+import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 from .errors import RangeUnavailable
@@ -85,10 +90,6 @@ def _balanced_product(values):
     return values[0]
 
 
-def _delta_at(g, n, j):
-    return theta(n, j) - theta(n, _evaluate(g, j))
-
-
 def _span(g, n):
     """n + c, the half-width beyond which every factor is exactly 1; checked
     against the view's window when it has one."""
@@ -99,28 +100,55 @@ def _span(g, n):
     return span
 
 
-def correlation(g, n):
-    """The inner-product correlation C(n) in [0, 1].
+def _paired(span):
+    """0, 1, -1, 2, -2, ..., span, -span: the order of the factors of C(n)."""
+    return itertools.chain((0,), itertools.chain.from_iterable(
+        zip(range(1, span + 1), range(-1, -span - 1, -1))))
 
-    Factors are paired j with -j before the balanced tree product, so the
-    result is bit-identical under reflection and under widening the range.
+
+def _deltas(g, n):
+    """theta(n, j) - theta(n, g(j)) for j in _paired(n + c).
+
+    The angles come from a table of theta(n, k) indexed by k = |j|, so every
+    difference is the float the two theta calls would give.  g is evaluated
+    once per j; |g(j)| <= |j| + c <= span + c.
     """
     span = _span(g, n)
-    factors = [math.cos(_delta_at(g, n, 0))]
-    factors += [math.cos(_delta_at(g, n, j)) * math.cos(_delta_at(g, n, -j))
-                for j in range(1, span + 1)]
-    product = _balanced_product(list(factors))
-    via_logs = math.exp(math.fsum(math.log(f) for f in factors))
+    angles = [theta(n, k) for k in range(span + g.c + 1)]
+    try:
+        return array("d", (angles[abs(j)] - angles[abs(g(j))] for j in _paired(span)))
+    except KeyError:
+        for j in _paired(span):
+            _evaluate(g, j)
+        raise
+
+
+def _correlation(deltas):
+    """C(n) from the deltas of _deltas: j and -j share a factor, so the result
+    is bit-identical under reflection and under widening the range."""
+    cosines = map(math.cos, deltas)
+    factors = [next(cosines)]
+    factors += map(operator.mul, cosines, cosines)
+    product = _balanced_product(factors)
+    via_logs = math.exp(math.fsum(map(math.log, factors)))
     if abs(product - via_logs) > 1e-9 * max(abs(product), 1e-300):
         raise AssertionError("product and log-sum evaluations disagree")
     return min(max(product, 0.0), 1.0)
 
 
+def _lower_bound(deltas):
+    # fsum is correctly rounded, so the order of the deltas does not matter
+    return math.exp(-math.fsum(map(operator.mul, deltas, deltas)))
+
+
+def correlation(g, n):
+    """The inner-product correlation C(n) in [0, 1]."""
+    return _correlation(_deltas(g, n))
+
+
 def hn_lower_bound(g, n):
     """exp(-sum of squared angle differences) <= C(n)."""
-    span = _span(g, n)
-    deltas = (_delta_at(g, n, j) for j in range(-span, span + 1))
-    return math.exp(-math.fsum(d * d for d in deltas))
+    return _lower_bound(_deltas(g, n))
 
 
 @dataclass(frozen=True)
@@ -154,8 +182,8 @@ def decay_report(g, n_list):
     for n in n_list:
         if n < 2:
             raise ValueError("report rows need n >= 2")
-        c = correlation(g, n)
-        b = hn_lower_bound(g, n)
+        deltas = _deltas(g, n)
+        c, b = _correlation(deltas), _lower_bound(deltas)
         if not (b <= c + 1e-12 and c <= 1.0 + 1e-12):
             raise AssertionError(f"sandwich violated at n={n}")
         rows.append((n, c, b, 1.0 - c, (1.0 - c) * n / math.log(n)))

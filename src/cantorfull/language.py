@@ -24,12 +24,21 @@ each word of length L, the position of its factor w[start:start+size]) and
 ``local_periods(L)`` (``local_period`` of each word of length L).  Engines are
 immutable after construction; the caches behave as computed-once.
 
+The canonical point is cached the same way.  Each kind computes windows of
+one point that does not depend on the radius asked for: the SFT point is the
+greedy walk from the least essential vertex, the substitution point the fixed
+point of sigma^power at the seed pair, the Sturmian point the mechanical word
+and the recoded point the recoding of its source's point.  So
+``point_window`` keeps the widest window computed so far and answers every
+narrower radius with a slice of it.
+
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .caps import caps_from_env
@@ -61,6 +70,7 @@ class LanguageEngine:
         self._word_index = {}       # length -> {word: position}
         self._restrictions = {}     # (length, start, size) -> tuple of positions
         self._local_periods = {}    # length -> tuple of local periods
+        self._point = None          # widest window of the canonical point so far
 
     # -- queries ----------------------------------------------------------
 
@@ -124,10 +134,22 @@ class LanguageEngine:
         return self._is_allowed(word)
 
     def point_window(self, radius):
-        """The window x[-radius..radius] of the engine's canonical point."""
-        raise NotImplementedError
+        """The window x[-radius..radius] of the engine's canonical point: a
+        slice of the widest window computed so far, which grows on demand."""
+        point = self._point
+        if point is None or point.anchor > -radius:
+            point = self._point = self._point_window(radius)
+        if point.anchor == -radius:
+            return point
+        lo = -radius - point.anchor
+        return Word(point.letters[lo:lo + 2 * radius + 1], -radius)
 
     # -- hooks -------------------------------------------------------------
+
+    def _point_window(self, radius):
+        """x[-radius..radius] of the canonical point, which does not depend
+        on `radius`."""
+        raise NotImplementedError
 
     def _enumerate(self, length):
         """The length-`length` factors: a tuple when already in reference
@@ -287,18 +309,19 @@ class SFTEngine(LanguageEngine):
             return False
         return word[:k - 1] in self.essential and word[-(k - 1):] in self.essential
 
-    def point_window(self, radius):
-        k = self.k
+    def _point_window(self, radius):
+        # greedy walks, forward and backward, from the least essential vertex
+        # sitting at positions 0..k-2
         seed = min(self.essential, key=self.alphabet.sort_key)
-        letters = list(seed)
-        start = 0
-        while start + len(letters) - 1 < radius + k:
-            letters.append(self._succ[tuple(letters[-(k - 1):])][0][0])
-        while start > -radius:
-            letters.insert(0, self._pred[tuple(letters[:k - 1])][0][0])
-            start -= 1
-        lo = -radius - start
-        return Word(tuple(letters[lo:lo + 2 * radius + 1]), -radius)
+        right, vertex = list(seed), seed
+        while len(right) < radius + 1:
+            letter, vertex = self._succ[vertex][0]
+            right.append(letter)
+        left, vertex = [], seed
+        while len(left) < radius:
+            letter, vertex = self._pred[vertex][0]
+            left.append(letter)
+        return Word(tuple(left[::-1] + right[:radius + 1]), -radius)
 
     def periodic_blocks(self, period):
         """All points x with phi^period x = x, one length-`period` block each.
@@ -436,21 +459,19 @@ class SubstitutionEngine(LanguageEngine):
         return pairs
 
     def _scan_periodicity(self):
-        maxrule = max(len(im) for im in self.rules.values())
+        """Morse-Hedlund: a minimal subshift has a point of period <= P iff
+        its complexity p(P + 1) is at most P, and then it is one finite orbit
+        whose period is p(P + 1).  Periods above P = caps.period_scan are not
+        seen: the subshift is then taken to be aperiodic."""
+        n = len(self.allowed_words(max(self.caps.period_scan, 0) + 1))
         self._finite = None
-        for p in range(1, self.caps.period_scan + 1):
-            probe = 3 * p + 3 * maxrule + 12
-            if any(has_period(w, p) for w in self.allowed_words(probe)):
-                # a p-periodic point exists; minimal => the subshift is one
-                # finite orbit, recoverable from any long enough word
-                n = len(self.allowed_words(probe))
-                long_word = self.allowed_words(3 * n)[0]
-                blocks = sorted({tuple(long_word[i % n] for i in range(j, j + n))
-                                 for j in range(n)}, key=self.alphabet.sort_key)
-                self._finite = (n, tuple(blocks))
-                self.aperiodic = False
-                return
-        self.aperiodic = True
+        self.aperiodic = n > self.caps.period_scan
+        if not self.aperiodic:
+            # the orbit is recoverable from any long enough word
+            long_word = self.allowed_words(3 * n)[0]
+            blocks = sorted({tuple(long_word[i % n] for i in range(j, j + n))
+                             for j in range(n)}, key=self.alphabet.sort_key)
+            self._finite = (n, tuple(blocks))
 
     def finite_points(self):
         """(period, blocks) when the subshift is a single finite orbit, else None."""
@@ -484,7 +505,7 @@ class SubstitutionEngine(LanguageEngine):
                         return power, (p, q)
         raise AssertionError("the pair map has a cycle no longer than its domain")
 
-    def point_window(self, radius):
+    def _point_window(self, radius):
         power, (p, q) = self._seed_pair()
         right = (q,)
         while len(right) < radius + 1:
@@ -542,13 +563,14 @@ class SturmianEngine(LanguageEngine):
             raise DepthCapExceeded(f"cannot certify the length-{length} language at this depth")
         return found
 
-    def point_window(self, radius):
+    def _point_window(self, radius):
         p, q = self.convergent
         if radius + 2 > q:
             raise DepthCapExceeded(f"window {radius} needs a convergent denominator > {radius + 1}")
-        bit = lambda n: (n + 1) * p // q - n * p // q
-        letters = tuple(self.alphabet.letters[bit(n)] for n in range(-radius, radius + 1))
-        return Word(letters, -radius)
+        # the letter at n is floor((n+1) p/q) - floor(n p/q)
+        floors = [n * p // q for n in range(-radius, radius + 2)]
+        bits = map(operator.sub, floors[1:], floors[:-1])
+        return Word(tuple(map(self.alphabet.letters.__getitem__, bits)), -radius)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +618,11 @@ class RecodedEngine(LanguageEngine):
         span = self.decode_word(word)
         return span is not None and self.source.is_allowed(span)
 
-    def point_window(self, radius):
-        src = self.source.point_window(radius + self.block_length - 1)
+    def _point_window(self, radius):
+        # the block at n is x[n..n+L-1]; x[-radius] sits at index L - 1
         L = self.block_length
-        letters = tuple(self._encode[src.segment(n, n + L - 1)]
-                        for n in range(-radius, radius + 1))
+        src = self.source.point_window(radius + L - 1).letters
+        letters = tuple(self._encode[src[i:i + L]] for i in range(L - 1, L + 2 * radius))
         return Word(letters, -radius)
 
 

@@ -166,3 +166,46 @@ def test_lef_separates_sigma_powers(matui_set):
     assert cert.order <= 8 and cert.period <= 12
     assert cert.verify()
     assert len(cert.witnesses) == 6
+
+
+# The segment-based reads these functions replaced, kept as oracles.
+
+def oracle_orbit_table(psi, window, base_shift=0):
+    r = psi.radius
+    point = psi.engine.point_window(window + r + abs(base_shift))
+    kappa = psi.table
+    table = {}
+    for n in range(-window, window + 1):
+        m = n + base_shift
+        table[n] = n + kappa[point.segment(-m - r, -m + r)]
+    return table
+
+
+def oracle_index_mod(psi, shifts=5):
+    r, d = psi.radius, psi.dbound
+    kappa = psi.table
+    values = []
+    for s in range(shifts):
+        point = psi.engine.point_window(d + r + shifts)
+        image = {n: n + kappa[point.segment(-(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
+        left = sum(1 for n in range(-d, 0) if image[n] >= 0)
+        right = sum(1 for n in range(0, d) if image[n] < 0)
+        values.append(left - right)
+    return values[0]
+
+
+def read_elements(engine, good, letter):
+    sigma = sigma_U(cylinder(engine, -1, good))
+    ret = first_return(cylinder(engine, 0, letter))
+    return [sigma, ret, compose(compose(sigma, ret), shift(engine, 2)), shift(engine, -3)]
+
+
+def test_orbit_reads_match_segment_oracle(fibonacci, sturmian_fib):
+    for engine, good, letter in ((fibonacci, ("a", "a", "b"), ("b",)),
+                                 (sturmian_fib, ("a", "b", "b"), ("a",))):
+        for f in read_elements(engine, good, letter):
+            for window, base_shift in ((f.radius + f.dbound, 0), (50, 0), (40, 7), (40, -9)):
+                perm = orbit_permutation(f, window, base_shift)
+                assert perm.table == oracle_orbit_table(f, window, base_shift)
+            assert index_mod(f) == oracle_index_mod(f)
+            assert index_mod(f, shifts=2) == oracle_index_mod(f, shifts=2)

@@ -108,3 +108,103 @@ def test_orbit_sigma_report(fibonacci):
     gaps = [row[3] for row in report.rows]
     assert gaps[0] > gaps[1] > gaps[2]
     assert report.max_ratio < 1.0
+
+
+# The two-pass evaluation these functions replaced, kept as an oracle: every
+# float must come out identical, so results are compared with ==.
+
+def oracle_theta(n, j):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (math.pi / 4) * min(math.sqrt(abs(j) / n), 1.0)
+
+
+def oracle_evaluate(g, j):
+    try:
+        return g(j)
+    except KeyError:
+        raise RangeUnavailable(f"g is not evaluable at {j}") from None
+
+
+def oracle_product(values):
+    if not values:
+        return 1.0
+    while len(values) > 1:
+        paired = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
+
+
+def oracle_delta_at(g, n, j):
+    return oracle_theta(n, j) - oracle_theta(n, oracle_evaluate(g, j))
+
+
+def oracle_span(g, n):
+    span = n + g.c
+    window = getattr(g, "window", None)
+    if window is not None and window < span:
+        raise RangeUnavailable(f"view window {window} < n + c = {span}")
+    return span
+
+
+def oracle_correlation(g, n):
+    span = oracle_span(g, n)
+    factors = [math.cos(oracle_delta_at(g, n, 0))]
+    factors += [math.cos(oracle_delta_at(g, n, j)) * math.cos(oracle_delta_at(g, n, -j))
+                for j in range(1, span + 1)]
+    return min(max(oracle_product(list(factors)), 0.0), 1.0)
+
+
+def oracle_lower_bound(g, n):
+    span = oracle_span(g, n)
+    deltas = (oracle_delta_at(g, n, j) for j in range(-span, span + 1))
+    return math.exp(-math.fsum(d * d for d in deltas))
+
+
+def oracle_rows(g, n_list):
+    rows = []
+    for n in n_list:
+        c, b = oracle_correlation(g, n), oracle_lower_bound(g, n)
+        rows.append((n, c, b, 1.0 - c, (1.0 - c) * n / math.log(n)))
+    return tuple(rows)
+
+
+def test_reads_match_two_pass_oracle(fibonacci, sturmian_fib):
+    s = sigma_U(cylinder(fibonacci, -1, ("a", "a", "b")))
+    t = sigma_U(cylinder(sturmian_fib, -1, ("a", "b", "b")))
+    views = [translation_view(), translation_view(-3), transposition_view(),
+             transposition_view(-2, 5), EventuallyTranslation(2, -1, {0: 3, 3: 0}),
+             ReflectedView(EventuallyTranslation(2, -1, {0: 3, 3: 0})),
+             orbit_permutation(s, 700 + s.radius + s.dbound),
+             ReflectedView(orbit_permutation(s, 700 + s.radius + s.dbound)),
+             orbit_permutation(t, 200 + t.radius + t.dbound)]
+    for g in views:
+        for n in (1, 2, 3, 7, 64, 200):
+            assert correlation(g, n) == oracle_correlation(g, n)
+            assert hn_lower_bound(g, n) == oracle_lower_bound(g, n)
+        n_list = [2, 10, 99, 200]
+        assert decay_report(g, n_list).rows == oracle_rows(g, n_list)
+
+
+def test_range_errors_match_oracle(fibonacci):
+    narrow = orbit_permutation(shift(fibonacci), 40)
+
+    class Partial:
+        """Defined on [-10, 10] except at 3."""
+        c = 1
+
+        def __call__(self, j):
+            if j == 3 or abs(j) > 10:
+                raise KeyError(j)
+            return j
+
+    cases = [(narrow, 64), (narrow, 40), (Partial(), 5)]
+    for g, n in cases:
+        with pytest.raises(RangeUnavailable) as expected:
+            oracle_correlation(g, n)
+        for evaluate in (correlation, hn_lower_bound, lambda g, n: decay_report(g, [n])):
+            with pytest.raises(RangeUnavailable) as raised:
+                evaluate(g, n)
+            assert str(raised.value) == str(expected.value)

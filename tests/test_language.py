@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cantorfull.elements import is_identity, order, power, shift
 from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
                                EmptySubshift, NonPrimitiveSubstitution,
                                NotAperiodic, NotMinimal, SemanticError)
@@ -208,6 +209,35 @@ def test_point_window_prefix_property(fibonacci, golden_mean, sturmian_fib):
         assert len(engine.point_window(0)) == 1
 
 
+POINT_ENGINES = {
+    "sft": lambda: sft_engine("ab", ["bb"]),
+    "substitution": lambda: substitution_engine({"a": "ab", "b": "a"}),
+    "sturmian": lambda: sturmian_engine([1] * 12, 12),
+    "recoded": lambda: proper_recode(substitution_engine({"a": "ab", "b": "a"}), 2)[0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POINT_ENGINES))
+def test_point_window_cache_matches_fresh_engine(kind):
+    fresh = POINT_ENGINES[kind]
+    big = fresh().point_window(40)
+    radii = [0, 1, 3, 7, 20, 39]
+    for order in (radii, radii[::-1]):
+        engine = fresh()
+        for m in order:
+            window = engine.point_window(m)
+            assert window == Word(big.segment(-m, m), -m)
+        assert engine.point_window(40) == big
+
+
+def test_sturmian_depth_cap_after_cached_window():
+    engine = sturmian_engine([1] * 12, 12)
+    small = engine.point_window(50)
+    with pytest.raises(DepthCapExceeded):
+        engine.point_window(10_000)
+    assert engine.point_window(50) == small
+
+
 def test_sturmian_language_matches_fibonacci_up_to_renaming(fibonacci, sturmian_fib):
     swap = {"a": "b", "b": "a"}
     for l in range(1, 8):
@@ -300,6 +330,39 @@ def test_finite_substitution_detected():
     period, blocks = engine.finite_points()
     assert all(has_period(b * 2, period) for b in blocks)
     assert {"".join(b) for b in blocks} == {"ab", "ba"}
+
+
+@pytest.mark.parametrize("rules", [{"a": "bbb", "b": "bba"},
+                                   {"a": "cc", "b": "aaa", "c": "cb"}])
+def test_long_periodic_factors_are_not_a_periodic_verdict(rules):
+    # both languages hold long words of small period, and p(13) > 12
+    engine = substitution_engine(rules)
+    assert engine.aperiodic is True and engine.finite_points() is None
+
+
+def test_aperiodic_substitution_shift_has_no_finite_order():
+    engine = substitution_engine({"a": "bbb", "b": "bba"})
+    assert is_identity(power(shift(engine, 25), 3)) is False
+    assert order(shift(engine, 25), cap=20) is None
+
+
+@st.composite
+def uniform_periodic_substitutions(draw):
+    letters = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    v = draw(st.text(alphabet=letters, min_size=len(letters), max_size=12))
+    assume(set(v) == set(letters))
+    assume(v not in (v + v)[1:-1])      # v is not a proper power
+    return {c: v for c in letters}, len(v)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(uniform_periodic_substitutions())
+def test_uniform_substitution_period_is_its_image_length(case):
+    # c -> v for every letter c: the only point is v v v ..., of least period |v|
+    rules, period = case
+    engine = substitution_engine(rules)
+    assert engine.aperiodic is False
+    assert engine.finite_points()[0] == period
 
 
 def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmian_fib):
