@@ -4,7 +4,14 @@ A CloSet with radius r and member set M denotes the union of cylinders
 {x : x[-r..r] in M}.  Re-expressing at a larger radius never changes the
 point set, so all boolean operations work at a common radius.  The reduced
 (minimal-radius) form is canonical and backs equality and hashing.
+
+``mask(R, c)`` is the one place that knows where the window of phi^c(U) sits
+inside a radius-R window: it starts at index R + c - r.  Re-expression, shift
+images and every construction that reads a set window by window build on it,
+as lists of bools aligned with ``allowed_words(2R + 1)``.
 """
+
+from itertools import compress
 
 from .errors import EngineMismatch
 from .words import Word
@@ -45,15 +52,23 @@ class CloSet:
 
     # -- representation -----------------------------------------------------
 
+    def mask(self, radius, shift=0):
+        """For each word of allowed_words(2 radius + 1), in that order: do the
+        points it names lie in phi^shift of this set?  x is in phi^c(U) iff
+        x[c-r .. c+r] is a member, which sits at radius + c - r in the word."""
+        r = self.radius
+        if abs(shift) > radius - r:
+            raise ValueError("the window of the shifted set must lie inside the radius")
+        lo, members = radius + shift - r, self.members
+        return [w[lo:lo + 2 * r + 1] in members for w in self.engine.allowed_words(2 * radius + 1)]
+
     def at_radius(self, radius):
         if radius < self.radius:
             raise ValueError("cannot shrink a CloSet's radius directly; use reduced()")
         if radius == self.radius:
             return self
-        pad = radius - self.radius
-        members = [w for w in self.engine.allowed_words(2 * radius + 1)
-                   if w[pad:pad + 2 * self.radius + 1] in self.members]
-        return CloSet(self.engine, radius, members)
+        words = self.engine.allowed_words(2 * radius + 1)
+        return CloSet(self.engine, radius, compress(words, self.mask(radius)))
 
     def reduced(self):
         """Canonical minimal-radius form."""
@@ -148,9 +163,6 @@ class CloSet:
         """phi^k of this set: x is in the image iff x[k-r .. k+r] is a member."""
         if k == 0:
             return self
-        r = self.radius
-        big = r + abs(k)
-        lo = (k - r) + big
-        members = [w for w in self.engine.allowed_words(2 * big + 1)
-                   if w[lo:lo + 2 * r + 1] in self.members]
-        return CloSet(self.engine, big, members)
+        big = self.radius + abs(k)
+        words = self.engine.allowed_words(2 * big + 1)
+        return CloSet(self.engine, big, compress(words, self.mask(big, k)))

@@ -7,7 +7,8 @@ relations) are verified rather than assumed.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 from .actions import clopen_orbit, index_mod
 from .closets import CloSet
@@ -18,7 +19,8 @@ from .errors import (CapExceeded, FixedPointFound, NotBijective, NotGood,
                      NotMinimal, NotOmniscient, OdometerLike, OverlapError,
                      PreconditionViolated, SearchExhausted, SemanticError,
                      SurplusViolated, WindowTooSmall)
-from .language import max_gap, proper_recode, recurrence_bound, sft_engine
+from .language import (is_proper, max_gap, proper_recode, recurrence_bound,
+                       sft_engine)
 from .words import Word
 
 
@@ -54,24 +56,11 @@ def sigma_U(closet):
     Cocycle: +1 on U, -2 on phi(U), +1 on phi^{-1}(U).
     """
     _good_witness(closet)
-    engine = closet.engine
-    r = closet.radius
-    radius = r + 1
-    members = closet.members
-    span = 2 * r + 1
-
-    def value(w):
-        # window for "x in phi^c(U)" sits at position c
-        if w[radius - r: radius + r + 1] in members:
-            return 1
-        if w[1 + radius - r: 1 + radius + r + 1] in members:
-            return -2
-        if w[-1 + radius - r: -1 + radius + r + 1] in members:
-            return 1
-        return 0
-
-    table = {w: value(w) for w in engine.allowed_words(2 * radius + 1)}
-    return make_element(engine, radius, table)
+    radius = closet.radius + 1
+    values = tuple(1 if here else -2 if ahead else 1 if behind else 0
+                   for here, ahead, behind in zip(closet.mask(radius), closet.mask(radius, 1),
+                                                  closet.mask(radius, -1)))
+    return make_element(closet.engine, radius, values)
 
 
 def cylinder(engine, anchor, letters):
@@ -107,17 +96,12 @@ class SymmetricEmbedding:
         engine = self.engine
         swaps = [self._swaps[(i, perm[i])] for i in range(self.n)]
         radius = max([im.radius for im in self.images] + [h.radius for h in swaps])
-        images = [im.at_radius(radius) for im in self.images]
-        reads = [(h.table, h.radius) for h in swaps]
-        table = {}
-        for w in engine.allowed_words(2 * radius + 1):
-            value = 0
-            for im, (swap, r) in zip(images, reads):
-                if w in im.members:
-                    value = swap[w[radius - r: radius + r + 1]]
-                    break
-            table[w] = value
-        return make_element(engine, radius, table)
+        # the images are pairwise disjoint, so each window takes at most one swap
+        values = [0] * len(engine.allowed_words(2 * radius + 1))
+        for im, h in zip(self.images, swaps):
+            for j, v in compress(enumerate(h.values_at(radius)), im.mask(radius)):
+                values[j] = v
+        return make_element(engine, radius, tuple(values))
 
     def verify_relations(self):
         """Coxeter relations for the adjacent transpositions (complete for S_n)."""
@@ -158,21 +142,21 @@ def first_return(closet, cap=None):
         raise NotOmniscient("the empty set is not omniscient")
     src = closet.reduced()
     gap = min(max_gap(engine, w, cap=cap) for w in src.members)
-    r = src.radius
-    radius = r + gap
-    members = src.members
-    table = {}
-    for y in engine.allowed_words(2 * radius + 1):
-        if y[gap: gap + 2 * r + 1] not in members:
-            table[y] = 0
-            continue
-        for k in range(1, gap + 1):
-            if y[gap - k: gap - k + 2 * r + 1] in members:
-                table[y] = k
-                break
-        else:
+    radius = src.radius + gap
+    return make_element(engine, radius, tuple(_return_times(src, radius, gap)))
+
+
+def _return_times(src, radius, gap):
+    """For each word of allowed_words(2 radius + 1): 0 off `src`, else the
+    least k in 1..gap with the points it names in phi^-k(src)."""
+    back = [src.mask(radius, -k) for k in range(1, gap + 1)]
+    times = []
+    for j, inside in enumerate(src.mask(radius)):
+        k = next((k for k, hit in enumerate(back, 1) if hit[j]), None) if inside else 0
+        if k is None:
             raise CapExceeded("no return within the recurrence bound", cap=gap)
-    return make_element(engine, radius, table)
+        times.append(k)
+    return times
 
 
 @dataclass(frozen=True)
@@ -222,32 +206,16 @@ def kr_towers(closet, refine_by=(), cap=None):
         raise NotOmniscient("the empty set has no towers")
     src = closet.reduced()
     gap = min(max_gap(engine, w, cap=cap) for w in src.members)
-    refine_radius = max([s.radius for s in refine_by], default=0)
-    r = src.radius
-    radius = r + gap + refine_radius
-    members = src.members
-    refined = [s.at_radius(refine_radius) if s.radius < refine_radius else s
-               for s in refine_by]
+    radius = src.radius + gap + max([s.radius for s in refine_by], default=0)
+    times = _return_times(src, radius, gap)
+    # level i of the column over [y] lives in phi^i([y]), so it lies in a set
+    # s exactly when the points [y] names lie in phi^-i(s)
+    levels = [[s.mask(radius, -i) for s in refine_by] for i in range(max(times))]
     groups = {}
-    for y in engine.allowed_words(2 * radius + 1):
-        center = radius
-        if y[center - r: center + r + 1] not in members:
-            continue
-        height = None
-        for k in range(1, gap + 1):
-            if y[center - k - r: center - k + r + 1] in members:
-                height = k
-                break
-        if height is None:
-            raise CapExceeded("no return within the recurrence bound", cap=gap)
-        # level i of this column lives in phi^i([y]); classify each level
-        signature = []
-        for i in range(height):
-            for s in refined:
-                rs = s.radius
-                window = y[center - i - rs: center - i + rs + 1]
-                signature.append(window in s.members)
-        groups.setdefault((height, tuple(signature)), set()).add(y)
+    for j, (y, height) in enumerate(zip(engine.allowed_words(2 * radius + 1), times)):
+        if height:
+            signature = tuple(hit[j] for i in range(height) for hit in levels[i])
+            groups.setdefault((height, signature), set()).add(y)
     pieces = [(CloSet(engine, radius, words), height)
               for (height, _), words in sorted(
                   groups.items(),
@@ -375,18 +343,16 @@ def _gw_attempt(engine, base, class_sets, A, B):
         plans.append((piece, height, classes, tuple(perm)))
 
     radius = max(piece.radius + height - 1 for piece, height, _, _ in plans)
-    table = {}
-    for w in engine.allowed_words(2 * radius + 1):
-        hits = []
-        for piece, height, _, perm in plans:
-            r = piece.radius
-            for i in range(height):
-                if w[i - r + radius: i + r + radius + 1] in piece.members:
-                    hits.append(perm[i] - i)
-        if len(hits) != 1:
-            raise AssertionError("towers fail to partition at the table radius")
-        table[w] = hits[0]
-    alpha = make_element(engine, radius, table)
+    n = len(engine.allowed_words(2 * radius + 1))
+    values, hits = [0] * n, [0] * n
+    for piece, height, _, perm in plans:
+        for i in range(height):
+            for j in compress(range(n), piece.mask(radius, i)):
+                values[j] = perm[i] - i
+                hits[j] += 1
+    if hits.count(1) != n:
+        raise AssertionError("towers fail to partition at the table radius")
+    alpha = make_element(engine, radius, tuple(values))
 
     contained = element_image(B, alpha).is_subset(A)
     index = index_mod(alpha)
@@ -420,16 +386,6 @@ def _gw_attempt(engine, base, class_sets, A, B):
 
 # ---------------------------------------------------------------------------
 # Matui's generating set and the commutator recursion
-
-
-def is_proper(engine, d):
-    """No allowed word repeats a letter at distance <= d."""
-    for w in engine.allowed_words(d + 1):
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if w[i] == w[j]:
-                    return False
-    return True
 
 
 def ensure_proper(engine, d=4):
@@ -543,19 +499,10 @@ def _swap_element(closet):
     engine = closet.engine
     if not closet.is_disjoint(closet.shift_image(1)):
         raise OverlapError("set overlaps its shift; cannot swap")
-    r = closet.radius
-    radius = r + 1
-    members = closet.members
-
-    def value(w):
-        if w[radius - r: radius + r + 1] in members:
-            return 1
-        if w[1 + radius - r: 1 + radius + r + 1] in members:
-            return -1
-        return 0
-
-    table = {w: value(w) for w in engine.allowed_words(2 * radius + 1)}
-    return make_element(engine, radius, table)
+    radius = closet.radius + 1
+    values = tuple(1 if here else -1 if ahead else 0
+                   for here, ahead in zip(closet.mask(radius), closet.mask(radius, 1)))
+    return make_element(engine, radius, values)
 
 
 def lamplighter_pair(U, independence=3, search_width=8, verify=True):
@@ -646,15 +593,9 @@ def van_douwen_involutions(q):
     engine = sft_engine(letters, [c + c for c in letters])
     sigmas = []
     for a in letters:
-        table = {}
-        for w in engine.allowed_words(3):
-            if w[1] == a:
-                table[w] = 1
-            elif w[2] == a:
-                table[w] = -1
-            else:
-                table[w] = 0
-        sigmas.append(make_element(engine, 1, table))
+        values = tuple(1 if w[1] == a else -1 if w[2] == a else 0
+                       for w in engine.allowed_words(3))
+        sigmas.append(make_element(engine, 1, values))
     return engine, sigmas
 
 

@@ -74,12 +74,16 @@ class Element:
             self._table = MappingProxyType(dict(zip(words, self.values)))
         return self._table
 
-    def padded_table(self, radius):
+    def values_at(self, radius):
+        """The values padded to a larger radius: a tuple aligned with
+        allowed_words(2 radius + 1)."""
         if radius < self.radius:
             raise ValueError("cannot pad to a smaller radius")
-        engine, values = self.engine, self.values
-        positions = engine.restriction(2 * radius + 1, radius - self.radius, 2 * self.radius + 1)
-        return {w: values[j] for w, j in zip(engine.allowed_words(2 * radius + 1), positions)}
+        positions = self.engine.restriction(2 * radius + 1, radius - self.radius, 2 * self.radius + 1)
+        return tuple(map(self.values.__getitem__, positions))
+
+    def padded_table(self, radius):
+        return dict(zip(self.engine.allowed_words(2 * radius + 1), self.values_at(radius)))
 
     # -- certification -------------------------------------------------------
 
@@ -212,33 +216,38 @@ def _check_same_engine(f, g):
         raise EngineMismatch("elements live on different engines")
 
 
-def make_element(engine, radius, table):
+def make_element(engine, radius, values):
     """Group element with an eagerly computed bijectivity certificate."""
-    e = make_semigroup_element(engine, radius, table)
+    e = make_semigroup_element(engine, radius, values)
     e._witness = e._run_certificate()
     e._bijective = True
     return e
 
 
-def make_semigroup_element(engine, radius, table):
-    """Semigroup element; bijectivity is attempted but failure is not an error."""
-    words = engine.allowed_words(2 * radius + 1)
-    missing = [engine.alphabet.format_word(w) for w in words if w not in table]
-    if missing:
-        raise PartialTable(missing)
-    e = Element(engine, radius, tuple(int(table[w]) for w in words), None)
+def make_semigroup_element(engine, radius, values):
+    """Semigroup element; bijectivity is attempted but failure is not an error.
+
+    `values` is a tuple aligned with engine.allowed_words(2 radius + 1), or a
+    {window: value} dict that must cover every one of those windows."""
+    if isinstance(values, dict):
+        words = engine.allowed_words(2 * radius + 1)
+        missing = [engine.alphabet.format_word(w) for w in words if w not in values]
+        if missing:
+            raise PartialTable(missing)
+        values = tuple(int(values[w]) for w in words)
+    e = Element(engine, radius, values, None)
     if e.dbound > engine.caps.dbound:
         raise CapExceeded("displacement bound exceeded", cap=engine.caps.dbound)
     return e.canonical_element()
 
 
 def identity(engine):
-    return make_element(engine, 0, {w: 0 for w in engine.allowed_words(1)})
+    return make_element(engine, 0, (0,) * len(engine.allowed_words(1)))
 
 
 def shift(engine, power=1):
     """phi^power as an element (constant cocycle)."""
-    return make_element(engine, 0, {w: power for w in engine.allowed_words(1)})
+    return make_element(engine, 0, (power,) * len(engine.allowed_words(1)))
 
 
 def compose(f, g):
@@ -305,32 +314,28 @@ def support(f):
     engine = f.engine
     c = f.canonical_element()
     radius = c.radius + c.dbound
-    table = c.padded_table(radius)
-    members = {w for w, v in table.items()
-               if v != 0 and engine.cylinder_nonperiodic_exists(w, v)}
+    members = [w for w, v in zip(engine.allowed_words(2 * radius + 1), c.values_at(radius))
+               if v != 0 and engine.cylinder_nonperiodic_exists(w, v)]
     return CloSet(engine, radius, members)
 
 
 def element_image(closet, f):
-    """f(U) as a CloSet (exact; works for semigroup elements too)."""
+    """f(U) as a CloSet (exact; works for semigroup elements too).
+
+    At R = max(r_U, r_f), each window of U moves its points by its value k;
+    a window u of radius R + D is in f(U) when its core at k is such a window
+    with value k."""
     if closet.engine is not f.engine:
         raise EngineMismatch("closet and element live on different engines")
     engine = f.engine
     radius = max(closet.radius, f.radius)
-    src = closet.at_radius(radius)
+    words = engine.allowed_words(2 * radius + 1)
+    moved = dict(compress(zip(words, f.values_at(radius)), closet.mask(radius)))
     d = f.dbound
-    big = radius + d
     span = 2 * radius + 1
-    out = set()
-    buckets = {}
-    for u in engine.allowed_words(2 * big + 1):
-        for k in range(-d, d + 1):
-            buckets.setdefault((k, u[k + d: k + d + span]), []).append(u)
-    table = f.table
-    for w in src.members:
-        k = table[w[radius - f.radius: radius + f.radius + 1]]
-        out.update(buckets.get((k, w), ()))
-    return CloSet(engine, big, out)
+    out = [u for u in engine.allowed_words(2 * (radius + d) + 1)
+           if any(moved.get(u[k + d:k + d + span]) == k for k in range(-d, d + 1))]
+    return CloSet(engine, radius + d, out)
 
 
 def ball_sizes(generators, radius):
@@ -364,7 +369,8 @@ def ball_sizes(generators, radius):
                     store[key] = e
                     fresh.append(e)
                     if len(store) > engine.caps.word_store:
-                        raise MemoryCapExceeded(f"ball grew past {engine.caps.word_store} elements")
+                        raise MemoryCapExceeded("ball grew past the element store",
+                                                cap=engine.caps.word_store)
         frontier = fresh
         sizes.append(len(store))
     return sizes

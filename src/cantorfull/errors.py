@@ -39,7 +39,7 @@ class CapExceeded(CantorfullError):
         self.cap = cap
 
 
-class MemoryCapExceeded(CantorfullError):
+class MemoryCapExceeded(CapExceeded):
     code = "memory-cap-exceeded"
 
 

@@ -97,22 +97,12 @@ class LanguageEngine:
 
     def restriction(self, length, start, size):
         """For each word w of allowed_words(length), the position of its factor
-        w[start:start + size] in allowed_words(size).
-
-        Only the maps that drop one letter are read off the words; the others
-        are composed from them, one dropped letter at a time."""
+        w[start:start + size] in allowed_words(size)."""
         key = (length, start, size)
         positions = self._restrictions.get(key)
         if positions is None:
-            if size == length:
-                positions = tuple(range(len(self.allowed_words(length))))
-            elif size == length - 1:
-                index = self.word_index(size)
-                positions = tuple([index[w[start:start + size]] for w in self.allowed_words(length)])
-            else:
-                first = min(start, 1)
-                rest = self.restriction(length - 1, start - first, size)
-                positions = tuple(map(rest.__getitem__, self.restriction(length, first, length - 1)))
+            index = self.word_index(size)
+            positions = tuple([index[w[start:start + size]] for w in self.allowed_words(length)])
             self._restrictions[key] = positions
         return positions
 
@@ -214,7 +204,8 @@ class SFTEngine(LanguageEngine):
             raise EmptySubshift("the empty word is forbidden")
         k = max([2] + [len(w) for w in forbidden])
         if len(alphabet) ** k > self.caps.word_store:
-            raise MemoryCapExceeded(f"normalizing forbidden words needs {len(alphabet)}^{k} windows")
+            raise MemoryCapExceeded(f"normalizing forbidden words needs {len(alphabet)}^{k} windows",
+                                    cap=self.caps.word_store)
         bad = set(forbidden)
         self._init_graph(k, frozenset(
             w for w in itertools.product(alphabet.letters, repeat=k)
@@ -292,7 +283,8 @@ class SFTEngine(LanguageEngine):
             return self._short[length]
         shorter = self.allowed_words(length - 1)
         if len(shorter) * len(self.alphabet) > self.caps.word_store:
-            raise MemoryCapExceeded(f"more than {self.caps.word_store} words at length {length}")
+            raise MemoryCapExceeded(f"{len(shorter) * len(self.alphabet)} candidate words at length "
+                                    f"{length}", cap=self.caps.word_store)
         # the shorter words are sorted and each extends in letter order, so
         # the extensions come out sorted and distinct
         return tuple(w + (letter,) for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
@@ -688,6 +680,11 @@ def max_gap(engine, word, cap=None):
     return recurrence_bound(engine, word, cap=cap) - len(word) + 1
 
 
+def is_proper(engine, d):
+    """No allowed word repeats a letter at distance <= d."""
+    return all(len(set(w)) == len(w) for w in engine.allowed_words(d + 1))
+
+
 @dataclass(frozen=True)
 class RecodingMap:
     block_length: int
@@ -715,11 +712,8 @@ def proper_recode(engine, d):
     if block is None:
         raise CapExceeded("no d-proper block length found", cap=caps.radius_search)
     recoded = RecodedEngine(engine, block)
-    for w in recoded.allowed_words(d + 1):
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if w[i] == w[j]:
-                    raise AssertionError(f"recoded engine is not {d}-proper at {w}")
+    if not is_proper(recoded, d):
+        raise AssertionError(f"recoded engine is not {d}-proper")
     mapping = RecodingMap(block, {name: Word(blockword, 0)
                                   for name, blockword in recoded.decode.items()})
     return recoded, mapping

@@ -15,6 +15,11 @@ def fibonacci():
 
 
 @pytest.fixture(scope="session")
+def thue_morse():
+    return substitution_engine({"a": "ab", "b": "ba"})
+
+
+@pytest.fixture(scope="session")
 def golden_mean():
     return sft_engine("ab", ["bb"])
 

@@ -194,6 +194,19 @@ def test_cli_vandouwen(capsys):
     assert "all_nonidentity=true" in out
 
 
+def test_cli_vandouwen_counts_words_against_the_store(capsys, monkeypatch):
+    # 6 * 5^7 + ... + 6 = 585,936 reduced words, past the default store
+    code, out, err = run(capsys, "construct", "vandouwen", "--q", "6", "--max-len", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: memory-cap-exceeded: ") and err.endswith("(cap=500000)\n")
+    code, out, _ = run(capsys, "construct", "vandouwen", "--q", "5", "--max-len", "5")
+    assert code == 0 and out == "checked=1705 all_nonidentity=true\n"
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=100")
+    code, out, err = run(capsys, "construct", "vandouwen", "--q", "3", "--max-len", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: memory-cap-exceeded: ") and err.endswith("(cap=100)\n")
+
+
 def test_cli_exit_codes(capsys, fib_file):
     code, _, err = run(capsys, "--subshift", fib_file, "lang", "recur", "--word", "bb")
     assert code == 2 and "semantic-error" in err

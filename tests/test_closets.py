@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorfull.closets import CloSet
 from cantorfull.elements import compose, element_image, shift
 from cantorfull.errors import EngineMismatch
 from cantorfull.words import Word
 from conftest import sample_elements
+from test_sft_properties import closets, sft_engines, tables
 
 
 def random_closets(engine, count, seed):
@@ -90,3 +92,109 @@ def test_element_image_composition(fibonacci, fib_pool):
 def test_engine_mismatch(fibonacci, golden_mean):
     with pytest.raises(EngineMismatch):
         CloSet.full(fibonacci).union(CloSet.full(golden_mean))
+
+
+def test_mask_is_aligned_with_the_level(fibonacci):
+    U = CloSet.cylinder(fibonacci, Word(("b",), 0))
+    words = fibonacci.allowed_words(5)
+    assert U.mask(2) == [w[2] == "b" for w in words]
+    assert U.mask(2, 1) == [w[3] == "b" for w in words]
+    assert U.mask(2, -2) == [w[0] == "b" for w in words]
+    with pytest.raises(ValueError):
+        U.mask(2, 3)
+
+
+# -- slicing oracles: each read done by hand, one window slice at a time ------
+
+
+def oracle_at_radius(closet, radius):
+    if radius == closet.radius:
+        return closet
+    pad = radius - closet.radius
+    members = [w for w in closet.engine.allowed_words(2 * radius + 1)
+               if w[pad:pad + 2 * closet.radius + 1] in closet.members]
+    return CloSet(closet.engine, radius, members)
+
+
+def oracle_shift_image(closet, k):
+    if k == 0:
+        return closet
+    r = closet.radius
+    big = r + abs(k)
+    lo = (k - r) + big
+    members = [w for w in closet.engine.allowed_words(2 * big + 1)
+               if w[lo:lo + 2 * r + 1] in closet.members]
+    return CloSet(closet.engine, big, members)
+
+
+def oracle_reduced(closet):
+    current = closet
+    while current.radius > 0:
+        r = current.radius
+        groups = {}
+        for u in closet.engine.allowed_words(2 * r + 1):
+            groups.setdefault(u[1:-1], []).append(u)
+        inside = set()
+        for w, extensions in groups.items():
+            hits = sum(1 for u in extensions if u in current.members)
+            if hits == len(extensions):
+                inside.add(w)
+            elif hits != 0:
+                return current
+        current = CloSet(closet.engine, r - 1, inside)
+    return current
+
+
+def oracle_element_image(closet, f):
+    engine = f.engine
+    radius = max(closet.radius, f.radius)
+    src = oracle_at_radius(closet, radius)
+    d = f.dbound
+    big = radius + d
+    span = 2 * radius + 1
+    out = set()
+    buckets = {}
+    for u in engine.allowed_words(2 * big + 1):
+        for k in range(-d, d + 1):
+            buckets.setdefault((k, u[k + d: k + d + span]), []).append(u)
+    for w in src.members:
+        k = f.table[w[radius - f.radius: radius + f.radius + 1]]
+        out.update(buckets.get((k, w), ()))
+    return CloSet(engine, big, out)
+
+
+def oracle_key(closet):
+    reduced = oracle_reduced(closet)
+    return (reduced.radius, tuple(sorted(reduced.members, key=closet.engine.alphabet.sort_key)))
+
+
+def assert_same_set(got, want):
+    assert got.radius == want.radius
+    assert got.members == want.members
+    assert got.key() == oracle_key(want)
+
+
+def check_reads(data, engine, closet, low, high):
+    radius = closet.radius + data.draw(st.integers(0, 2))
+    assert_same_set(closet.at_radius(radius), oracle_at_radius(closet, radius))
+    k = data.draw(st.integers(-3, 3))
+    assert_same_set(closet.shift_image(k), oracle_shift_image(closet, k))
+    assert_same_set(closet.reduced(), oracle_reduced(closet))
+    f = data.draw(tables(engine, low, high))
+    assert_same_set(element_image(closet, f), oracle_element_image(closet, f))
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_clopen_reads_against_slicing_oracles_on_sfts(data):
+    engine = data.draw(sft_engines())
+    check_reads(data, engine, data.draw(closets(engine)), -1, 1)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_clopen_reads_against_slicing_oracles_on_fibonacci(fibonacci, data):
+    word = data.draw(st.integers(1, 5).flatmap(
+        lambda n: st.sampled_from(fibonacci.allowed_words(n))))
+    closet = CloSet.cylinder(fibonacci, Word(word, data.draw(st.integers(-3, 3))))
+    check_reads(data, fibonacci, closet, -2, 2)

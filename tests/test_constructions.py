@@ -3,15 +3,17 @@ import itertools
 import pytest
 
 from cantorfull.closets import CloSet
-from cantorfull.elements import (compose, equal, identity, inverse,
-                                 is_identity, order, power, shift, support,
-                                 element_image)
-from cantorfull.errors import (FixedPointFound, NotGood, OdometerLike,
-                               OverlapError, PreconditionViolated,
-                               SurplusViolated, WindowTooSmall)
+from cantorfull.elements import (canonical_dump, compose, equal, identity,
+                                 inverse, is_identity, make_element, order,
+                                 power, shift, support, element_image)
+from cantorfull.errors import (CapExceeded, FixedPointFound, NotGood,
+                               NotOmniscient, OdometerLike, OverlapError,
+                               PreconditionViolated, SurplusViolated,
+                               WindowTooSmall)
 from cantorfull.language import sft_engine, SFTEngine
 from cantorfull.words import Alphabet, Word, factors
-from cantorfull.constructions import (HoughtonProfile, cylinder, first_return,
+from cantorfull.constructions import (HoughtonProfile, _permutation_parity,
+                                      _swap_element, cylinder, first_return,
                                       gw_transport, houghton_engine_y,
                                       houghton_engine_y3, houghton_orbit_map,
                                       houghton_profile, is_good, is_proper,
@@ -350,3 +352,215 @@ def test_houghton_y3_shift():
     profile = houghton_profile(shift(engine), 64)
     assert profile.end_translations == (1, 1, 1)
     assert profile.exceptional_set == ()
+
+
+# -- slicing oracles: each construction built window by window ----------------
+
+
+def oracle_sigma_U(closet):
+    engine = closet.engine
+    r = closet.radius
+    radius = r + 1
+    members = closet.members
+
+    def value(w):
+        # window for "x in phi^c(U)" sits at position c
+        if w[radius - r: radius + r + 1] in members:
+            return 1
+        if w[1 + radius - r: 1 + radius + r + 1] in members:
+            return -2
+        if w[-1 + radius - r: -1 + radius + r + 1] in members:
+            return 1
+        return 0
+
+    return make_element(engine, radius, {w: value(w) for w in engine.allowed_words(2 * radius + 1)})
+
+
+def oracle_swap_element(closet):
+    engine = closet.engine
+    r = closet.radius
+    radius = r + 1
+    members = closet.members
+
+    def value(w):
+        if w[radius - r: radius + r + 1] in members:
+            return 1
+        if w[1 + radius - r: 1 + radius + r + 1] in members:
+            return -1
+        return 0
+
+    return make_element(engine, radius, {w: value(w) for w in engine.allowed_words(2 * radius + 1)})
+
+
+def oracle_first_return(closet):
+    engine = closet.engine
+    src = closet.reduced()
+    gap = min(max_gap(engine, w) for w in src.members)
+    r = src.radius
+    radius = r + gap
+    members = src.members
+    table = {}
+    for y in engine.allowed_words(2 * radius + 1):
+        if y[gap: gap + 2 * r + 1] not in members:
+            table[y] = 0
+            continue
+        for k in range(1, gap + 1):
+            if y[gap - k: gap - k + 2 * r + 1] in members:
+                table[y] = k
+                break
+        else:
+            raise CapExceeded("no return within the recurrence bound", cap=gap)
+    return make_element(engine, radius, table)
+
+
+def oracle_kr_pieces(closet, refine_by=()):
+    """((base radius, base members, height), ...) in the towers' order."""
+    engine = closet.engine
+    src = closet.reduced()
+    gap = min(max_gap(engine, w) for w in src.members)
+    refine_radius = max([s.radius for s in refine_by], default=0)
+    r = src.radius
+    radius = r + gap + refine_radius
+    members = src.members
+    refined = [s.at_radius(refine_radius) if s.radius < refine_radius else s
+               for s in refine_by]
+    groups = {}
+    for y in engine.allowed_words(2 * radius + 1):
+        center = radius
+        if y[center - r: center + r + 1] not in members:
+            continue
+        height = None
+        for k in range(1, gap + 1):
+            if y[center - k - r: center - k + r + 1] in members:
+                height = k
+                break
+        if height is None:
+            raise CapExceeded("no return within the recurrence bound", cap=gap)
+        signature = []
+        for i in range(height):
+            for s in refined:
+                rs = s.radius
+                window = y[center - i - rs: center - i + rs + 1]
+                signature.append(window in s.members)
+        groups.setdefault((height, tuple(signature)), set()).add(y)
+    return [(radius, frozenset(words), height)
+            for (height, _), words in sorted(
+                groups.items(),
+                key=lambda kv: (kv[0][0], kv[0][1], min(map(engine.alphabet.sort_key, kv[1]))))]
+
+
+def oracle_gw_alpha(engine, base, A, B):
+    """The transport element over `base`, its table read window by window."""
+    class_sets = {"A": A.minus(B), "B": B.minus(A), "AB": A.intersect(B),
+                  "none": A.union(B).complement()}
+    plans = []
+    for t, (radius, members, height) in enumerate(oracle_kr_pieces(base, (A, B))):
+        piece = CloSet(engine, radius, members)
+        classes = {name: [] for name in class_sets}
+        for i in range(height):
+            level = piece.shift_image(i)
+            name = next(name for name, s in class_sets.items() if level.is_subset(s))
+            classes[name].append(i)
+        if len(classes["A"]) < len(classes["B"]):
+            raise SurplusViolated(t)
+        perm = list(range(height))
+        targets = sorted(classes["A"])[:len(classes["B"])]
+        rest_dst = sorted(set(classes["A"]) - set(targets)) + sorted(classes["B"])
+        for b, a in zip(sorted(classes["B"]), targets):
+            perm[b] = a
+        for s, d in zip(sorted(classes["A"]), rest_dst):
+            perm[s] = d
+        if _permutation_parity(perm) == 1:
+            u, v = sorted(max(classes.values(), key=len))[:2]
+            perm[u], perm[v] = perm[v], perm[u]
+        plans.append((piece, height, perm))
+    radius = max(piece.radius + height - 1 for piece, height, _ in plans)
+    table = {}
+    for w in engine.allowed_words(2 * radius + 1):
+        hits = []
+        for piece, height, perm in plans:
+            r = piece.radius
+            for i in range(height):
+                if w[i - r + radius: i + r + radius + 1] in piece.members:
+                    hits.append(perm[i] - i)
+        assert len(hits) == 1
+        table[w] = hits[0]
+    return make_element(engine, radius, table)
+
+
+def small_cylinders(engine):
+    return [cylinder(engine, anchor, w) for n in (1, 2, 3)
+            for w in engine.allowed_words(n) for anchor in range(-n + 1, 1)]
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse", "golden_mean"])
+def test_sigma_and_swap_against_slicing_oracles(request, name):
+    engine = request.getfixturevalue(name)
+    checked = 0
+    for U in small_cylinders(engine) + [cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
+        if is_good(U):
+            assert canonical_dump(sigma_U(U)) == canonical_dump(oracle_sigma_U(U))
+            checked += 1
+        if U.is_disjoint(U.shift_image(1)):
+            assert canonical_dump(_swap_element(U)) == canonical_dump(oracle_swap_element(U))
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse"])
+def test_returns_and_towers_against_slicing_oracles(request, name):
+    engine = request.getfixturevalue(name)
+    sets = small_cylinders(engine)
+    refiners = [(), (sets[0],), (sets[0], sets[-1])]
+    for U in sets:
+        assert canonical_dump(first_return(U)) == canonical_dump(oracle_first_return(U))
+        for refine_by in refiners:
+            pieces = [(base.radius, base.members, height)
+                      for base, height in kr_towers(U, refine_by=refine_by).pieces]
+            assert pieces == oracle_kr_pieces(U, refine_by)
+
+
+def test_returns_and_towers_refuse_non_minimal_engines(golden_mean):
+    U = cylinder(golden_mean, 0, ("b",))
+    with pytest.raises(NotOmniscient):
+        first_return(U)
+    with pytest.raises(NotOmniscient):
+        kr_towers(U)
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("fibonacci", [(((0, "a"),), ((0, "b"),)), (((0, "a"),), ((-1, "bab"),)),
+                   (((0, "a"),), ((-1, "aba"),)), (((0, "a"),), ())]),
+    ("thue_morse", [(((0, "a"),), ((-1, "bab"),)), (((0, "ab"),), ((-1, "bba"),)),
+                    (((0, "a"),), ())]),
+])
+def test_gw_transport_against_slicing_oracle(request, name, pairs):
+    engine = request.getfixturevalue(name)
+
+    def closet(cells):
+        out = CloSet.empty(engine)
+        for anchor, letters in cells:
+            out = out.union(cylinder(engine, anchor, tuple(letters)))
+        return out
+
+    for a_cells, b_cells in pairs:
+        A, B = closet(a_cells), closet(b_cells)
+        result = gw_transport(A, B)
+        oracle = oracle_gw_alpha(engine, result.base, A, B)
+        assert canonical_dump(result.alpha) == canonical_dump(oracle)
+
+
+def test_symmetric_embedding_against_slicing_oracle(fibonacci):
+    phi = shift(fibonacci)
+    emb = symmetric_embed([identity(fibonacci), phi, compose(phi, phi)],
+                          cylinder(fibonacci, -1, ("a", "a", "b")))
+    for perm in itertools.permutations(range(3)):
+        swaps = [emb._swaps[(i, perm[i])] for i in range(3)]
+        radius = max([im.radius for im in emb.images] + [h.radius for h in swaps])
+        images = [im.at_radius(radius) for im in emb.images]
+        table = {}
+        for w in fibonacci.allowed_words(2 * radius + 1):
+            table[w] = next((h.table[w[radius - h.radius: radius + h.radius + 1]]
+                             for im, h in zip(images, swaps) if w in im.members), 0)
+        expected = make_element(fibonacci, radius, table)
+        assert canonical_dump(emb.element(perm)) == canonical_dump(expected)

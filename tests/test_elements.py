@@ -12,7 +12,7 @@ from cantorfull.elements import (Element, ball_sizes, canonical_dump,
 from cantorfull.errors import (EngineMismatch, NotBijective, NotInjective,
                                NotSurjective, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
-from cantorfull.language import sft_engine
+from cantorfull.language import sft_engine, substitution_engine
 from cantorfull.words import Word
 from conftest import sample_elements
 
@@ -266,3 +266,32 @@ def test_power_and_element_image(fibonacci):
     assert equal(power(phi, 0), identity(fibonacci))
     U = cylinder(fibonacci, 0, ("a",))
     assert element_image(U, power(phi, 2)) == U.shift_image(2)
+
+
+def test_padding_reads_one_restriction_map(monkeypatch):
+    """Padding phi to radius 150 reads the 301-words once; it does not walk
+    through every intermediate length one dropped letter at a time."""
+    engine = substitution_engine({"a": "ab", "b": "a"})
+    e = shift(engine)
+    enumerate_length = engine._enumerate
+    lengths = []
+
+    def counting(length):
+        lengths.append(length)
+        return enumerate_length(length)
+
+    monkeypatch.setattr(engine, "_enumerate", counting)
+    values = e.values_at(150)
+    assert len(lengths) <= 3
+    assert values == (1,) * len(engine.allowed_words(301))
+    assert e.padded_table(150) == dict(zip(engine.allowed_words(301), values))
+
+
+def test_tuple_and_dict_tables_agree(fibonacci):
+    words = fibonacci.allowed_words(3)
+    values = tuple(1 if w[1] == "b" else -1 if w[2] == "b" else 0 for w in words)
+    by_tuple = make_semigroup_element(fibonacci, 1, values)
+    by_dict = make_semigroup_element(fibonacci, 1, dict(zip(words, values)))
+    assert canonical_dump(by_tuple) == canonical_dump(by_dict)
+    with pytest.raises(PartialTable):
+        make_semigroup_element(fibonacci, 1, dict(zip(words[1:], values[1:])))

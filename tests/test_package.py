@@ -10,8 +10,8 @@ import pytest
 
 import cantorfull
 from cantorfull.caps import Caps
-from cantorfull.elements import shift
-from cantorfull.errors import CapExceeded
+from cantorfull.elements import ball_sizes, shift
+from cantorfull.errors import CapExceeded, MemoryCapExceeded
 from cantorfull.language import proper_recode, sft_engine, substitution_engine
 
 PACKAGE = pathlib.Path(cantorfull.__file__).parent
@@ -35,6 +35,34 @@ def test_caps_are_read_when_an_engine_is_built(monkeypatch):
     assert err.value.cap == 1
     assert proper_recode(fib, 2)[0].caps is fib.caps
     assert shift(sft_engine("01", []), 2).dbound == 2
+
+
+def assert_names_cap(err, cap):
+    assert err.value.cap == cap and err.value.code == "memory-cap-exceeded"
+    assert str(err.value).endswith(f"(cap={cap})")
+
+
+def test_memory_caps_are_named_by_the_sft_normaliser(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=10")
+    with pytest.raises(MemoryCapExceeded) as err:
+        sft_engine("abc", ["abc"])          # 3^3 windows
+    assert_names_cap(err, 10)
+
+
+def test_memory_caps_are_named_by_sft_enumeration(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=50")
+    engine = sft_engine("ab", [])
+    with pytest.raises(MemoryCapExceeded) as err:
+        engine.allowed_words(6)             # 32 words of length 5, two letters each
+    assert_names_cap(err, 50)
+
+
+def test_memory_caps_are_named_by_ball_sizes(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=4")
+    engine = sft_engine("ab", [])
+    with pytest.raises(MemoryCapExceeded) as err:
+        ball_sizes([shift(engine)], 3)      # the second sphere makes 5 elements
+    assert_names_cap(err, 4)
 
 
 def test_no_function_local_imports():
