@@ -13,8 +13,7 @@ from .language import (LanguageEngine, SFTEngine, SubstitutionEngine,
                        SturmianEngine, RecodedEngine, RecodingMap,
                        build_engine, sft_engine, substitution_engine,
                        sturmian_engine, recurrence_bound, max_gap,
-                       proper_recode, periodic_points, sft_approximation,
-                       is_irreducible)
+                       proper_recode, sft_approximation, is_irreducible)
 from .closets import CloSet
 from .elements import (Element, CanonicalForm, make_element,
                        make_semigroup_element, identity, shift, compose,

@@ -1,9 +1,9 @@
 """Orbit actions on Z, the index homomorphism, block stability, and
 finite-quotient (LEF) certificates.
 
-The canonical basepoint is always the engine's point_window point; with the
-shift convention (phi x)(n) = x(n-1), the cocycle at phi^n(x) reads the
-window of x around -n, and j_x(psi)(n) = n + kappa(phi^n x).
+The canonical basepoint is always the engine's point_window point, and
+j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
+window is known only to ``Element.orbit_map``; every reader here calls it.
 """
 
 import json
@@ -42,11 +42,7 @@ def orbit_permutation(psi, window, base_shift=0):
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
     point = psi.engine.point_window(window + r + abs(base_shift))
-    kappa, letters, size = psi.table, point.letters, 2 * r + 1
-    # the cocycle at phi^m x, m = n + base_shift, reads the window of x around
-    # -m: the letters from index top - n on
-    top = -base_shift - r - point.anchor
-    table = {n: n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)}
+    table = psi.orbit_map(point, window, base_shift)
     if len(set(table.values())) != len(table):
         raise AssertionError("orbit restriction is not injective")
     return WindowedPermutation(window, table, d)
@@ -62,12 +58,9 @@ def index_mod(psi, shifts=5):
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
     r, d = psi.radius, psi.dbound
     point = psi.engine.point_window(d + r + shifts)
-    kappa, letters, size = psi.table, point.letters, 2 * r + 1
     values = []
     for s in range(shifts):
-        # the window of x around -(n + s) starts at index top - n
-        top = -s - r - point.anchor
-        image = {n: n + kappa[letters[top - n:top - n + size]] for n in range(-d, d)}
+        image = psi.orbit_map(point, d, s)
         left = sum(1 for n in range(-d, 0) if image[n] >= 0)
         right = sum(1 for n in range(0, d) if image[n] < 0)
         values.append(left - right)
@@ -234,13 +227,7 @@ class FiniteQuotientCert:
 
 
 def _lift_to(approx, element):
-    source = element.table
-    table = {}
-    for w in approx.allowed_words(2 * element.radius + 1):
-        if w not in source:
-            raise PartialTable([approx.alphabet.format_word(w)])
-        table[w] = source[w]
-    return make_element(approx, element.radius, table)
+    return make_element(approx, element.radius, dict(element.table))
 
 
 def _act_on_block(lift, block):

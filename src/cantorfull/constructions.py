@@ -281,7 +281,7 @@ def _transport_base(target, engine, depth):
     return base
 
 
-def gw_transport(A, B, base_hint=None, retries=3):
+def gw_transport(A, B):
     """alpha in the derived subgroup with alpha(B) inside A, built from level
     permutations of Kakutani-Rokhlin towers; requires #A-levels >= #B-levels
     in every tower (the clopen shadow of mu(B) < mu(A))."""
@@ -295,13 +295,10 @@ def gw_transport(A, B, base_hint=None, retries=3):
         "none": A.union(B).complement(),
     }
     last_error = None
-    for attempt in range(retries + 1):
-        if base_hint is not None and attempt == 0:
-            base = base_hint
-        else:
-            base = _transport_base(A, engine, attempt)
-            if base is None:
-                continue
+    for depth in range(4):
+        base = _transport_base(A, engine, depth)
+        if base is None:
+            continue
         try:
             return _gw_attempt(engine, base, class_sets, A, B)
         except SurplusViolated as err:
@@ -388,13 +385,6 @@ def _gw_attempt(engine, base, class_sets, A, B):
 # Matui's generating set and the commutator recursion
 
 
-def ensure_proper(engine, d=4):
-    if is_proper(engine, d):
-        return engine, None
-    recoded, mapping = proper_recode(engine, d)
-    return recoded, mapping
-
-
 @dataclass(frozen=True)
 class MatuiSet:
     engine: object
@@ -407,7 +397,7 @@ def matui_generators(engine):
     """sigma over every cylinder Cyl({-1,0,1}, f) of the 4-proper recoding."""
     if engine.minimal is not True or engine.aperiodic is not True:
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
-    proper_engine, mapping = ensure_proper(engine, 4)
+    proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
     words = proper_engine.allowed_words(3)
     gens = tuple(sigma_U(cylinder(proper_engine, -1, h)) for h in words)
     return MatuiSet(proper_engine, mapping, gens, tuple(words))
@@ -505,7 +495,7 @@ def _swap_element(closet):
     return make_element(engine, radius, values)
 
 
-def lamplighter_pair(U, independence=3, search_width=8, verify=True):
+def lamplighter_pair(U):
     """A lamplighter inside the full group: Psi acts as the shift on the lamps
     sigma_F, F a finite subset of Z.  Requires U disjoint from phi(U) and a
     clopen orbit of U that does not close up (non-odometer behaviour)."""
@@ -520,7 +510,7 @@ def lamplighter_pair(U, independence=3, search_width=8, verify=True):
 
     candidate_words = []
     base = U.reduced()
-    for ext in range(search_width + 1):
+    for ext in range(9):
         ws = sorted(base.at_radius(base.radius + ext).members,
                     key=engine.alphabet.sort_key)
         for w in ws:
@@ -537,8 +527,7 @@ def lamplighter_pair(U, independence=3, search_width=8, verify=True):
         raise SearchExhausted("no refining cylinder with an infinite return orbit")
 
     pair = LamplighterPair(engine, U, V, psi, Psi, _swap_element(V))
-    if verify:
-        _verify_lamplighter(pair, independence)
+    _verify_lamplighter(pair)
     return pair
 
 
@@ -554,12 +543,12 @@ def _psi_orbit_infinite(psi, closet, cap):
     return True
 
 
-def _verify_lamplighter(pair, independence):
+def _verify_lamplighter(pair):
     e = identity(pair.engine)
     if not equal(compose(pair.sigma0, pair.sigma0), e):
         raise AssertionError("sigma_{0} is not an involution")
     images = {n: psi_power_image(pair.psi, pair.V, n)
-              for n in range(-independence, independence + 1)}
+              for n in range(-3, 4)}
     keys = [images[n].key() for n in sorted(images)]
     if len(set(keys)) != len(keys):
         raise AssertionError("psi^n(V) are not pairwise distinct")
@@ -587,8 +576,8 @@ VAN_DOUWEN_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 def van_douwen_involutions(q):
     """The proper shift (no equal adjacent letters) on q >= 3 letters and the
     involutions sigma_i: shift by +1 on [letter_i at 0], -1 on [letter_i at 1]."""
-    if q < 3:
-        raise SemanticError("need at least 3 letters")
+    if not 3 <= q <= len(VAN_DOUWEN_LETTERS):
+        raise SemanticError(f"need between 3 and {len(VAN_DOUWEN_LETTERS)} letters, got {q}")
     letters = VAN_DOUWEN_LETTERS[:q]
     engine = sft_engine(letters, [c + c for c in letters])
     sigmas = []
@@ -625,14 +614,9 @@ def van_douwen_witness(engine, indices):
 def van_douwen_walk(sigmas, indices, word):
     """Apply sigma_{k_1}, ..., sigma_{k_n} in turn (the inverse of the reduced
     word m = sigma_{k_1} ... sigma_{k_n}); returns the cumulative shift."""
-    reads = [(sigma.table, sigma.radius) for sigma in sigmas]
     total = 0
-    current = word
     for k in indices:
-        table, r = reads[k]
-        step = table[current.segment(-r, r)]
-        current = current.shifted(step)
-        total += step
+        total += sigmas[k].orbit_map(word, 0, total)[0]
     return total
 
 
@@ -685,31 +669,14 @@ def _houghton_kind(engine):
     raise SemanticError("profiles are defined on the Y and Y' engines")
 
 
-def _orbit_window(engine, kind, n, radius):
-    a, b = engine.alphabet.letters[0], engine.alphabet.letters[1]
-    c = engine.alphabet.letters[2] if kind == "y3" else None
-
-    def letter(pos):
-        if pos <= n:
-            return a
-        if kind == "y2":
-            return b
-        return b if (pos - n) % 2 == 1 else c
-
-    return Word(tuple(letter(p) for p in range(-radius, radius + 1)), -radius)
-
-
 def houghton_orbit_map(f, window):
-    """The induced permutation n -> n + kappa(w_n) on [-window, window]."""
-    engine = f.engine
-    kind = _houghton_kind(engine)
-    r = f.radius
-    kappa = f.table
-    table = {}
-    for n in range(-window, window + 1):
-        w = _orbit_window(engine, kind, n, r)
-        table[n] = n + kappa[w.segment(-r, r)]
-    return table
+    """The induced permutation n -> n + kappa(phi^n x0) on [-window, window],
+    x0 = a at every position <= 0, then b b b ... (Y) or b c b c ... (Y')."""
+    _houghton_kind(f.engine)
+    a, *tail = f.engine.alphabet.letters
+    radius = window + f.radius
+    x0 = Word((a,) * (radius + 1) + (tuple(tail) * radius)[:radius], -radius)
+    return f.orbit_map(x0, window)
 
 
 def _end_translation(table, positions, label):
@@ -775,8 +742,7 @@ def rokhlin_base(f, n):
         powers[i] = power(f, i)
         c = powers[i].canonical_element()
         for w, v in c.table.items():
-            if v == 0 or (engine.aperiodic is not True
-                          and engine.cylinder_periodic_exists(w, v)):
+            if v == 0 or engine.cylinder_periodic_exists(w, v):
                 raise FixedPointFound(i, engine.alphabet.format_word(w))
     for i in range(1, n):
         powers[-i] = inverse(powers[i])

@@ -8,7 +8,8 @@ inversion and canonical forms are position arithmetic through the engine's
 restriction maps (``LanguageEngine.restriction``), with no window sliced or
 hashed.  ``table`` is a read-only {window: value} view derived from
 ``values`` on first use, for readers that look windows up by word; a reader
-of many windows takes the view once.
+of many windows takes the view once.  ``orbit_map`` is the one reader along
+a point: it alone knows where the window of phi^m x sits in a point window.
 
 Bijectivity is certified at construction by preimage counting: over every
 allowed window y of length 2(r+D)+1 the number of k in [-D, D] with
@@ -47,10 +48,7 @@ class Element:
                  "_canonical", "_table")
 
     def __init__(self, engine, radius, values, bijective):
-        """`values` is a tuple aligned with engine.allowed_words(2 radius + 1),
-        or a {window: value} dict over every one of those windows."""
-        if isinstance(values, dict):
-            values = tuple(values[w] for w in engine.allowed_words(2 * radius + 1))
+        """`values` is a tuple aligned with engine.allowed_words(2 radius + 1)."""
         self.engine = engine
         self.radius = radius
         self.values = values
@@ -84,6 +82,18 @@ class Element:
 
     def padded_table(self, radius):
         return dict(zip(self.engine.allowed_words(2 * radius + 1), self.values_at(radius)))
+
+    def orbit_map(self, point, window, shift=0):
+        """{n: n + kappa(phi^(n+shift) x)} for n in [-window, window], x read
+        off the anchored Word `point`; IndexError when a read leaves it."""
+        letters, size = point.letters, 2 * self.radius + 1
+        # the window of phi^m x, m = n + shift, starts at index top - n
+        top = -shift - self.radius - point.anchor
+        if top - window < 0 or top + window + size > len(letters):
+            raise IndexError(f"orbit window {window} at shift {shift} leaves "
+                             f"[{point.start}, {point.end})")
+        kappa = self.table
+        return {n: n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)}
 
     # -- certification -------------------------------------------------------
 

@@ -165,10 +165,10 @@ class CorrelationReport:
             lines.append(f"{n}\t{c!r}\t{b!r}\t{omc!r}\t{ratio!r}")
         return "\n".join(lines) + "\n"
 
-    def loglog_table(self, width=48):
+    def loglog_table(self):
         lines = []
         for n, _, _, omc, _ in self.rows:
-            bar = "#" * max(0, min(width, int(-math.log10(max(omc, 1e-300)) * 8)))
+            bar = "#" * max(0, min(48, int(-math.log10(max(omc, 1e-300)) * 8)))
             lines.append(f"n=10^{math.log10(n):4.1f}  1-C={omc:10.3e}  {bar}")
         return "\n".join(lines) + "\n"
 

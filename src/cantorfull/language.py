@@ -8,9 +8,11 @@ kind, the higher-block recoding of another engine, is produced by
 
 Every engine answers the same queries: ``allowed_words(L)`` (the length-L
 factors, sorted in the alphabet's reference order), ``is_allowed(word)``,
-``point_window(M)`` (the window x[-M..M] of a canonical point) and
+``point_window(M)`` (the window x[-M..M] of a canonical point),
 ``local_period(word)`` (the lcm of the least periods of the points through the
-cylinder of an allowed word when all of them are periodic, else 0).  Every
+cylinder of an allowed word when all of them are periodic, else 0) and
+``periodic_blocks(p)`` (the block x[0..p-1] of each point x with
+phi^p x = x, in the alphabet's reference order).  Every
 decision of the form "does phi^q fix each point of this cylinder?" reads
 ``local_period``: the answer is yes exactly when it divides q.  An SFT builds
 its words of length >= k sorted: it extends the sorted shorter words by the
@@ -173,12 +175,28 @@ class LanguageEngine:
         m = self.local_period(word)
         return m == 0 or period % m != 0
 
+    def periodic_blocks(self, period):
+        """The block x[0..period-1] of each point x with phi^period x = x, in
+        the alphabet's reference order; distinct blocks are distinct points."""
+        if period < 1:
+            raise ValueError("period must be >= 1")
+        if self.aperiodic is True:
+            return ()
+        return self._periodic_blocks(period)
+
+    def _periodic_blocks(self, period):
+        raise NotImplementedError
+
     def cylinder_periodic_exists(self, word, period):
         """Is some |period|-periodic point inside the cylinder of `word`
         (anchored at minus its radius)?"""
-        if self.aperiodic is True:
-            return False
-        raise NotImplementedError
+        q = abs(period)
+        r = (len(word) - 1) // 2
+        for block in self.periodic_blocks(q):
+            window = tuple(block[i % q] for i in range(-r, r + 1))
+            if window == word:
+                return True
+        return False
 
     def __repr__(self):
         return f"<{self.kind} engine over {self.alphabet!r}>"
@@ -249,7 +267,6 @@ class SFTEngine(LanguageEngine):
                                 key=lambda e: index(e[0]))
                       for v in live}
         self._short = {}          # length < k-1 -> allowed words
-        self._periodic = {}       # period -> blocks
         self.aperiodic = False    # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
@@ -315,55 +332,17 @@ class SFTEngine(LanguageEngine):
             left.append(letter)
         return Word(tuple(left[::-1] + right[:radius + 1]), -radius)
 
-    def periodic_blocks(self, period):
-        """All points x with phi^period x = x, one length-`period` block each.
-
-        The block is the orbit segment x[0..period-1]; distinct blocks are
-        distinct points.  Blocks are enumerated as closed length-`period`
-        walks in the transfer graph.
-        """
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        if period in self._periodic:
-            return self._periodic[period]
-        blocks = set()
-        for v0 in self.essential:
-            # distance to v0 (those below `period`), for pruning walks that
-            # cannot close in time; a closed walk stays in v0's component
-            back = {v0: 0}
-            frontier = [v0]
-            for distance in range(1, period):
-                frontier = {u: distance for v in frontier for _, u in self._pred[v]
-                            if u not in back}
-                back.update(frontier)
-            stack = [(v0, ())]
-            while stack:
-                v, path = stack.pop()
-                if len(path) == period:
-                    if v == v0:
-                        blocks.add(path)
-                    continue
-                remaining = period - len(path)
-                for _, u in self._succ[v]:
-                    if back.get(u, period + 1) <= remaining - 1:
-                        stack.append((u, path + (v[0],)))
-        out = tuple(sorted(blocks, key=self.alphabet.sort_key))
-        self._periodic[period] = out
-        return out
+    def _periodic_blocks(self, period):
+        # a word w with w[period:] == w[:k-1] is a closed walk of `period`
+        # edges, and every k-window of the periodic extension of w[:period]
+        # lies in w; the words come sorted, and so do their distinct prefixes
+        n = self.k - 1
+        return tuple(w[:period] for w in self.allowed_words(period + n) if w[period:] == w[:n])
 
     def is_irreducible(self):
         start = next(iter(self.essential))
         return all(len(_reachable(edges, start)) == len(self.essential)
                    for edges in (self._succ, self._pred))
-
-    def cylinder_periodic_exists(self, word, period):
-        q = abs(period)
-        r = (len(word) - 1) // 2
-        for block in self.periodic_blocks(q):
-            window = tuple(block[i % q] for i in range(-r, r + 1))
-            if window == word:
-                return True
-        return False
 
     def local_period(self, word):
         # a cylinder of periodic points holds one point, on an isolated cycle
@@ -465,16 +444,13 @@ class SubstitutionEngine(LanguageEngine):
                              for j in range(n)}, key=self.alphabet.sort_key)
             self._finite = (n, tuple(blocks))
 
-    def finite_points(self):
-        """(period, blocks) when the subshift is a single finite orbit, else None."""
-        return self._finite
-
     def local_period(self, word):
         # every point of a single finite orbit has its period as least period
         return 0 if self.aperiodic else self._finite[0]
 
-    def cylinder_periodic_exists(self, word, period):
-        return not self.aperiodic and self._is_allowed(word) and period % self._finite[0] == 0
+    def _periodic_blocks(self, period):
+        n, blocks = self._finite
+        return () if period % n else tuple(b * (period // n) for b in blocks)
 
     def _seed_pair(self):
         """(power, (p, q)): the least power at which sigma^power(p) ends with p
@@ -610,6 +586,16 @@ class RecodedEngine(LanguageEngine):
         span = self.decode_word(word)
         return span is not None and self.source.is_allowed(span)
 
+    # recoding is a conjugacy: periods are the source's
+    def local_period(self, word):
+        return self.source.local_period(self.decode_word(word))
+
+    def _periodic_blocks(self, period):
+        L = self.block_length
+        return tuple(sorted((self.encode_word((b * L)[:period + L - 1])
+                             for b in self.source.periodic_blocks(period)),
+                            key=self.alphabet.sort_key))
+
     def _point_window(self, radius):
         # the block at n is x[n..n+L-1]; x[-radius] sits at index L - 1
         L = self.block_length
@@ -717,12 +703,6 @@ def proper_recode(engine, d):
     mapping = RecodingMap(block, {name: Word(blockword, 0)
                                   for name, blockword in recoded.decode.items()})
     return recoded, mapping
-
-
-def periodic_points(engine, period):
-    if not isinstance(engine, SFTEngine):
-        raise SemanticError("periodic point enumeration requires an SFT engine")
-    return engine.periodic_blocks(period)
 
 
 def sft_approximation(engine, n):

@@ -102,11 +102,6 @@ class Word:
             raise IndexError(f"segment [{lo}, {hi}] outside [{self.start}, {self.end})")
         return self.letters[lo - self.anchor: hi - self.anchor + 1]
 
-    def shifted(self, k):
-        """The same letters as seen by phi^k: position n of the image holds
-        the letter previously at n - k."""
-        return Word(self.letters, self.anchor + k)
-
 
 def factors(word, length):
     """All length-`length` factors of an unanchored word, in occurrence order."""

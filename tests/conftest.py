@@ -59,8 +59,7 @@ def enumerate_bijective(engine, radius, dmax):
     words = engine.allowed_words(2 * radius + 1)
     pool = []
     for values in itertools.product(range(-dmax, dmax + 1), repeat=len(words)):
-        table = dict(zip(words, values))
-        candidate = Element(engine, radius, table, None)
+        candidate = Element(engine, radius, values, None)
         if candidate.bijective:
             pool.append(candidate.canonical_element())
     return pool

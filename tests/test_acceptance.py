@@ -266,7 +266,7 @@ def test_11_lef_certificates(matui_set):
 
 
 def test_12_lamplighter(fibonacci):
-    pair = lamplighter_pair(cylinder(fibonacci, 0, ("b",)), independence=3)
+    pair = lamplighter_pair(cylinder(fibonacci, 0, ("b",)))
     assert pair.checked_shifts == 32  # conjugation exact for all F in {-2..2}
     keys = [pair.lamp_set((n,)).key() for n in range(-3, 4)]
     assert len(set(keys)) == 7

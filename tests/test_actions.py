@@ -209,3 +209,12 @@ def test_orbit_reads_match_segment_oracle(fibonacci, sturmian_fib):
                 assert perm.table == oracle_orbit_table(f, window, base_shift)
             assert index_mod(f) == oracle_index_mod(f)
             assert index_mod(f, shifts=2) == oracle_index_mod(f, shifts=2)
+
+
+def test_orbit_map_refuses_reads_outside_the_point(fibonacci):
+    phi = shift(fibonacci)
+    point = fibonacci.point_window(5)
+    assert phi.orbit_map(point, 5) == {n: n + 1 for n in range(-5, 6)}
+    for window, base_shift in ((10, 0), (6, 0), (5, 1), (5, -1), (0, 6), (0, -6)):
+        with pytest.raises(IndexError):
+            phi.orbit_map(point, window, base_shift)

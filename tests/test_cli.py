@@ -194,6 +194,12 @@ def test_cli_vandouwen(capsys):
     assert "all_nonidentity=true" in out
 
 
+def test_cli_vandouwen_letter_limit(capsys):
+    code, out, err = run(capsys, "construct", "vandouwen", "--q", "27", "--max-len", "1")
+    assert code == 2 and out == ""
+    assert "semantic-error" in err and "26" in err
+
+
 def test_cli_vandouwen_counts_words_against_the_store(capsys, monkeypatch):
     # 6 * 5^7 + ... + 6 = 585,936 reduced words, past the default store
     code, out, err = run(capsys, "construct", "vandouwen", "--q", "6", "--max-len", "8")

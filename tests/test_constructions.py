@@ -256,7 +256,7 @@ def test_qeqz_on_recursion_pairs(matui_set):
 
 @pytest.fixture(scope="module")
 def lamp(fibonacci):
-    return lamplighter_pair(cylinder(fibonacci, 0, ("b",)), independence=3)
+    return lamplighter_pair(cylinder(fibonacci, 0, ("b",)))
 
 
 def test_lamplighter_relations(lamp):
@@ -564,3 +564,60 @@ def test_symmetric_embedding_against_slicing_oracle(fibonacci):
                              for im, h in zip(images, swaps) if w in im.members), 0)
         expected = make_element(fibonacci, radius, table)
         assert canonical_dump(emb.element(perm)) == canonical_dump(expected)
+
+
+# -- orbit reads: the per-n window builds that Element.orbit_map replaced -----
+
+
+def oracle_houghton_orbit_map(f, window):
+    """n -> n + kappa(w_n), each window w_n of phi^n x0 built letter by letter."""
+    engine = f.engine
+    y3 = len(engine.alphabet) == 3
+    a, b = engine.alphabet.letters[:2]
+    r = f.radius
+
+    def letter(pos, n):
+        if pos <= n:
+            return a
+        if not y3:
+            return b
+        return b if (pos - n) % 2 == 1 else engine.alphabet.letters[2]
+
+    return {n: n + f.table[tuple(letter(p, n) for p in range(-r, r + 1))]
+            for n in range(-window, window + 1)}
+
+
+@pytest.mark.parametrize("build", [houghton_engine_y, houghton_engine_y3])
+def test_houghton_orbit_map_against_window_oracle(build):
+    engine = build()
+    phi, s = shift(engine), sigma_U(cylinder(engine, 0, ("a", "b")))
+    elements = [phi, s, compose(phi, s), compose(s, phi)]
+    elements += [inverse(f) for f in elements]
+    for f in elements:
+        for window in range(41):
+            assert houghton_orbit_map(f, window) == oracle_houghton_orbit_map(f, window)
+
+
+def oracle_van_douwen_walk(sigmas, indices, word):
+    """Each step reads the central window and re-anchors the word by it."""
+    total = 0
+    current = word
+    for k in indices:
+        r = sigmas[k].radius
+        step = sigmas[k].table[current.segment(-r, r)]
+        current = Word(current.letters, current.anchor + step)
+        total += step
+    return total
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_van_douwen_walk_against_shifting_oracle(q):
+    engine, sigmas = van_douwen_involutions(q)
+    words, frontier = [], [()]
+    for _ in range(5):
+        frontier = [w + (k,) for w in frontier for k in range(q) if not w or w[-1] != k]
+        words += frontier
+    for ks in words:
+        word, expected = van_douwen_witness(engine, ks)
+        walked = van_douwen_walk(sigmas, ks, word)
+        assert walked == oracle_van_douwen_walk(sigmas, ks, word) == expected

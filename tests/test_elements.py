@@ -79,7 +79,7 @@ def test_bijectivity_certificate_vs_brute_force(golden_mean):
     words = golden_mean.allowed_words(3)
     agree = 0
     for values in itertools.product(range(-2, 3), repeat=len(words)):
-        element = Element(golden_mean, 1, dict(zip(words, values)), None)
+        element = Element(golden_mean, 1, values, None)
         assert element.bijective == brute_force_bijective(golden_mean, element)
         agree += 1
     assert agree == 5 ** len(words)

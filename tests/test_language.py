@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.elements import is_identity, order, power, shift
 from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
-                               EmptySubshift, NonPrimitiveSubstitution,
-                               NotAperiodic, NotMinimal, SemanticError)
-from cantorfull.language import (build_engine, is_irreducible, max_gap,
-                                 periodic_points, proper_recode,
+                               EmptySubshift, MemoryCapExceeded,
+                               NonPrimitiveSubstitution, NotAperiodic,
+                               NotMinimal, SemanticError)
+from cantorfull.language import (RecodedEngine, build_engine, is_irreducible,
+                                 max_gap, proper_recode,
                                  recurrence_bound, sft_approximation,
                                  sft_engine, substitution_engine,
                                  sturmian_engine, contains_factor)
@@ -75,7 +78,9 @@ def test_substitution_fixtures_against_iterates(rules, finite):
     engine = substitution_engine(rules)
     lengths = range(1, 31)
     assert language_strings(engine, lengths) == iterate_factors(rules, lengths)
-    assert engine.finite_points() == finite
+    period, blocks = finite or (0, ())
+    assert engine.local_period(()) == period
+    assert engine.periodic_blocks(period or 2) == blocks
 
 
 def thue_morse_complexity(n):
@@ -295,10 +300,23 @@ def test_proper_recode_needs_aperiodicity(y_engine):
 
 
 def test_periodic_points(y_engine, full_shift):
-    assert {"".join(b) for b in periodic_points(y_engine, 1)} == {"a", "b"}
-    assert len(periodic_points(full_shift, 2)) == 4
+    assert {"".join(b) for b in y_engine.periodic_blocks(1)} == {"a", "b"}
+    assert len(full_shift.periodic_blocks(2)) == 4
     proper3 = sft_engine("abc", ["aa", "bb", "cc"])
-    assert periodic_points(proper3, 1) == ()
+    assert proper3.periodic_blocks(1) == ()
+
+
+def test_periodic_blocks_stop_at_the_word_store():
+    with pytest.raises(MemoryCapExceeded) as info:
+        sft_engine("abcd", []).periodic_blocks(10)
+    assert info.value.cap == 500000
+
+
+def test_recoded_engine_answers_through_its_source(period_two):
+    recoded = RecodedEngine(period_two, 2)
+    assert is_identity(shift(recoded, 2))
+    assert not is_identity(shift(recoded, 1))
+    assert recoded.periodic_blocks(2) == (("ab", "ba"), ("ba", "ab"))
 
 
 def test_sft_approximation(fibonacci):
@@ -327,7 +345,8 @@ def test_is_irreducible(fibonacci, y_engine, full_shift):
 def test_finite_substitution_detected():
     engine = substitution_engine({"a": "ab", "b": "ab"})
     assert engine.aperiodic is False
-    period, blocks = engine.finite_points()
+    period = engine.local_period(())
+    blocks = engine.periodic_blocks(period)
     assert all(has_period(b * 2, period) for b in blocks)
     assert {"".join(b) for b in blocks} == {"ab", "ba"}
 
@@ -337,7 +356,8 @@ def test_finite_substitution_detected():
 def test_long_periodic_factors_are_not_a_periodic_verdict(rules):
     # both languages hold long words of small period, and p(13) > 12
     engine = substitution_engine(rules)
-    assert engine.aperiodic is True and engine.finite_points() is None
+    assert engine.aperiodic is True and engine.local_period(()) == 0
+    assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
 
 
 def test_aperiodic_substitution_shift_has_no_finite_order():
@@ -359,10 +379,48 @@ def uniform_periodic_substitutions(draw):
 @given(uniform_periodic_substitutions())
 def test_uniform_substitution_period_is_its_image_length(case):
     # c -> v for every letter c: the only point is v v v ..., of least period |v|
+    # and its periodic blocks are the rotations of v repeated p / |v| times
     rules, period = case
     engine = substitution_engine(rules)
     assert engine.aperiodic is False
-    assert engine.finite_points()[0] == period
+    v = next(iter(rules.values()))
+    for p in range(1, 2 * period + 1):
+        expected = sorted({(v * p)[i:i + p] for i in range(period)}) if p % period == 0 else []
+        assert engine.periodic_blocks(p) == tuple(tuple(b) for b in expected)
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(uniform_periodic_substitutions())
+def test_substitution_periodic_cylinders_against_orbit_oracle(case):
+    # every allowed word lies on the one orbit, whose points have period |v|
+    rules, period = case
+    engine = substitution_engine(rules)
+    words = [w for n in (1, 3) for w in itertools.product(engine.alphabet.letters, repeat=n)]
+    for w in words + list(engine.allowed_words(5)):
+        for p in range(-period - 1, 2 * period + 1):
+            if p:
+                expected = engine.is_allowed(w) and p % period == 0
+                assert engine.cylinder_periodic_exists(w, p) == expected
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(substitutions())
+def test_aperiodic_substitutions_have_no_periodic_blocks(rules):
+    try:
+        engine = substitution_engine(rules)
+    except NonPrimitiveSubstitution:
+        assume(False)
+    assume(engine.aperiodic)
+    assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+def test_sturmian_engines_have_no_periodic_blocks(quotients):
+    engine = sturmian_engine(quotients, len(quotients))
+    assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
+    assert engine.local_period(()) == 0
+    assert not engine.cylinder_periodic_exists(("a",), 1)
 
 
 def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmian_fib):

@@ -18,7 +18,7 @@ from cantorfull.elements import (_crt, ball_sizes, canonical_dump, compose, equa
                                  identity, inverse, is_identity,
                                  make_semigroup_element, order, parse_dump)
 from cantorfull.errors import EmptySubshift
-from cantorfull.language import sft_engine
+from cantorfull.language import RecodedEngine, sft_engine
 
 
 @st.composite
@@ -167,6 +167,53 @@ def tables(engine, low, high):
         return st.lists(st.integers(low, high), min_size=len(words), max_size=len(words)).map(
             lambda values: make_semigroup_element(engine, radius, dict(zip(words, values))))
     return st.integers(0, 1).flatmap(build)
+
+
+@functools.lru_cache(maxsize=64)
+def closed_walk_blocks(engine, period):
+    """The blocks of the closed `period`-walks in the transfer graph, found by
+    a depth-first search from every vertex."""
+    blocks = set()
+    for v0 in engine.essential:
+        stack = [(v0, ())]
+        while stack:
+            v, path = stack.pop()
+            if len(path) == period:
+                if v == v0:
+                    blocks.add(path)
+                continue
+            stack.extend((u, path + (v[0],)) for _, u in engine._succ[v])
+    return blocks
+
+
+def periodic_cylinder_oracle(engine, word, period):
+    """Is some |period|-periodic point in the cylinder of `word` at minus its radius?"""
+    q = abs(period)
+    r = (len(word) - 1) // 2
+    return any(tuple(block[i % q] for i in range(-r, r + 1)) == word
+               for block in closed_walk_blocks(engine, q))
+
+
+@settings(deadline=None, database=None)
+@given(sft_engines())
+def test_cylinder_periodic_exists_against_closed_walks(engine):
+    words = [w for length in (1, 3) for w in itertools.product(engine.alphabet.letters, repeat=length)]
+    for w in words + list(engine.allowed_words(5)):
+        for q in (1, 2, 3, -3, 4):
+            assert engine.cylinder_periodic_exists(w, q) == periodic_cylinder_oracle(engine, w, q)
+
+
+@settings(deadline=None, database=None)
+@given(sft_engines(), st.integers(1, 3))
+def test_recoded_periodic_blocks_are_encoded_source_blocks(engine, block_length):
+    recoded = RecodedEngine(engine, block_length)
+    for p in range(1, 5):
+        expected = sorted((tuple(recoded.encode_word(tuple(b[(i + j) % p] for j in range(block_length)))[0]
+                                 for i in range(p))
+                           for b in engine.periodic_blocks(p)), key=recoded.alphabet.sort_key)
+        assert recoded.periodic_blocks(p) == tuple(expected)
+        for w in recoded.allowed_words(3):
+            assert recoded.local_period(w) == engine.local_period(recoded.decode_word(w))
 
 
 @settings(deadline=None, database=None)
