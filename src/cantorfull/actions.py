@@ -13,7 +13,7 @@ from .elements import equal, inverse, make_element
 from .errors import (CapExceeded, NotAperiodic, NotInjective, NotSurjective,
                      PartialTable, SemanticError, StabilizerViolated,
                      WindowTooSmall)
-from .language import SFTEngine, sft_approximation
+from .language import SFTEngine, periodic_window, sft_approximation
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,7 @@ def clopen_orbit(closet, cap=None):
 
 @dataclass(frozen=True)
 class FiniteQuotientCert:
+    alphabet: object         # the engine's Alphabet, which prints the points
     order: int               # approximation order n
     period: int              # period bound p
     points: tuple            # length-p blocks, one per periodic point
@@ -219,8 +220,7 @@ class FiniteQuotientCert:
         return json.dumps({
             "n": self.order,
             "p": self.period,
-            "points": ["".join(b) if all(len(c) == 1 for c in b) else ".".join(b)
-                       for b in self.points],
+            "points": list(map(self.alphabet.format_word, self.points)),
             "images": {str(i): list(img) for i, img in enumerate(self.images)},
             "witnesses": [list(w) for w in self.witnesses],
         }, indent=2, sort_keys=True) + "\n"
@@ -231,11 +231,10 @@ def _lift_to(approx, element):
 
 
 def _act_on_block(lift, block):
-    p = len(block)
-    r = lift.radius
-    window = tuple(block[i % p] for i in range(-r, r + 1))
-    k = lift.table[window]
-    return tuple(block[(i - k) % p] for i in range(p))
+    """The block of the image of the periodic point with block `block`."""
+    k = lift.table[periodic_window(block, lift.radius)]
+    shift = -k % len(block)
+    return block[shift:] + block[:shift]
 
 
 def lef_certificate(elements, n_cap=None, p_cap=None):
@@ -287,7 +286,8 @@ def lef_certificate(elements, n_cap=None, p_cap=None):
                     break
                 witnesses.append((i, j, witness))
             if separated:
-                cert = FiniteQuotientCert(n, p, points, tuple(images), tuple(witnesses))
+                cert = FiniteQuotientCert(engine.alphabet, n, p, points, tuple(images),
+                                          tuple(witnesses))
                 if not cert.verify():
                     raise AssertionError("certificate failed re-verification")
                 return cert

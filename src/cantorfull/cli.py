@@ -166,9 +166,8 @@ def _run(args):
         elif command == "recode":
             recoded, mapping = proper_recode(engine, args.d)
             print(f"block_length={mapping.block_length}")
-            for name in recoded.alphabet.letters:
-                decoded = engine.alphabet.format_word(mapping.letter_decode[name].letters)
-                print(f"{name} -> {decoded}")
+            for name, block in zip(recoded.alphabet.letters, mapping.letter_decode):
+                print(f"{name} -> {engine.alphabet.format_word(block)}")
         _emit_warnings(session)
         return 0
 
@@ -228,10 +227,8 @@ def _run(args):
                 print(ms.engine.alphabet.format_word(word))
         elif command == "lamplighter":
             pair = lamplighter_pair(session.eval_closet_text(args.closet))
-            v_word = min(pair.V.reduced().members,
-                         key=pair.engine.alphabet.sort_key)
             print(f"relations_checked={pair.checked_shifts}")
-            print(f"V={pair.engine.alphabet.format_word(v_word)}")
+            print(f"V={pair.engine.alphabet.format_word(min(pair.V.reduced().members))}")
         elif command == "houghton":
             profile = houghton_profile(session.eval_program(args.expr), args.window)
             print(f"ends={','.join(map(str, profile.end_translations))}")

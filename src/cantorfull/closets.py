@@ -1,6 +1,7 @@
 """Clopen subsets of a subshift, as sets of allowed windows at a fixed radius.
 
-A CloSet with radius r and member set M denotes the union of cylinders
+A CloSet with radius r and member set M of allowed (2r+1)-words (``bytes``,
+see :mod:`cantorfull.words`) denotes the union of cylinders
 {x : x[-r..r] in M}.  Re-expressing at a larger radius never changes the
 point set, so all boolean operations work at a common radius.  The reduced
 (minimal-radius) form is canonical and backs equality and hashing.
@@ -98,8 +99,7 @@ class CloSet:
 
     def key(self):
         reduced = self.reduced()
-        return (reduced.radius, tuple(sorted(reduced.members,
-                                             key=self.engine.alphabet.sort_key)))
+        return (reduced.radius, tuple(sorted(reduced.members)))
 
     def __eq__(self, other):
         if not isinstance(other, CloSet):

@@ -44,9 +44,8 @@ def _good_witness(closet):
             if i < j:
                 meet = translates[i].intersect(translates[j])
                 if not meet.is_empty():
-                    word = min(meet.members, key=closet.engine.alphabet.sort_key)
                     raise NotGood((f"phi^{i}U", f"phi^{j}U"),
-                                  closet.engine.alphabet.format_word(word))
+                                  closet.engine.alphabet.format_word(min(meet.members)))
     return translates
 
 
@@ -64,7 +63,8 @@ def sigma_U(closet):
 
 
 def cylinder(engine, anchor, letters):
-    return CloSet.cylinder(engine, Word(tuple(letters), anchor))
+    """The cylinder of the letter tokens `letters` placed from `anchor` on."""
+    return CloSet.cylinder(engine, Word(engine.alphabet.encode(letters), anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +216,9 @@ def kr_towers(closet, refine_by=(), cap=None):
         if height:
             signature = tuple(hit[j] for i in range(height) for hit in levels[i])
             groups.setdefault((height, signature), set()).add(y)
+    # the (height, signature) keys are distinct, so they alone order the pieces
     pieces = [(CloSet(engine, radius, words), height)
-              for (height, _), words in sorted(
-                  groups.items(),
-                  key=lambda kv: (kv[0][0], kv[0][1],
-                                  min(map(engine.alphabet.sort_key, kv[1]))))]
+              for (height, _), words in sorted(groups.items())]
     partition = TowerPartition(tuple(pieces))
     if not partition.verify():
         raise AssertionError("tower partition failed its exactness check")
@@ -267,11 +265,11 @@ def _transport_base(target, engine, depth):
     """Single-cylinder base inside `target`, refined `depth` extra letters,
     chosen to maximize the recurrence bound (rarer word, taller towers)."""
     rho = target.radius + depth
-    candidates = sorted(target.at_radius(rho).members, key=engine.alphabet.sort_key)
+    candidates = sorted(target.at_radius(rho).members)
     if not candidates:
         raise NotOmniscient("transport target is empty")
-    best = max(candidates, key=lambda w: (recurrence_bound(engine, w),
-                                          [-i for i in engine.alphabet.sort_key(w)]))
+    # max keeps the first, so the least, of the words with the largest bound
+    best = max(candidates, key=lambda w: recurrence_bound(engine, w))
     base = CloSet(engine, rho, {best})
     translates = [base.shift_image(i) for i in range(5)]
     for i in range(5):
@@ -399,14 +397,14 @@ def matui_generators(engine):
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
     proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
     words = proper_engine.allowed_words(3)
-    gens = tuple(sigma_U(cylinder(proper_engine, -1, h)) for h in words)
+    gens = tuple(sigma_U(CloSet.cylinder(proper_engine, Word(h, -1))) for h in words)
     return MatuiSet(proper_engine, mapping, gens, tuple(words))
 
 
 def matui_cylinder_sigma(engine, h):
     """sigma_{Cyl(I_n, h)} built directly; h is the window at -n..n."""
     n = (len(h) - 1) // 2
-    return sigma_U(cylinder(engine, -n, h))
+    return sigma_U(CloSet.cylinder(engine, Word(h, -n)))
 
 
 def matui_by_recursion(engine, h):
@@ -508,13 +506,9 @@ def lamplighter_pair(U):
     phi = shift(engine)
     Psi = compose(psi, compose(compose(phi, psi), inverse(phi)))
 
-    candidate_words = []
     base = U.reduced()
-    for ext in range(9):
-        ws = sorted(base.at_radius(base.radius + ext).members,
-                    key=engine.alphabet.sort_key)
-        for w in ws:
-            candidate_words.append((base.radius + ext, w))
+    candidate_words = [(base.radius + ext, w) for ext in range(9)
+                       for w in sorted(base.at_radius(base.radius + ext).members)]
     V = None
     for rho, w in candidate_words:
         cand = CloSet(engine, rho, {w})
@@ -581,7 +575,7 @@ def van_douwen_involutions(q):
     letters = VAN_DOUWEN_LETTERS[:q]
     engine = sft_engine(letters, [c + c for c in letters])
     sigmas = []
-    for a in letters:
+    for a in range(q):
         values = tuple(1 if w[1] == a else -1 if w[2] == a else 0
                        for w in engine.allowed_words(3))
         sigmas.append(make_element(engine, 1, values))
@@ -592,22 +586,18 @@ def van_douwen_witness(engine, indices):
     """An explicit point window w with w(j) = letter_{k_j}; applying the
     reversed word of involutions walks it to phi^{-n} w, which differs from w.
     Returns (word, expected_total_shift)."""
-    letters = engine.alphabet.letters
     n = len(indices)
-    values = {j + 1: letters[k] for j, k in enumerate(indices)}
-    pool = letters
+    values = {j + 1: k for j, k in enumerate(indices)}
 
-    def pick(position, *avoid):
-        for c in pool:
-            if c not in avoid:
-                return c
+    def pick(*avoid):
+        return next(c for c in range(len(engine.alphabet)) if c not in avoid)
 
-    values[0] = pick(0, values[1], letters[indices[-1]])
-    values[n + 1] = pick(n + 1, values[n])
+    values[0] = pick(values[1], indices[-1])
+    values[n + 1] = pick(values[n])
     lo, hi = -1, n + 2
-    values[lo] = pick(lo, values[0])
-    values[hi] = pick(hi, values[hi - 1])
-    word = Word(tuple(values[p] for p in range(lo, hi + 1)), lo)
+    values[lo] = pick(values[0])
+    values[hi] = pick(values[hi - 1])
+    word = Word(bytes([values[p] for p in range(lo, hi + 1)]), lo)
     return word, -n
 
 
@@ -659,12 +649,10 @@ def houghton_engine_y3():
 
 
 def _houghton_kind(engine):
-    letters = engine.alphabet.letters
-    pairs = {tuple(engine.alphabet.index(c) for c in w)
-             for w in engine.allowed_words(2)}
-    if len(letters) == 2 and pairs == {(0, 0), (0, 1), (1, 1)}:
+    size, pairs = len(engine.alphabet), set(engine.allowed_words(2))
+    if size == 2 and pairs == {b"\0\0", b"\0\1", b"\1\1"}:
         return "y2"
-    if len(letters) == 3 and pairs == {(0, 0), (0, 1), (1, 2), (2, 1)}:
+    if size == 3 and pairs == {b"\0\0", b"\0\1", b"\1\2", b"\2\1"}:
         return "y3"
     raise SemanticError("profiles are defined on the Y and Y' engines")
 
@@ -673,9 +661,9 @@ def houghton_orbit_map(f, window):
     """The induced permutation n -> n + kappa(phi^n x0) on [-window, window],
     x0 = a at every position <= 0, then b b b ... (Y) or b c b c ... (Y')."""
     _houghton_kind(f.engine)
-    a, *tail = f.engine.alphabet.letters
     radius = window + f.radius
-    x0 = Word((a,) * (radius + 1) + (tuple(tail) * radius)[:radius], -radius)
+    tail = bytes(range(1, len(f.engine.alphabet)))
+    x0 = Word(bytes(radius + 1) + (tail * radius)[:radius], -radius)
     return f.orbit_map(x0, window)
 
 

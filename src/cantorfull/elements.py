@@ -1,15 +1,16 @@
 """Full-(semi)group elements as locally constant cocycle tables.
 
-An Element over an engine is a total map from allowed (2r+1)-windows to
-integer shift powers; it induces f(x) = phi^{kappa(x)} x with
-kappa(x) = table(x[-r..r]).  Its representation is ``values``, a tuple
-aligned with ``engine.allowed_words(2r+1)``: composition, certification,
-inversion and canonical forms are position arithmetic through the engine's
-restriction maps (``LanguageEngine.restriction``), with no window sliced or
-hashed.  ``table`` is a read-only {window: value} view derived from
-``values`` on first use, for readers that look windows up by word; a reader
-of many windows takes the view once.  ``orbit_map`` is the one reader along
-a point: it alone knows where the window of phi^m x sits in a point window.
+An Element over an engine is a total map from allowed (2r+1)-windows
+(``bytes`` words, see :mod:`cantorfull.words`) to integer shift powers; it
+induces f(x) = phi^{kappa(x)} x with kappa(x) = table(x[-r..r]).  Its
+representation is ``values``, a tuple aligned with
+``engine.allowed_words(2r+1)``: composition, certification, inversion and
+canonical forms are position arithmetic through the engine's restriction maps
+(``LanguageEngine.restriction``), with no window sliced or hashed.
+``table`` is a read-only {window: value} view derived from ``values`` on
+first use, for readers that look windows up by word; a reader of many windows
+takes the view once.  ``orbit_map`` is the one reader along a point: it alone
+knows where the window of phi^m x sits in a point window.
 
 Bijectivity is certified at construction by preimage counting: over every
 allowed window y of length 2(r+D)+1 the number of k in [-D, D] with

@@ -6,18 +6,21 @@ Sturmian via a continued-fraction expansion of the slope.  A fourth internal
 kind, the higher-block recoding of another engine, is produced by
 :func:`proper_recode`.
 
-Every engine answers the same queries: ``allowed_words(L)`` (the length-L
-factors, sorted in the alphabet's reference order), ``is_allowed(word)``,
-``point_window(M)`` (the window x[-M..M] of a canonical point),
-``local_period(word)`` (the lcm of the least periods of the points through the
-cylinder of an allowed word when all of them are periodic, else 0) and
-``periodic_blocks(p)`` (the block x[0..p-1] of each point x with
-phi^p x = x, in the alphabet's reference order).  Every
-decision of the form "does phi^q fix each point of this cylinder?" reads
-``local_period``: the answer is yes exactly when it divides q.  An SFT builds
-its words of length >= k sorted: it extends the sorted shorter words by the
-letters of its transfer graph in letter order, so only the other engines and
-the short SFT levels are sorted after enumeration.
+Words are ``bytes`` of letter indices (see :mod:`cantorfull.words`), so a
+level sorts natively in the alphabet's reference order.  Every engine answers
+the same queries: ``allowed_words(L)`` (the length-L factors, sorted),
+``is_allowed(word)``, ``point_window(M)`` (the window x[-M..M] of a canonical
+point), ``local_period(word)`` (the lcm of the least periods of the points
+through the cylinder of an allowed word when all of them are periodic, else
+0) and ``periodic_blocks(p)`` (the block x[0..p-1] of each point x with
+phi^p x = x, sorted).  Every decision of the form "does phi^q fix each point
+of this cylinder?" reads ``local_period``: the answer is yes exactly when it
+divides q.  The periodic blocks are computed once per period, and
+``periodic_windows(p, r)`` holds their radius-r windows, read off by
+:func:`periodic_window`, the one place that knows where a periodic point's
+window sits.  An SFT builds its words of length >= k sorted: it extends the
+sorted shorter words by the letters of its transfer graph in letter order, so
+only the other engines and the short SFT levels are sorted after enumeration.
 
 Positions in ``allowed_words(L)`` name words wherever a table is aligned with
 a level, as element tables are.  Three computed-once maps work on positions:
@@ -47,14 +50,15 @@ from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
                      EmptySubshift, MemoryCapExceeded, NonPrimitiveSubstitution,
                      NotAperiodic, NotMinimal, SemanticError)
-from .words import Alphabet, Word, factors, has_period
+from .words import Alphabet, Word, factors
 
 
-def contains_factor(word, factor):
-    n, m = len(word), len(factor)
-    if m == 0:
-        return True
-    return any(word[i:i + m] == factor for i in range(n - m + 1))
+def periodic_window(block, radius):
+    """The window x[-radius..radius] of the point x with period len(block)
+    and x[0..len(block)-1] = block."""
+    p = len(block)
+    top = -(-radius // p) * p         # a multiple of p at least radius
+    return (block * (2 * top // p + 1))[top - radius:top + radius + 1]
 
 
 class LanguageEngine:
@@ -72,6 +76,8 @@ class LanguageEngine:
         self._word_index = {}       # length -> {word: position}
         self._restrictions = {}     # (length, start, size) -> tuple of positions
         self._local_periods = {}    # length -> tuple of local periods
+        self._periodic = {}         # period -> periodic_blocks(period)
+        self._periodic_windows = {}  # (period, radius) -> frozenset of windows
         self._point = None          # widest window of the canonical point so far
 
     # -- queries ----------------------------------------------------------
@@ -81,12 +87,10 @@ class LanguageEngine:
             raise ValueError("length must be >= 0")
         if length not in self._words:
             if length == 0:
-                self._words[0] = ((),)
+                self._words[0] = (b"",)
             else:
                 found = self._enumerate(length)
-                if not isinstance(found, tuple):
-                    found = tuple(sorted(found, key=self.alphabet.sort_key))
-                self._words[length] = found
+                self._words[length] = found if isinstance(found, tuple) else tuple(sorted(found))
         return self._words[length]
 
     def word_index(self, length):
@@ -117,13 +121,7 @@ class LanguageEngine:
         return periods
 
     def is_allowed(self, word):
-        if isinstance(word, Word):
-            word = word.letters
-        word = tuple(word)
-        for letter in word:
-            if letter not in self.alphabet:
-                raise SemanticError(f"letter {letter!r} not in alphabet")
-        return self._is_allowed(word)
+        return self._is_allowed(word.letters if isinstance(word, Word) else word)
 
     def point_window(self, radius):
         """The window x[-radius..radius] of the engine's canonical point: a
@@ -180,23 +178,28 @@ class LanguageEngine:
         the alphabet's reference order; distinct blocks are distinct points."""
         if period < 1:
             raise ValueError("period must be >= 1")
-        if self.aperiodic is True:
-            return ()
-        return self._periodic_blocks(period)
+        blocks = self._periodic.get(period)
+        if blocks is None:
+            blocks = () if self.aperiodic is True else self._periodic_blocks(period)
+            self._periodic[period] = blocks
+        return blocks
 
     def _periodic_blocks(self, period):
         raise NotImplementedError
 
+    def periodic_windows(self, period, radius):
+        """The windows x[-radius..radius] of the points x with phi^period x = x."""
+        key = (period, radius)
+        windows = self._periodic_windows.get(key)
+        if windows is None:
+            windows = frozenset(periodic_window(b, radius) for b in self.periodic_blocks(period))
+            self._periodic_windows[key] = windows
+        return windows
+
     def cylinder_periodic_exists(self, word, period):
         """Is some |period|-periodic point inside the cylinder of `word`
         (anchored at minus its radius)?"""
-        q = abs(period)
-        r = (len(word) - 1) // 2
-        for block in self.periodic_blocks(q):
-            window = tuple(block[i % q] for i in range(-r, r + 1))
-            if window == word:
-                return True
-        return False
+        return word in self.periodic_windows(abs(period), (len(word) - 1) // 2)
 
     def __repr__(self):
         return f"<{self.kind} engine over {self.alphabet!r}>"
@@ -217,7 +220,6 @@ class SFTEngine(LanguageEngine):
 
     def __init__(self, alphabet, forbidden):
         LanguageEngine.__init__(self, alphabet)
-        forbidden = [tuple(w) for w in forbidden]
         if any(len(w) == 0 for w in forbidden):
             raise EmptySubshift("the empty word is forbidden")
         k = max([2] + [len(w) for w in forbidden])
@@ -226,8 +228,8 @@ class SFTEngine(LanguageEngine):
                                     cap=self.caps.word_store)
         bad = set(forbidden)
         self._init_graph(k, frozenset(
-            w for w in itertools.product(alphabet.letters, repeat=k)
-            if not any(contains_factor(w, f) for f in bad)))
+            w for w in map(bytes, itertools.product(range(len(alphabet)), repeat=k))
+            if not any(f in w for f in bad)))
 
     @classmethod
     def from_allowed(cls, alphabet, k, allowed_k):
@@ -257,15 +259,10 @@ class SFTEngine(LanguageEngine):
         if not live:
             raise EmptySubshift("transfer graph has no cycle")
         self.essential = frozenset(live)
-        # edges labelled by the letter they add, in alphabet order, so greedy
-        # walks are deterministic
-        index = self.alphabet.index
-        self._succ = {v: sorted(((u[-1], u) for u in succ[v] if u in live),
-                                key=lambda e: index(e[0]))
-                      for v in live}
-        self._pred = {v: sorted(((u[0], u) for u in pred[v] if u in live),
-                                key=lambda e: index(e[0]))
-                      for v in live}
+        # edges labelled by the one-letter word they add, in alphabet order,
+        # so greedy walks are deterministic
+        self._succ = {v: sorted((u[-1:], u) for u in succ[v] if u in live) for v in live}
+        self._pred = {v: sorted((u[:1], u) for u in pred[v] if u in live) for v in live}
         self._short = {}          # length < k-1 -> allowed words
         self.aperiodic = False    # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
@@ -304,7 +301,7 @@ class SFTEngine(LanguageEngine):
                                     f"{length}", cap=self.caps.word_store)
         # the shorter words are sorted and each extends in letter order, so
         # the extensions come out sorted and distinct
-        return tuple(w + (letter,) for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
+        return tuple(w + letter for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
 
     def _is_allowed(self, word):
         if not word:
@@ -321,16 +318,16 @@ class SFTEngine(LanguageEngine):
     def _point_window(self, radius):
         # greedy walks, forward and backward, from the least essential vertex
         # sitting at positions 0..k-2
-        seed = min(self.essential, key=self.alphabet.sort_key)
-        right, vertex = list(seed), seed
-        while len(right) < radius + 1:
+        seed = min(self.essential)
+        right, vertex = [seed], seed
+        for _ in range(radius + 1 - len(seed)):
             letter, vertex = self._succ[vertex][0]
             right.append(letter)
         left, vertex = [], seed
-        while len(left) < radius:
+        for _ in range(radius):
             letter, vertex = self._pred[vertex][0]
             left.append(letter)
-        return Word(tuple(left[::-1] + right[:radius + 1]), -radius)
+        return Word(b"".join(left[::-1] + right)[:2 * radius + 1], -radius)
 
     def _periodic_blocks(self, period):
         # a word w with w[period:] == w[:k-1] is a closed walk of `period`
@@ -365,34 +362,31 @@ class SubstitutionEngine(LanguageEngine):
     kind = "substitution"
 
     def __init__(self, alphabet, rules):
+        """`rules` holds the image of each letter, in alphabet order."""
         super().__init__(alphabet, minimal=True)
-        self.rules = {a: tuple(rules[a]) for a in alphabet.letters}
-        for a, image in self.rules.items():
+        self.rules = tuple(rules)
+        for a, image in zip(alphabet.letters, self.rules):
             if not image:
                 raise NonPrimitiveSubstitution(f"empty image for {a!r}")
-            for b in image:
-                if b not in alphabet:
-                    raise SemanticError(f"rule for {a!r} uses unknown letter {b!r}")
         if not self._primitive():
             raise NonPrimitiveSubstitution("no power of the substitution matrix is positive")
-        if max(len(im) for im in self.rules.values()) < 2:
+        if max(map(len, self.rules)) < 2:
             raise NonPrimitiveSubstitution("substitution does not expand (all images are single letters)")
         self._pairs = self._allowed_pairs()
         self._scan_periodicity()
 
     def _primitive(self):
-        letters = self.alphabet.letters
-        reach = {a: frozenset(self.rules[a]) for a in letters}
-        bound = (len(letters) - 1) ** 2 + 1
+        n = len(self.alphabet)
+        reach = [frozenset(image) for image in self.rules]
         step = reach
-        for _ in range(bound):
-            if all(len(step[a]) == len(letters) for a in letters):
+        for _ in range((n - 1) ** 2 + 1):
+            if all(len(s) == n for s in step):
                 return True
-            step = {a: frozenset(c for b in step[a] for c in reach[b]) for a in letters}
-        return all(len(step[a]) == len(letters) for a in letters)
+            step = [frozenset(c for b in s for c in reach[b]) for s in step]
+        return all(len(s) == n for s in step)
 
     def apply(self, word):
-        return tuple(c for a in word for c in self.rules[a])
+        return b"".join(map(self.rules.__getitem__, word))
 
     def apply_power(self, word, power):
         for _ in range(power):
@@ -412,16 +406,16 @@ class SubstitutionEngine(LanguageEngine):
         lies in sigma^m(a) sigma^m(b) for an allowed 2-word ab.  Lengths 1
         and 2 take m = 0 and read the letters and 2-words off `self._pairs`.
         """
-        blocks = {c: (c,) for c in self.alphabet.letters}
-        while min(len(w) for w in blocks.values()) < length - 1:
-            blocks = {c: self.apply(w) for c, w in blocks.items()}
+        blocks = [bytes((c,)) for c in range(len(self.alphabet))]
+        while min(map(len, blocks)) < length - 1:
+            blocks = list(map(self.apply, blocks))
         return {f for a, b in self._pairs for f in factors(blocks[a] + blocks[b], length)}
 
     def _allowed_pairs(self):
         """The allowed 2-words: the 2-factors of each sigma(c), closed under
         adding the 2-factors of sigma(ab) for each ab already found."""
         pairs = set()
-        pending = [self.rules[c] for c in self.alphabet.letters]
+        pending = list(self.rules)
         while pending:
             for pair in factors(pending.pop(), 2):
                 if pair not in pairs:
@@ -439,10 +433,8 @@ class SubstitutionEngine(LanguageEngine):
         self.aperiodic = n > self.caps.period_scan
         if not self.aperiodic:
             # the orbit is recoverable from any long enough word
-            long_word = self.allowed_words(3 * n)[0]
-            blocks = sorted({tuple(long_word[i % n] for i in range(j, j + n))
-                             for j in range(n)}, key=self.alphabet.sort_key)
-            self._finite = (n, tuple(blocks))
+            twice = self.allowed_words(3 * n)[0][:n] * 2
+            self._finite = (n, tuple(sorted({twice[j:j + n] for j in range(n)})))
 
     def local_period(self, word):
         # every point of a single finite orbit has its period as least period
@@ -461,28 +453,27 @@ class SubstitutionEngine(LanguageEngine):
         2-words, so it has a cycle of length at most len(self._pairs), and
         every pair on that cycle is a seed at that power.
         """
-        letters = self.alphabet.letters
-        first = {a: a for a in letters}
-        last = dict(first)
+        letters = range(len(self.alphabet))
+        first = list(letters)
+        last = list(letters)
         for power in range(1, len(self._pairs) + 1):
-            first = {a: self.rules[c][0] for a, c in first.items()}
-            last = {a: self.rules[c][-1] for a, c in last.items()}
+            first = [self.rules[c][0] for c in first]
+            last = [self.rules[c][-1] for c in last]
             for p in letters:
                 for q in letters:
-                    if last[p] == p and first[q] == q and (p, q) in self._pairs:
+                    if last[p] == p and first[q] == q and bytes((p, q)) in self._pairs:
                         return power, (p, q)
         raise AssertionError("the pair map has a cycle no longer than its domain")
 
     def _point_window(self, radius):
         power, (p, q) = self._seed_pair()
-        right = (q,)
+        right = bytes((q,))
         while len(right) < radius + 1:
             right = self.apply_power(right, power)
-        left = (p,)
+        left = bytes((p,))
         while len(left) < radius:
             left = self.apply_power(left, power)
-        letters = tuple(left[len(left) - radius:]) + right[:radius + 1]
-        return Word(letters, -radius)
+        return Word(left[len(left) - radius:] + right[:radius + 1], -radius)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +502,7 @@ class SturmianEngine(LanguageEngine):
         self.quotients = quotients
         self.depth_cap = depth_cap
         depth = min(len(quotients), depth_cap)
-        zero, one = alphabet.letters
-        s = [(zero,), (zero,) * (quotients[0] - 1) + (one,)]
+        s = [b"\0", bytes(quotients[0] - 1) + b"\1"]
         p, q = [0, 1], [1, quotients[0]]
         for k in range(1, depth):
             s.append(s[-1] * quotients[k] + s[-2])
@@ -538,7 +528,7 @@ class SturmianEngine(LanguageEngine):
         # the letter at n is floor((n+1) p/q) - floor(n p/q)
         floors = [n * p // q for n in range(-radius, radius + 2)]
         bits = map(operator.sub, floors[1:], floors[:-1])
-        return Word(tuple(map(self.alphabet.letters.__getitem__, bits)), -radius)
+        return Word(bytes(bits), -radius)
 
 
 # ---------------------------------------------------------------------------
@@ -546,37 +536,31 @@ class SturmianEngine(LanguageEngine):
 
 
 class RecodedEngine(LanguageEngine):
-    """Conjugate presentation over the alphabet of allowed L-blocks."""
+    """Conjugate presentation over the alphabet of allowed L-blocks: letter i
+    is block i of ``source.allowed_words(L)``."""
 
     kind = "recoded"
 
     def __init__(self, source, block_length):
-        blocks = source.allowed_words(block_length)
-        names = tuple(source.alphabet.format_word(b) for b in blocks)
+        self.decode = source.allowed_words(block_length)
+        names = map(source.alphabet.format_word, self.decode)
         super().__init__(Alphabet(names), minimal=source.minimal, aperiodic=source.aperiodic)
         self.caps = source.caps
         self.source = source
         self.block_length = block_length
-        self.decode = dict(zip(names, blocks))
-        self._encode = dict(zip(blocks, names))
 
     def encode_word(self, source_word):
         L = self.block_length
-        return tuple(self._encode[source_word[i:i + L]]
-                     for i in range(len(source_word) - L + 1))
+        index = self.source.word_index(L)
+        return bytes([index[source_word[i:i + L]] for i in range(len(source_word) - L + 1)])
 
     def decode_word(self, word):
         """Source span of a recoded word; None if the blocks do not chain."""
-        L = self.block_length
         if not word:
-            return ()
-        span = list(self.decode[word[0]])
-        for name in word[1:]:
-            block = self.decode[name]
-            if L > 1 and tuple(span[-(L - 1):]) != block[:-1]:
-                return None
-            span.append(block[-1])
-        return tuple(span)
+            return b""
+        L, blocks = self.block_length, self.decode
+        span = blocks[word[0]] + bytes([blocks[c][-1] for c in word[1:]])
+        return span if all(span[i:i + L] == blocks[c] for i, c in enumerate(word)) else None
 
     def _enumerate(self, length):
         return {self.encode_word(w)
@@ -592,34 +576,33 @@ class RecodedEngine(LanguageEngine):
 
     def _periodic_blocks(self, period):
         L = self.block_length
-        return tuple(sorted((self.encode_word((b * L)[:period + L - 1])
-                             for b in self.source.periodic_blocks(period)),
-                            key=self.alphabet.sort_key))
+        return tuple(sorted(self.encode_word((b * L)[:period + L - 1])
+                            for b in self.source.periodic_blocks(period)))
 
     def _point_window(self, radius):
         # the block at n is x[n..n+L-1]; x[-radius] sits at index L - 1
         L = self.block_length
         src = self.source.point_window(radius + L - 1).letters
-        letters = tuple(self._encode[src[i:i + L]] for i in range(L - 1, L + 2 * radius))
-        return Word(letters, -radius)
+        return Word(self.encode_word(src[L - 1:2 * radius + 2 * L - 1]), -radius)
 
 
 # ---------------------------------------------------------------------------
 # module-level operations
 
 
+def _encode(alphabet, word):
+    """A caller's word, given as text or as letter tokens."""
+    return alphabet.parse_word(word) if isinstance(word, str) else alphabet.encode(word)
+
+
 def sft_engine(letters, forbidden):
     alphabet = Alphabet(letters)
-    return SFTEngine(alphabet, [alphabet.parse_word(w) if isinstance(w, str) else tuple(w)
-                                for w in forbidden])
+    return SFTEngine(alphabet, [_encode(alphabet, w) for w in forbidden])
 
 
 def substitution_engine(rules, order=None):
-    order = tuple(order) if order is not None else tuple(rules)
-    alphabet = Alphabet(order)
-    parsed = {a: (alphabet.parse_word(im) if isinstance(im, str) else tuple(im))
-              for a, im in rules.items()}
-    return SubstitutionEngine(alphabet, parsed)
+    alphabet = Alphabet(order if order is not None else rules)
+    return SubstitutionEngine(alphabet, [_encode(alphabet, rules[a]) for a in alphabet.letters])
 
 
 def sturmian_engine(quotients, depth_cap, letters=("a", "b")):
@@ -650,13 +633,13 @@ def recurrence_bound(engine, word, cap=None):
     occurrences of `word` in any point are then at most R - |word| + 1."""
     if engine.minimal is not True:
         raise NotMinimal("recurrence bounds require a certified-minimal engine")
-    word = tuple(word.letters if isinstance(word, Word) else word)
+    word = word.letters if isinstance(word, Word) else word
     if not engine.is_allowed(word):
-        raise SemanticError(f"word {word} is not allowed")
+        raise SemanticError(f"word {engine.alphabet.format_word(word)!r} is not allowed")
     if cap is None:
         cap = 10 * max(1, len(word)) * len(engine.alphabet) ** 2
     for bound in range(len(word) + 1, cap + 1):
-        if all(contains_factor(u, word) for u in engine.allowed_words(bound - 1)):
+        if all(word in u for u in engine.allowed_words(bound - 1)):
             return bound
     raise CapExceeded("no recurrence bound found", cap=cap)
 
@@ -674,7 +657,7 @@ def is_proper(engine, d):
 @dataclass(frozen=True)
 class RecodingMap:
     block_length: int
-    letter_decode: dict
+    letter_decode: tuple      # the source block of each recoded letter
 
 
 def proper_recode(engine, d):
@@ -690,7 +673,7 @@ def proper_recode(engine, d):
     caps = engine.caps
     block = None
     for length in range(1, caps.radius_search + 1):
-        if not any(has_period(w, p)
+        if not any(w[p:] == w[:-p]
                    for p in range(1, d + 1)
                    for w in engine.allowed_words(length + p)):
             block = length
@@ -700,8 +683,7 @@ def proper_recode(engine, d):
     recoded = RecodedEngine(engine, block)
     if not is_proper(recoded, d):
         raise AssertionError(f"recoded engine is not {d}-proper")
-    mapping = RecodingMap(block, {name: Word(blockword, 0)
-                                  for name, blockword in recoded.decode.items()})
+    mapping = RecodingMap(block, recoded.decode)
     return recoded, mapping
 
 
@@ -710,8 +692,8 @@ def sft_approximation(engine, n):
     if n < 1:
         raise ValueError("approximation order must be >= 1")
     if n == 1:
-        letters = [w[0] for w in engine.allowed_words(1)]
-        approx = SFTEngine.from_allowed(engine.alphabet, 2, {(a, b) for a in letters for b in letters})
+        letters = engine.allowed_words(1)
+        approx = SFTEngine.from_allowed(engine.alphabet, 2, {a + b for a in letters for b in letters})
     else:
         approx = SFTEngine.from_allowed(engine.alphabet, n, engine.allowed_words(n))
     approx.caps = engine.caps

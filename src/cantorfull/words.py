@@ -1,7 +1,10 @@
 """Alphabets and anchored words.
 
-Words come in two flavours throughout the package: *unanchored* words are
-plain tuples of letters (language queries are position-free), while the
+A word is ``bytes``: byte i is the index of its i-th letter in the alphabet's
+reference order, so fixed-length words compare, sort and hash natively in
+that order.  Letter tokens appear only at the edge: :meth:`Alphabet.encode`,
+``parse_word`` and ``format_word`` convert, and nothing else does.
+*Unanchored* words answer position-free language queries, while the
 :class:`Word` type carries an explicit anchor in Z (cocycle tables, cylinder
 definitions and point windows are position-aware).  Keeping the anchor in the
 type is deliberate; it removes a whole class of off-by-one mistakes.
@@ -10,6 +13,8 @@ type is deliberate; it removes a whole class of off-by-one mistakes.
 from dataclasses import dataclass
 
 from .errors import SemanticError
+
+MAX_LETTERS = 256   # one byte per letter
 
 
 class Alphabet:
@@ -23,6 +28,9 @@ class Alphabet:
         letters = tuple(letters)
         if not letters:
             raise ValueError("alphabet must be nonempty")
+        if len(letters) > MAX_LETTERS:
+            raise SemanticError(f"alphabet has {len(letters)} letters; words hold at most "
+                                f"{MAX_LETTERS}")
         if len(set(letters)) != len(letters):
             raise ValueError("alphabet letters must be distinct")
         for letter in letters:
@@ -36,35 +44,30 @@ class Alphabet:
     def __len__(self):
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __contains__(self, letter):
-        return letter in self._index
-
     def index(self, letter):
         try:
             return self._index[letter]
         except KeyError:
             raise KeyError(f"letter {letter!r} not in alphabet") from None
 
-    def sort_key(self, word):
-        return tuple(map(self._index.__getitem__, word))
+    def encode(self, letters):
+        """The word of an iterable of letter tokens; SemanticError on an
+        unknown letter."""
+        try:
+            return bytes(map(self._index.__getitem__, letters))
+        except KeyError as err:
+            raise SemanticError(f"letter {err.args[0]!r} not in alphabet") from None
 
     def format_word(self, word):
         if not word:
             return "-"
-        return ("" if self.joined else ".").join(word)
+        return ("" if self.joined else ".").join(map(self.letters.__getitem__, word))
 
     def parse_word(self, text):
         """Inverse of :meth:`format_word`; raises SemanticError on unknown letters."""
         if text == "-" or text == "":
-            return ()
-        parts = tuple(text) if self.joined else tuple(text.split("."))
-        for letter in parts:
-            if letter not in self._index:
-                raise SemanticError(f"letter {letter!r} not in alphabet")
-        return parts
+            return b""
+        return self.encode(text if self.joined else text.split("."))
 
     def __repr__(self):
         return f"Alphabet({' '.join(self.letters)})"
@@ -74,7 +77,7 @@ class Alphabet:
 class Word:
     """A finite word anchored in Z: letters[i] sits at position anchor + i."""
 
-    letters: tuple
+    letters: bytes
     anchor: int = 0
 
     def __len__(self):
@@ -90,7 +93,7 @@ class Word:
         return self.anchor + len(self.letters)
 
     def __getitem__(self, position):
-        """Letter at absolute position (not sequence index)."""
+        """Letter index at absolute position (not sequence index)."""
         i = position - self.anchor
         if not 0 <= i < len(self.letters):
             raise IndexError(f"position {position} outside [{self.start}, {self.end})")
@@ -105,13 +108,6 @@ class Word:
 
 def factors(word, length):
     """All length-`length` factors of an unanchored word, in occurrence order."""
-    word = tuple(word)
     if length < 0 or length > len(word):
         return ()
     return tuple(word[i:i + length] for i in range(len(word) - length + 1))
-
-
-def has_period(word, p):
-    """True iff word[i] == word[i+p] for all defined i (p >= 1)."""
-    word = tuple(word)
-    return all(word[i] == word[i + p] for i in range(len(word) - p))

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from cantorfull.closets import CloSet
 from cantorfull.elements import Element, compose, shift
 from cantorfull.errors import NotInjective, NotSurjective
 from cantorfull.language import sft_engine, substitution_engine, sturmian_engine
 from cantorfull.constructions import cylinder, is_good, matui_generators, sigma_U
+from cantorfull.words import Word
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +56,11 @@ def matui_set(fibonacci):
     return matui_generators(fibonacci)
 
 
+def word_cylinder(engine, anchor, word):
+    """The cylinder of an engine's word (bytes) placed from `anchor` on."""
+    return CloSet.cylinder(engine, Word(word, anchor))
+
+
 def enumerate_bijective(engine, radius, dmax):
     """All bijective cocycle tables at this radius with |value| <= dmax."""
     words = engine.allowed_words(2 * radius + 1)
@@ -80,9 +87,9 @@ def _enrich(pool, max_radius=2, max_dbound=3):
 def fib_pool(fibonacci):
     pool = enumerate_bijective(fibonacci, 1, 2)
     pool += [shift(fibonacci, k) for k in (-3, 3)]
-    pool += [sigma_U(cylinder(fibonacci, -1, w))
+    pool += [sigma_U(word_cylinder(fibonacci, -1, w))
              for w in fibonacci.allowed_words(3)
-             if is_good(cylinder(fibonacci, -1, w))]
+             if is_good(word_cylinder(fibonacci, -1, w))]
     return _enrich(pool)
 
 

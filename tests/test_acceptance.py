@@ -27,7 +27,7 @@ from cantorfull.constructions import (cylinder, first_return, gw_transport,
 from cantorfull.jm import (correlation, decay_report, hn_lower_bound,
                            identity_view, translation_view,
                            transposition_view)
-from conftest import enumerate_bijective, sample_elements, _enrich
+from conftest import enumerate_bijective, sample_elements, _enrich, word_cylinder
 
 
 def report(number, message):
@@ -57,13 +57,13 @@ def test_02_qeqz_and_generation(matui_set):
     engine = matui_set.engine
     admissible = 0
     for h in engine.allowed_words(5):
-        assert qeqz_check(cylinder(engine, -1, h[2:]), cylinder(engine, -1, h[:-2]))
+        assert qeqz_check(word_cylinder(engine, -1, h[2:]), word_cylinder(engine, -1, h[:-2]))
         admissible += 1
     words3 = engine.allowed_words(3)
     for u, v in itertools.product(words3, words3):
         if admissible >= 60:
             break
-        U, V = cylinder(engine, -1, u), cylinder(engine, -1, v)
+        U, V = word_cylinder(engine, -1, u), word_cylinder(engine, -1, v)
         try:
             assert qeqz_check(U, V)
             admissible += 1
@@ -89,9 +89,9 @@ def test_03_mod_homomorphism(fibonacci, fib_pool):
     gs = sample_elements(fib_pool, 100, 304)
     for f, g in zip(fs, gs):
         assert index_mod(compose(f, g)) == index_mod(f) + index_mod(g)
-    torsion = [sigma_U(cylinder(fibonacci, -1, w))
+    torsion = [sigma_U(word_cylinder(fibonacci, -1, w))
                for w in fibonacci.allowed_words(3)
-               if is_good(cylinder(fibonacci, -1, w))]
+               if is_good(word_cylinder(fibonacci, -1, w))]
     emb = symmetric_embed([identity(fibonacci), shift(fibonacci)],
                           cylinder(fibonacci, -1, ("a", "a", "b")))
     torsion.append(emb.element((1, 0)))
@@ -211,9 +211,9 @@ def test_09_houghton_profiles(y_engine, yprime_engine):
         assert profile.end_translations[0] == profile.end_translations[1]
         assert all(abs(n) <= 32 for n in profile.exceptional_set)
     table = {}
+    moves = {y_engine.alphabet.parse_word("abb"): 1, y_engine.alphabet.parse_word("aab"): -1}
     for w in y_engine.allowed_words(5):
-        head = (w[2], w[3], w[4])
-        table[w] = {("a", "b", "b"): 1, ("a", "a", "b"): -1}.get(head, 0)
+        table[w] = moves.get(w[2:], 0)
     transposition = make_element(y_engine, 2, table)
     fixture = houghton_profile(transposition, 64)
     assert fixture.end_translations == (0, 0)

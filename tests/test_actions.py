@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cantorfull.closets import CloSet
@@ -9,7 +11,8 @@ from cantorfull.actions import (block_orbits, clopen_orbit, index_mod,
                                 lef_certificate, orbit_permutation,
                                 putnam_blocks, stabilizer_check)
 from cantorfull.constructions import cylinder, first_return, sigma_U
-from conftest import sample_elements
+from cantorfull.language import sft_engine
+from conftest import sample_elements, word_cylinder
 
 
 def test_orbit_permutation_shift_and_identity(fibonacci):
@@ -84,7 +87,7 @@ def find_positive_sigma(engine, window=48):
     """A 3-cycle whose moved orbit positions stay inside the positives."""
     for anchor in range(2, window // 2):
         for w in engine.allowed_words(3):
-            U = cylinder(engine, anchor, w)
+            U = word_cylinder(engine, anchor, w)
             from cantorfull.constructions import is_good
             if not is_good(U):
                 continue
@@ -156,6 +159,15 @@ def test_lef_cap_exceeded(fibonacci):
 def test_lef_on_irreducible_sft(golden_mean):
     cert = lef_certificate([identity(golden_mean), shift(golden_mean)])
     assert cert.verify()
+
+
+def test_lef_points_print_in_the_alphabet_format():
+    # "x" and "yy" need separators, so the block x x prints as "x.x", not "xx"
+    engine = sft_engine(["x", "yy"], [])
+    cert = lef_certificate([shift(engine), identity(engine)])
+    points = json.loads(cert.to_json())["points"]
+    assert "x.x" in points and "xx" not in points
+    assert [engine.alphabet.parse_word(text) for text in points] == list(cert.points)
 
 
 def test_lef_separates_sigma_powers(matui_set):

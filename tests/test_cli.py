@@ -276,6 +276,15 @@ def test_cli_bad_caps_variable(capsys, monkeypatch, fib_file, caps, message):
     assert err == f"usage error: bad CANTORFULL_CAPS: {message}\n"
 
 
+def test_cli_alphabet_of_257_letters_is_a_semantic_error(capsys, tmp_path):
+    path = tmp_path / "wide.subshift"
+    letters = " ".join(f"l{i}" for i in range(257))
+    path.write_text(f"alphabet: {letters}\nkind: sft\n")
+    code, out, err = run(capsys, "--subshift", str(path), "lang", "words", "--length", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "256" in err and "Traceback" not in err
+
+
 def test_cli_recur_on_two_fixed_points_is_not_minimal(capsys, tmp_path):
     path = tmp_path / "fixed.subshift"
     path.write_text("alphabet: a b\nkind: sft\nforbidden: ab ba\n")

@@ -11,6 +11,10 @@ from conftest import sample_elements
 from test_sft_properties import closets, sft_engines, tables
 
 
+def text_word(engine, text, anchor):
+    return Word(engine.alphabet.parse_word(text), anchor)
+
+
 def random_closets(engine, count, seed):
     rng = random.Random(seed)
     words = engine.allowed_words(3)
@@ -30,13 +34,13 @@ def test_empty_and_full(fibonacci):
 
 
 def test_cylinder_reexpression(fibonacci):
-    U = CloSet.cylinder(fibonacci, Word(("a",), 0))
+    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
     assert U.at_radius(4) == U
     assert U.at_radius(4).reduced().radius == 0
 
 
 def test_unallowed_cylinder_is_empty(fibonacci):
-    assert CloSet.cylinder(fibonacci, Word(("b", "b"), 0)).is_empty()
+    assert CloSet.cylinder(fibonacci, text_word(fibonacci, "bb", 0)).is_empty()
 
 
 def test_boolean_algebra_identities(fibonacci, golden_mean):
@@ -60,24 +64,24 @@ def test_boolean_algebra_identities(fibonacci, golden_mean):
 
 
 def test_subset_via_complement(fibonacci):
-    U = CloSet.cylinder(fibonacci, Word(("a", "a"), 0))
-    V = CloSet.cylinder(fibonacci, Word(("a",), 0))
+    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "aa", 0))
+    V = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
     assert U.is_subset(V)
     assert U.intersect(V.complement()).is_empty()
     assert not V.is_subset(U)
 
 
 def test_shift_image_examples(fibonacci):
-    U = CloSet.cylinder(fibonacci, Word(("a",), 0))
-    assert U.shift_image(1) == CloSet.cylinder(fibonacci, Word(("a",), 1))
+    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
+    assert U.shift_image(1) == CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 1))
     assert U.shift_image(2).shift_image(-2) == U
-    meet = U.intersect(CloSet.cylinder(fibonacci, Word(("a",), 1)))
-    assert meet == CloSet.cylinder(fibonacci, Word(("a", "a"), 0))
+    meet = U.intersect(CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 1)))
+    assert meet == CloSet.cylinder(fibonacci, text_word(fibonacci, "aa", 0))
     assert not meet.is_empty()
 
 
 def test_element_image_of_shift(fibonacci):
-    U = CloSet.cylinder(fibonacci, Word(("a", "b"), 0))
+    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "ab", 0))
     phi = shift(fibonacci)
     assert element_image(U, phi) == U.shift_image(1)
 
@@ -95,11 +99,11 @@ def test_engine_mismatch(fibonacci, golden_mean):
 
 
 def test_mask_is_aligned_with_the_level(fibonacci):
-    U = CloSet.cylinder(fibonacci, Word(("b",), 0))
-    words = fibonacci.allowed_words(5)
-    assert U.mask(2) == [w[2] == "b" for w in words]
-    assert U.mask(2, 1) == [w[3] == "b" for w in words]
-    assert U.mask(2, -2) == [w[0] == "b" for w in words]
+    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "b", 0))
+    words, b = fibonacci.allowed_words(5), fibonacci.alphabet.index("b")
+    assert U.mask(2) == [w[2] == b for w in words]
+    assert U.mask(2, 1) == [w[3] == b for w in words]
+    assert U.mask(2, -2) == [w[0] == b for w in words]
     with pytest.raises(ValueError):
         U.mask(2, 3)
 
@@ -165,7 +169,7 @@ def oracle_element_image(closet, f):
 
 def oracle_key(closet):
     reduced = oracle_reduced(closet)
-    return (reduced.radius, tuple(sorted(reduced.members, key=closet.engine.alphabet.sort_key)))
+    return (reduced.radius, tuple(sorted(reduced.members)))
 
 
 def assert_same_set(got, want):

@@ -25,7 +25,7 @@ from cantorfull.constructions import (HoughtonProfile, _permutation_parity,
                                       van_douwen_involutions,
                                       van_douwen_walk, van_douwen_witness)
 from cantorfull.language import max_gap
-from conftest import enumerate_bijective, sample_elements
+from conftest import enumerate_bijective, sample_elements, word_cylinder
 
 
 # -- good sets and sigma --------------------------------------------------
@@ -92,8 +92,9 @@ def test_first_return_times(fibonacci):
 
 
 def test_first_return_gaps_match_point_window(fibonacci):
-    for letters in (("a",), ("b",), ("a", "a", "b")):
-        U = cylinder(fibonacci, 0, letters)
+    for text in ("a", "b", "aab"):
+        letters = fibonacci.alphabet.parse_word(text)
+        U = cylinder(fibonacci, 0, text)
         fr = first_return(U)
         times = set(fr.table.values()) - {0}
         bound = max_gap(fibonacci, letters)
@@ -222,13 +223,13 @@ def test_matui_recursion_word_witness(matui_set):
 def test_120_generators_on_full_proper_shift():
     letters = "abcdef"
     alphabet = Alphabet(letters)
-    allowed = {w for w in itertools.product(letters, repeat=5)
+    allowed = {bytes(w) for w in itertools.product(range(len(letters)), repeat=5)
                if len(set(w)) == 5}
     engine = SFTEngine.from_allowed(alphabet, 5, allowed)
     assert is_proper(engine, 4)
     words3 = engine.allowed_words(3)
     assert len(words3) == 120 == 6 * 5 * 4
-    s = sigma_U(cylinder(engine, -1, words3[0]))
+    s = sigma_U(word_cylinder(engine, -1, words3[0]))
     assert order(s) == 3
 
 
@@ -244,8 +245,8 @@ def test_qeqz_on_recursion_pairs(matui_set):
     engine = matui_set.engine
     count = 0
     for h in engine.allowed_words(5):
-        U = cylinder(engine, -1, h[2:])   # right part: qeqz's U
-        V = cylinder(engine, -1, h[:-2])  # left part: qeqz's V
+        U = word_cylinder(engine, -1, h[2:])   # right part: qeqz's U
+        V = word_cylinder(engine, -1, h[:-2])  # left part: qeqz's V
         assert qeqz_check(U, V)
         count += 1
     assert count == len(engine.allowed_words(5))
@@ -329,9 +330,9 @@ def test_houghton_shift_profile():
 def test_houghton_transposition_fixture():
     engine = houghton_engine_y()
     table = {}
+    moves = {engine.alphabet.parse_word("abb"): 1, engine.alphabet.parse_word("aab"): -1}
     for w in engine.allowed_words(5):
-        head = (w[2], w[3], w[4])
-        table[w] = {("a", "b", "b"): 1, ("a", "a", "b"): -1}.get(head, 0)
+        table[w] = moves.get(w[2:], 0)
     from cantorfull.elements import make_element
     t = make_element(engine, 2, table)
     profile = houghton_profile(t, 64)
@@ -446,7 +447,7 @@ def oracle_kr_pieces(closet, refine_by=()):
     return [(radius, frozenset(words), height)
             for (height, _), words in sorted(
                 groups.items(),
-                key=lambda kv: (kv[0][0], kv[0][1], min(map(engine.alphabet.sort_key, kv[1]))))]
+                key=lambda kv: (kv[0][0], kv[0][1], min(kv[1])))]
 
 
 def oracle_gw_alpha(engine, base, A, B):
@@ -489,7 +490,7 @@ def oracle_gw_alpha(engine, base, A, B):
 
 
 def small_cylinders(engine):
-    return [cylinder(engine, anchor, w) for n in (1, 2, 3)
+    return [word_cylinder(engine, anchor, w) for n in (1, 2, 3)
             for w in engine.allowed_words(n) for anchor in range(-n + 1, 1)]
 
 
@@ -497,7 +498,7 @@ def small_cylinders(engine):
 def test_sigma_and_swap_against_slicing_oracles(request, name):
     engine = request.getfixturevalue(name)
     checked = 0
-    for U in small_cylinders(engine) + [cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
+    for U in small_cylinders(engine) + [word_cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
         if is_good(U):
             assert canonical_dump(sigma_U(U)) == canonical_dump(oracle_sigma_U(U))
             checked += 1
@@ -573,7 +574,7 @@ def oracle_houghton_orbit_map(f, window):
     """n -> n + kappa(w_n), each window w_n of phi^n x0 built letter by letter."""
     engine = f.engine
     y3 = len(engine.alphabet) == 3
-    a, b = engine.alphabet.letters[:2]
+    a, b, c = range(3)      # the letters a, b, c as indices
     r = f.radius
 
     def letter(pos, n):
@@ -581,9 +582,9 @@ def oracle_houghton_orbit_map(f, window):
             return a
         if not y3:
             return b
-        return b if (pos - n) % 2 == 1 else engine.alphabet.letters[2]
+        return b if (pos - n) % 2 == 1 else c
 
-    return {n: n + f.table[tuple(letter(p, n) for p in range(-r, r + 1))]
+    return {n: n + f.table[bytes(letter(p, n) for p in range(-r, r + 1))]
             for n in range(-window, window + 1)}
 
 

@@ -23,10 +23,15 @@ def test_shift_is_bijective(fibonacci):
     assert equal(compose(phi, shift(fibonacci, 2)), shift(fibonacci, 3))
 
 
+def by_text(engine, table):
+    """A {word text: value} table keyed by the engine's words."""
+    return {engine.alphabet.parse_word(w): v for w, v in table.items()}
+
+
 def test_noninvertible_table_rejected(fibonacci):
     with pytest.raises((NotInjective, NotSurjective)):
-        make_element(fibonacci, 0, {("a",): 0, ("b",): 1})
-    semi = make_semigroup_element(fibonacci, 0, {("a",): 0, ("b",): 1})
+        make_element(fibonacci, 0, by_text(fibonacci, {"a": 0, "b": 1}))
+    semi = make_semigroup_element(fibonacci, 0, by_text(fibonacci, {"a": 0, "b": 1}))
     assert semi.bijective is False
     with pytest.raises(NotBijective):
         inverse(semi)
@@ -34,16 +39,17 @@ def test_noninvertible_table_rejected(fibonacci):
 
 def test_partial_table_rejected(fibonacci):
     with pytest.raises(PartialTable):
-        make_element(fibonacci, 0, {("a",): 1})
+        make_element(fibonacci, 0, {fibonacci.alphabet.parse_word("a"): 1})
 
 
 def test_y_transposition_is_involution(y_engine):
     table = {}
+    parse = y_engine.alphabet.parse_word
     for w in y_engine.allowed_words(5):
-        head = (w[2], w[3], w[4])
-        if head == ("a", "b", "b"):
+        head = w[2:]
+        if head == parse("abb"):
             table[w] = 1
-        elif head == ("a", "a", "b"):
+        elif head == parse("aab"):
             table[w] = -1
         else:
             table[w] = 0
@@ -60,9 +66,9 @@ def brute_force_bijective(engine, element):
         blocks = engine.periodic_blocks(p)
         images = set()
         for b in blocks:
-            window = tuple(b[i % p] for i in range(-r, r + 1))
+            window = bytes(b[i % p] for i in range(-r, r + 1))
             k = element.table[window]
-            images.add(tuple(b[(i - k) % p] for i in range(p)))
+            images.add(bytes(b[(i - k) % p] for i in range(p)))
         if images != set(blocks):
             return False
     wide = r + d + 1
@@ -127,7 +133,8 @@ def test_equal_across_radii(fibonacci):
 
 
 def test_canonical_radius_detection(fibonacci):
-    base = {w: (2 if w[0] == "a" else -1) for w in fibonacci.allowed_words(3)}
+    a = fibonacci.alphabet.index("a")
+    base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
     padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
     assert canonical_form(padded).radius == canonical_form(f).radius == 1
@@ -136,7 +143,8 @@ def test_canonical_radius_detection(fibonacci):
 def test_canonical_element_holds_no_reference_to_itself(fibonacci):
     """A canonical element that referred to itself would be a reference cycle,
     freed only by the cyclic garbage collector."""
-    base = {w: (2 if w[0] == "a" else -1) for w in fibonacci.allowed_words(3)}
+    a = fibonacci.alphabet.index("a")
+    base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
     padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
     reduced = padded.canonical_element()
@@ -152,14 +160,15 @@ def test_is_identity_on_periodic_sft(period_two):
 
 
 def test_is_identity_on_y(y_engine):
-    table = {w: (1 if w[1] == "b" else 0) for w in y_engine.allowed_words(3)}
+    b = y_engine.alphabet.index("b")
+    table = {w: (1 if w[1] == b else 0) for w in y_engine.allowed_words(3)}
     assert not is_identity(make_semigroup_element(y_engine, 1, table))
 
 
 def test_identity_through_a_fixed_point_only():
     # c only follows c, so the table moves just the fixed point c^inf
     engine = sft_engine("abc", ["ac", "ca", "bc", "cb"])
-    f = make_element(engine, 0, {("a",): 0, ("b",): 0, ("c",): 1})
+    f = make_element(engine, 0, by_text(engine, {"a": 0, "b": 0, "c": 1}))
     assert is_identity(f)
     assert order(f) == 1
     assert support(f).is_empty()
@@ -168,7 +177,7 @@ def test_identity_through_a_fixed_point_only():
 
 def test_ball_sizes_count_maps_not_tables():
     engine = sft_engine("abc", ["ac", "ca", "bc", "cb"])
-    f = make_element(engine, 0, {("a",): 0, ("b",): 0, ("c",): 1})
+    f = make_element(engine, 0, by_text(engine, {"a": 0, "b": 0, "c": 1}))
     assert ball_sizes([f], 3) == [1, 1, 1]
 
 
@@ -177,17 +186,13 @@ def sft_from_allowed_3_words(letters, allowed):
                                 if "".join(w) not in allowed])
 
 
-def radius_one(table):
-    return {tuple(w): v for w, v in table.items()}
-
-
 def test_map_key_solves_congruences_across_cycles():
     # a 2-cycle (ab) and a 3-cycle (acd) that share the letter a
     engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "acd", "cda", "dac"})
     # phi on the 2-cycle and phi^2 on the 3-cycle, at radius 1 and at radius 0
     # (5 = 1 mod 2 = 2 mod 3 on the letter a)
-    g = make_element(engine, 1, radius_one({"bab": 1, "aba": 1, "dac": 2, "acd": 2, "cda": 2}))
-    h = make_element(engine, 0, {("a",): 5, ("b",): 1, ("c",): 2, ("d",): 2})
+    g = make_element(engine, 1, by_text(engine, {"bab": 1, "aba": 1, "dac": 2, "acd": 2, "cda": 2}))
+    h = make_element(engine, 0, by_text(engine, {"a": 5, "b": 1, "c": 2, "d": 2}))
     assert equal(g, h) and g.map_key() == h.map_key()
     assert canonical_dump(g) != canonical_dump(h)
     assert ball_sizes([g], 4) == [3, 5, 6, 6]
@@ -198,17 +203,17 @@ def test_map_key_keeps_the_radius_when_congruences_conflict():
     engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "aca", "cad", "ada", "dac"})
     two = {"bab": 1, "aba": 1}
     # on a: 1 mod 2 and 3 mod 4 meet in 3 mod 4; 1 mod 2 and 2 mod 4 never meet
-    meet = make_element(engine, 1, radius_one({**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 3)}))
-    clash = make_element(engine, 1, radius_one({**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 2)}))
+    meet = make_element(engine, 1, by_text(engine, {**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 3)}))
+    clash = make_element(engine, 1, by_text(engine, {**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 2)}))
     assert meet.map_key() == (0, (3, 1, 3, 3))
     assert clash.map_key()[0] == 1
-    assert not equal(clash, make_semigroup_element(engine, 0, {("a",): 2, ("b",): 1,
-                                                               ("c",): 2, ("d",): 2}))
+    assert not equal(clash, make_semigroup_element(engine, 0, by_text(engine, {"a": 2, "b": 1,
+                                                                             "c": 2, "d": 2})))
 
 
 def test_equal_semigroup_elements_on_periodic_points(period_two):
-    f = make_semigroup_element(period_two, 0, {("a",): 0, ("b",): 1})
-    g = make_semigroup_element(period_two, 0, {("a",): 2, ("b",): 1})
+    f = make_semigroup_element(period_two, 0, by_text(period_two, {"a": 0, "b": 1}))
+    g = make_semigroup_element(period_two, 0, by_text(period_two, {"a": 2, "b": 1}))
     assert f.bijective is False
     assert equal(f, g)
 

@@ -9,18 +9,18 @@ from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
                                NonPrimitiveSubstitution, NotAperiodic,
                                NotMinimal, SemanticError)
 from cantorfull.language import (RecodedEngine, build_engine, is_irreducible,
-                                 max_gap, proper_recode,
+                                 max_gap, periodic_window, proper_recode,
                                  recurrence_bound, sft_approximation,
                                  sft_engine, substitution_engine,
-                                 sturmian_engine, contains_factor)
-from cantorfull.words import Word, factors, has_period
+                                 sturmian_engine)
+from cantorfull.words import Word, factors
 
 
 def brute_force_factors(engine_rules, length, power=12):
     """Independent oracle: factors of a long substitution image of 'a'."""
-    word = ("a",)
+    word = "a"
     for _ in range(power):
-        word = tuple(c for a in word for c in engine_rules[a])
+        word = "".join(engine_rules[a] for a in word)
     return set(factors(word, length))
 
 
@@ -43,8 +43,12 @@ def iterate_factors(rules, lengths):
         current = following
 
 
+def strings(engine, words):
+    return {engine.alphabet.format_word(w) for w in words}
+
+
 def language_strings(engine, lengths):
-    return {"".join(w) for l in lengths for w in engine.allowed_words(l)}
+    return {engine.alphabet.format_word(w) for l in lengths for w in engine.allowed_words(l)}
 
 
 @st.composite
@@ -72,15 +76,15 @@ def test_substitution_language_against_iterates(rules):
     ({"a": "ab", "b": "ac", "c": "db", "d": "dc"}, None),       # Rudin-Shapiro
     ({"a": "ab", "b": "ac", "c": "a"}, None),
     ({"a": "abc", "b": "cab", "c": "bca"}, None),
-    ({"a": "ab", "b": "ab"}, (2, (("a", "b"), ("b", "a")))),    # one periodic orbit
+    ({"a": "ab", "b": "ab"}, (2, ("ab", "ba"))),                # one periodic orbit
 ])
 def test_substitution_fixtures_against_iterates(rules, finite):
     engine = substitution_engine(rules)
     lengths = range(1, 31)
     assert language_strings(engine, lengths) == iterate_factors(rules, lengths)
     period, blocks = finite or (0, ())
-    assert engine.local_period(()) == period
-    assert engine.periodic_blocks(period or 2) == blocks
+    assert engine.local_period(b"") == period
+    assert tuple(map(engine.alphabet.format_word, engine.periodic_blocks(period or 2))) == blocks
 
 
 def thue_morse_complexity(n):
@@ -107,7 +111,7 @@ def test_build_engine_fibonacci_flags(fibonacci):
 
 def test_build_engine_from_description():
     engine = build_engine({"kind": "sft", "alphabet": ("a", "b"), "forbidden": ["ba"]})
-    assert {"".join(w) for w in engine.allowed_words(2)} == {"aa", "ab", "bb"}
+    assert strings(engine, engine.allowed_words(2)) == {"aa", "ab", "bb"}
 
 
 def test_empty_subshift_rejected():
@@ -130,21 +134,22 @@ def test_bad_continued_fraction():
 
 
 def test_fibonacci_language_against_brute_force(fibonacci):
-    rules = {"a": ("a", "b"), "b": ("a",)}
+    rules = {"a": "ab", "b": "a"}
     for length in range(1, 9):
-        assert set(fibonacci.allowed_words(length)) == brute_force_factors(rules, length)
+        assert strings(fibonacci, fibonacci.allowed_words(length)) == \
+            brute_force_factors(rules, length)
 
 
 def test_allowed_words_examples(fibonacci, y_engine):
-    assert {"".join(w) for w in fibonacci.allowed_words(2)} == {"aa", "ab", "ba"}
-    assert {"".join(w) for w in fibonacci.allowed_words(3)} == {"aab", "aba", "baa", "bab"}
-    assert {"".join(w) for w in y_engine.allowed_words(2)} == {"aa", "ab", "bb"}
+    assert strings(fibonacci, fibonacci.allowed_words(2)) == {"aa", "ab", "ba"}
+    assert strings(fibonacci, fibonacci.allowed_words(3)) == {"aab", "aba", "baa", "bab"}
+    assert strings(y_engine, y_engine.allowed_words(2)) == {"aa", "ab", "bb"}
 
 
 def test_is_allowed_examples(fibonacci, y_engine):
-    assert not fibonacci.is_allowed(("b", "b"))
-    assert y_engine.is_allowed(("a", "b"))
-    assert fibonacci.is_allowed(())
+    assert not fibonacci.is_allowed(fibonacci.alphabet.parse_word("bb"))
+    assert y_engine.is_allowed(y_engine.alphabet.parse_word("ab"))
+    assert fibonacci.is_allowed(b"")
 
 
 def test_language_consistency(fibonacci, golden_mean, sturmian_fib):
@@ -168,16 +173,18 @@ def test_complexity_sanity(fibonacci, sturmian_fib):
 
 
 def test_recurrence_bounds(fibonacci, y_engine):
-    assert recurrence_bound(fibonacci, ("a",)) == 3
-    assert recurrence_bound(fibonacci, ("b",)) == 4
+    parse = fibonacci.alphabet.parse_word
+    assert recurrence_bound(fibonacci, parse("a")) == 3
+    assert recurrence_bound(fibonacci, parse("b")) == 4
     with pytest.raises(NotMinimal):
-        recurrence_bound(y_engine, ("a",))
+        recurrence_bound(y_engine, parse("a"))
     with pytest.raises(SemanticError):
-        recurrence_bound(fibonacci, ("b", "b"))
+        recurrence_bound(fibonacci, parse("bb"))
 
 
 def test_recurrence_bound_bounds_gaps(fibonacci):
-    for letters in (("a",), ("b",), ("a", "a", "b")):
+    for text in ("a", "b", "aab"):
+        letters = fibonacci.alphabet.parse_word(text)
         bound = recurrence_bound(fibonacci, letters)
         window = fibonacci.point_window(5 * bound).letters
         hits = [i for i in range(len(window) - len(letters) + 1)
@@ -191,7 +198,8 @@ def test_point_window_fibonacci_seed(fibonacci):
     assert window.anchor == -2 and len(window) == 5
     assert fibonacci.is_allowed(window.letters)
     # seed (a|a): the letters at -1 and 0 both read 'a'
-    assert window[-1] == "a" and window[0] == "a"
+    a = fibonacci.alphabet.index("a")
+    assert window[-1] == a and window[0] == a
 
 
 def test_point_window_seed_past_power_twelve():
@@ -201,9 +209,10 @@ def test_point_window_seed_past_power_twelve():
     assert len(engine.allowed_words(2)) == 17
     window = engine.point_window(5)
     assert len(window) == 11 and engine.is_allowed(window.letters)
-    assert window[-1] == "c" and window[0] == "a"
-    assert engine.apply_power(("c",), 15)[-1] == "c"
-    assert engine.apply_power(("a",), 15)[0] == "a"
+    a, c = engine.alphabet.index("a"), engine.alphabet.index("c")
+    assert window[-1] == c and window[0] == a
+    assert engine.apply_power(bytes([c]), 15)[-1] == c
+    assert engine.apply_power(bytes([a]), 15)[0] == a
 
 
 def test_point_window_prefix_property(fibonacci, golden_mean, sturmian_fib):
@@ -244,12 +253,15 @@ def test_sturmian_depth_cap_after_cached_window():
 
 
 def test_sturmian_language_matches_fibonacci_up_to_renaming(fibonacci, sturmian_fib):
-    swap = {"a": "b", "b": "a"}
+    def swap(word):
+        """The word with the letters a (0) and b (1) exchanged."""
+        return bytes(1 - c for c in word)
+
     for l in range(1, 8):
-        renamed = {tuple(swap[c] for c in w) for w in sturmian_fib.allowed_words(l)}
+        renamed = set(map(swap, sturmian_fib.allowed_words(l)))
         assert renamed == set(fibonacci.allowed_words(l))
     window = sturmian_fib.point_window(3)
-    assert fibonacci.is_allowed(tuple(swap[c] for c in window.letters))
+    assert fibonacci.is_allowed(swap(window.letters))
 
 
 def test_sturmian_mechanical_word_against_float_oracle(sturmian_fib):
@@ -258,7 +270,7 @@ def test_sturmian_mechanical_word_against_float_oracle(sturmian_fib):
     import math
     for n in range(-20, 21):
         bit = math.floor((n + 1) * alpha) - math.floor(n * alpha)
-        assert window[n] == sturmian_fib.alphabet.letters[bit]
+        assert window[n] == bit
 
 
 def test_sturmian_depth_cap(sturmian_fib):
@@ -300,7 +312,7 @@ def test_proper_recode_needs_aperiodicity(y_engine):
 
 
 def test_periodic_points(y_engine, full_shift):
-    assert {"".join(b) for b in y_engine.periodic_blocks(1)} == {"a", "b"}
+    assert strings(y_engine, y_engine.periodic_blocks(1)) == {"a", "b"}
     assert len(full_shift.periodic_blocks(2)) == 4
     proper3 = sft_engine("abc", ["aa", "bb", "cc"])
     assert proper3.periodic_blocks(1) == ()
@@ -316,12 +328,13 @@ def test_recoded_engine_answers_through_its_source(period_two):
     recoded = RecodedEngine(period_two, 2)
     assert is_identity(shift(recoded, 2))
     assert not is_identity(shift(recoded, 1))
-    assert recoded.periodic_blocks(2) == (("ab", "ba"), ("ba", "ab"))
+    # the recoded letters are the blocks "ab" and "ba", printed with separators
+    assert tuple(map(recoded.alphabet.format_word, recoded.periodic_blocks(2))) == ("ab.ba", "ba.ab")
 
 
 def test_sft_approximation(fibonacci):
     gm = sft_approximation(fibonacci, 2)
-    assert not gm.is_allowed(("b", "b"))
+    assert not gm.is_allowed(fibonacci.alphabet.parse_word("bb"))
     assert set(gm.allowed_words(2)) == set(fibonacci.allowed_words(2))
     deeper = sft_approximation(fibonacci, 3)
     for l in range(1, 6):
@@ -345,10 +358,10 @@ def test_is_irreducible(fibonacci, y_engine, full_shift):
 def test_finite_substitution_detected():
     engine = substitution_engine({"a": "ab", "b": "ab"})
     assert engine.aperiodic is False
-    period = engine.local_period(())
+    period = engine.local_period(b"")
     blocks = engine.periodic_blocks(period)
-    assert all(has_period(b * 2, period) for b in blocks)
-    assert {"".join(b) for b in blocks} == {"ab", "ba"}
+    assert all((b * 2)[period:] == (b * 2)[:-period] for b in blocks)
+    assert strings(engine, blocks) == {"ab", "ba"}
 
 
 @pytest.mark.parametrize("rules", [{"a": "bbb", "b": "bba"},
@@ -356,7 +369,7 @@ def test_finite_substitution_detected():
 def test_long_periodic_factors_are_not_a_periodic_verdict(rules):
     # both languages hold long words of small period, and p(13) > 12
     engine = substitution_engine(rules)
-    assert engine.aperiodic is True and engine.local_period(()) == 0
+    assert engine.aperiodic is True and engine.local_period(b"") == 0
     assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
 
 
@@ -386,7 +399,7 @@ def test_uniform_substitution_period_is_its_image_length(case):
     v = next(iter(rules.values()))
     for p in range(1, 2 * period + 1):
         expected = sorted({(v * p)[i:i + p] for i in range(period)}) if p % period == 0 else []
-        assert engine.periodic_blocks(p) == tuple(tuple(b) for b in expected)
+        assert engine.periodic_blocks(p) == tuple(map(engine.alphabet.parse_word, expected))
 
 
 @settings(deadline=None, database=None, max_examples=30)
@@ -395,7 +408,7 @@ def test_substitution_periodic_cylinders_against_orbit_oracle(case):
     # every allowed word lies on the one orbit, whose points have period |v|
     rules, period = case
     engine = substitution_engine(rules)
-    words = [w for n in (1, 3) for w in itertools.product(engine.alphabet.letters, repeat=n)]
+    words = [bytes(w) for n in (1, 3) for w in itertools.product(range(len(engine.alphabet)), repeat=n)]
     for w in words + list(engine.allowed_words(5)):
         for p in range(-period - 1, 2 * period + 1):
             if p:
@@ -419,8 +432,23 @@ def test_aperiodic_substitutions_have_no_periodic_blocks(rules):
 def test_sturmian_engines_have_no_periodic_blocks(quotients):
     engine = sturmian_engine(quotients, len(quotients))
     assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
-    assert engine.local_period(()) == 0
-    assert not engine.cylinder_periodic_exists(("a",), 1)
+    assert engine.local_period(b"") == 0
+    assert not engine.cylinder_periodic_exists(engine.alphabet.parse_word("a"), 1)
+
+
+@settings(deadline=None, database=None)
+@given(st.binary(min_size=1, max_size=6), st.integers(0, 20))
+def test_periodic_window_reads_the_periodic_point(block, radius):
+    p = len(block)
+    assert periodic_window(block, radius) == bytes(block[i % p] for i in range(-radius, radius + 1))
+
+
+def test_periodic_queries_are_cached(period_two):
+    blocks = period_two.periodic_blocks(4)
+    assert period_two.periodic_blocks(4) is blocks
+    windows = period_two.periodic_windows(4, 2)
+    assert period_two.periodic_windows(4, 2) is windows
+    assert windows == {periodic_window(b, 2) for b in blocks}
 
 
 def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmian_fib):
@@ -433,12 +461,6 @@ def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmi
 
 def test_thue_morse_is_aperiodic():
     assert substitution_engine({"a": "ab", "b": "ba"}).aperiodic is True
-
-
-def test_contains_factor():
-    assert contains_factor(("a", "b", "a"), ("b", "a"))
-    assert not contains_factor(("a", "b"), ("b", "b"))
-    assert contains_factor(("a",), ())
 
 
 def test_sft_minimal_only_on_one_cycle(period_two):
