@@ -142,21 +142,40 @@ def _session(args):
     return Session(engine)
 
 
-def _emit_warnings(session):
-    for message in session.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-
-
 def _orbit_view(session, expr, span):
     element = session.eval_program(expr)
     return orbit_permutation(element, span + element.radius + element.dbound)
 
 
+def _van_douwen(args):
+    engine, sigmas = van_douwen_involutions(args.q)
+    # q (q-1)^(L-1) reduced words of each length L, counted before listing
+    total, level = 0, args.q
+    for _ in range(args.max_len):
+        total, level = total + level, level * (args.q - 1)
+        if total > engine.caps.word_store:
+            raise MemoryCapExceeded(f"reduced words up to length {args.max_len} "
+                                    "exceed the word store", cap=engine.caps.word_store)
+    words = []
+    frontier = [()]
+    for _ in range(args.max_len):
+        frontier = [w + (k,) for w in frontier for k in range(args.q)
+                    if not w or w[-1] != k]
+        words += frontier
+    agree = all(all(van_douwen_certify(engine, sigmas, ks)) for ks in words)
+    print(f"checked={len(words)} all_nonidentity={str(agree).lower()}")
+
+
 def _run(args):
-    group, command = args.group, getattr(args, "command", None)
+    """Run one command; every command but ``construct vandouwen`` works in a
+    session over the --subshift engine, whose warnings follow the output."""
+    group, command = args.group, args.command
+    if (group, command) == ("construct", "vandouwen"):
+        _van_douwen(args)
+        return 0
+    session = _session(args)
+    engine = session.engine
     if group == "lang":
-        session = _session(args)
-        engine = session.engine
         if command == "words":
             for w in engine.allowed_words(args.length):
                 print(engine.alphabet.format_word(w))
@@ -168,16 +187,12 @@ def _run(args):
             print(f"block_length={mapping.block_length}")
             for name, block in zip(recoded.alphabet.letters, mapping.letter_decode):
                 print(f"{name} -> {engine.alphabet.format_word(block)}")
-        _emit_warnings(session)
-        return 0
-
-    if group == "elem":
-        session = _session(args)
+    elif group == "elem":
         if command in ("eval", "canon"):
             sys.stdout.write(canonical_dump(session.eval_program(args.expr)))
         elif command == "order":
             n = order(session.eval_program(args.expr), cap=args.cap)
-            cap = args.cap if args.cap is not None else session.engine.caps.order
+            cap = args.cap if args.cap is not None else engine.caps.order
             print(n if n is not None else f"exceeds-cap {cap}")
         elif command == "mod":
             print(index_mod(session.eval_program(args.expr)))
@@ -185,29 +200,7 @@ def _run(args):
             left = session.eval_program(args.left)
             right = session.eval_program(args.right)
             print("true" if equal(left, right) else "false")
-        _emit_warnings(session)
-        return 0
-
-    if group == "construct":
-        if command == "vandouwen":
-            engine, sigmas = van_douwen_involutions(args.q)
-            # q (q-1)^(L-1) reduced words of each length L, counted before listing
-            total, level = 0, args.q
-            for _ in range(args.max_len):
-                total, level = total + level, level * (args.q - 1)
-                if total > engine.caps.word_store:
-                    raise MemoryCapExceeded(f"reduced words up to length {args.max_len} "
-                                            "exceed the word store", cap=engine.caps.word_store)
-            words = []
-            frontier = [()]
-            for _ in range(args.max_len):
-                frontier = [w + (k,) for w in frontier for k in range(args.q)
-                            if not w or w[-1] != k]
-                words += frontier
-            agree = all(all(van_douwen_certify(engine, sigmas, ks)) for ks in words)
-            print(f"checked={len(words)} all_nonidentity={str(agree).lower()}")
-            return 0
-        session = _session(args)
+    elif group == "construct":
         if command == "sigma":
             sys.stdout.write(canonical_dump(sigma_U(session.eval_closet_text(args.closet))))
         elif command == "towers":
@@ -221,7 +214,7 @@ def _run(args):
                                   session.eval_closet_text(args.B))
             sys.stdout.write(result.to_json())
         elif command == "matui":
-            ms = matui_generators(session.engine)
+            ms = matui_generators(engine)
             print(f"count={len(ms.generators)} alphabet={len(ms.engine.alphabet)}")
             for word in ms.cylinder_words:
                 print(ms.engine.alphabet.format_word(word))
@@ -233,11 +226,7 @@ def _run(args):
             profile = houghton_profile(session.eval_program(args.expr), args.window)
             print(f"ends={','.join(map(str, profile.end_translations))}")
             print(f"exceptional={','.join(map(str, profile.exceptional_set)) or '-'}")
-        _emit_warnings(session)
-        return 0
-
-    if group == "act":
-        session = _session(args)
+    elif group == "act":
         if command == "orbit":
             perm = orbit_permutation(session.eval_program(args.expr), args.window)
             sys.stdout.write(perm.tsv())
@@ -250,13 +239,9 @@ def _run(args):
             sys.stdout.write(cert.to_json())
         elif command == "odometer":
             size = clopen_orbit(session.eval_closet_text(args.closet), cap=args.cap)
-            cap = args.cap if args.cap is not None else session.engine.caps.orbit
+            cap = args.cap if args.cap is not None else engine.caps.orbit
             print(f"finite {size}" if size is not None else f"exceeds-cap {cap}")
-        _emit_warnings(session)
-        return 0
-
-    if group == "jm":
-        session = _session(args)
+    elif group == "jm":
         if command == "corr":
             view = _orbit_view(session, args.g, args.n)
             print(repr(correlation(view, args.n)))
@@ -266,20 +251,17 @@ def _run(args):
             sys.stdout.write(report.tsv())
             if args.loglog:
                 sys.stdout.write(report.loglog_table())
-        _emit_warnings(session)
-        return 0
-
-    if group == "group":
-        session = _session(args)
+    elif group == "group":
         gens = [session.eval_program(e) for e in args.gen]
         sizes = ball_sizes(gens, args.radius)
         print("radius\tsize")
         for i, size in enumerate(sizes, start=1):
             print(f"{i}\t{size}")
-        _emit_warnings(session)
-        return 0
-
-    raise UsageError(f"unknown command {group} {command}")
+    else:
+        raise UsageError(f"unknown command {group} {command}")
+    for message in session.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return 0
 
 
 def main(argv=None):

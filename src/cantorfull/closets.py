@@ -10,9 +10,15 @@ point set, so all boolean operations work at a common radius.  The reduced
 inside a radius-R window: it starts at index R + c - r.  Re-expression, shift
 images and every construction that reads a set window by window build on it,
 as lists of bools aligned with ``allowed_words(2R + 1)``.
+
+A *family* is a sequence of pairs (S, c) standing for the sets phi^c(S).
+``least_meet`` and ``is_partition`` are the one place that relates several
+sets window by window: they read the family as masks at its common radius
+R = max(r + |c|) and decide "pairwise disjoint" and "partition" there.
 """
 
-from itertools import compress
+from itertools import combinations, compress
+from operator import add, and_
 
 from .errors import EngineMismatch
 from .words import Word
@@ -166,3 +172,41 @@ class CloSet:
         big = self.radius + abs(k)
         words = self.engine.allowed_words(2 * big + 1)
         return CloSet(self.engine, big, compress(words, self.mask(big, k)))
+
+
+# -- families -----------------------------------------------------------------
+
+
+def _family_words(family):
+    """The family's common radius R = max(r + |c|) and allowed_words(2R + 1)."""
+    engine = family[0][0].engine
+    if any(s.engine is not engine for s, _ in family):
+        raise EngineMismatch("CloSets live on different engines")
+    radius = max(s.radius + abs(c) for s, c in family)
+    return radius, engine.allowed_words(2 * radius + 1)
+
+
+def least_meet(family, allowed=()):
+    """The least pair i < j, other than the pairs in `allowed`, whose members
+    meet, with the least window of their meet at the family's radius, as
+    (i, j, window); None when no other pair meets."""
+    if len(family) < 2:
+        return None
+    radius, words = _family_words(family)
+    masks = [s.mask(radius, c) for s, c in family]
+    for i, j in combinations(range(len(masks)), 2):
+        if (i, j) not in allowed:
+            window = next(compress(words, map(and_, masks[i], masks[j])), None)
+            if window is not None:
+                return i, j, window
+    return None
+
+
+def is_partition(family):
+    """Does every window at the family's radius lie in exactly one member?"""
+    radius, words = _family_words(family)
+    # column sums, one member at a time
+    counts = [0] * len(words)
+    for s, c in family:
+        counts = list(map(add, counts, s.mask(radius, c)))
+    return counts.count(1) == len(counts)

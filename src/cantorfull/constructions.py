@@ -1,9 +1,9 @@
 """Named constructions over the cocycle algebra.
 
-Everything here is exact: disjointness hypotheses are checked with the
-CloSet algebra, the resulting elements carry bijectivity certificates, and
-postconditions (tower partitions, transport containment, conjugation
-relations) are verified rather than assumed.
+Everything here is exact: the resulting elements carry bijectivity
+certificates, and hypotheses and postconditions are verified rather than
+assumed.  Those about a family of clopen sets (disjoint translates, tower
+partitions) go through the family query of :mod:`cantorfull.closets`.
 """
 
 import json
@@ -11,14 +11,15 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .actions import clopen_orbit, index_mod
-from .closets import CloSet
+from .closets import CloSet, is_partition, least_meet
 from .elements import (Element, commutator, compose, element_image, equal,
                        identity, inverse, is_identity, make_element, power,
                        shift)
-from .errors import (CapExceeded, FixedPointFound, NotBijective, NotGood,
-                     NotMinimal, NotOmniscient, OdometerLike, OverlapError,
-                     PreconditionViolated, SearchExhausted, SemanticError,
-                     SurplusViolated, WindowTooSmall)
+from .errors import (CapExceeded, EngineMismatch, FixedPointFound,
+                     NotBijective, NotGood, NotMinimal, NotOmniscient,
+                     OdometerLike, OverlapError, PreconditionViolated,
+                     SearchExhausted, SemanticError, SurplusViolated,
+                     WindowTooSmall)
 from .language import (is_proper, max_gap, proper_recode, recurrence_bound,
                        sft_engine)
 from .words import Word
@@ -28,25 +29,14 @@ from .words import Word
 # good sets and their 3-cycles
 
 
+def _good_meet(closet):
+    """least_meet of phi^-1 U, U and phi U."""
+    return least_meet([(closet, -1), (closet, 0), (closet, 1)])
+
+
 def is_good(closet):
     """{-1,0,1}-good: U, phi(U), phi^{-1}(U) pairwise disjoint."""
-    try:
-        _good_witness(closet)
-        return True
-    except NotGood:
-        return False
-
-
-def _good_witness(closet):
-    translates = {-1: closet.shift_image(-1), 0: closet, 1: closet.shift_image(1)}
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            if i < j:
-                meet = translates[i].intersect(translates[j])
-                if not meet.is_empty():
-                    raise NotGood((f"phi^{i}U", f"phi^{j}U"),
-                                  closet.engine.alphabet.format_word(min(meet.members)))
-    return translates
+    return _good_meet(closet) is None
 
 
 def sigma_U(closet):
@@ -54,7 +44,11 @@ def sigma_U(closet):
 
     Cocycle: +1 on U, -2 on phi(U), +1 on phi^{-1}(U).
     """
-    _good_witness(closet)
+    meet = _good_meet(closet)
+    if meet is not None:
+        i, j, window = meet
+        raise NotGood((f"phi^{i - 1}U", f"phi^{j - 1}U"),
+                      closet.engine.alphabet.format_word(window))
     radius = closet.radius + 1
     values = tuple(1 if here else -2 if ahead else 1 if behind else 0
                    for here, ahead, behind in zip(closet.mask(radius), closet.mask(radius, 1),
@@ -81,10 +75,9 @@ class SymmetricEmbedding:
         self.n = len(self.moves)
         engine = closet.engine
         self.images = [element_image(closet, g) for g in self.moves]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if not self.images[i].is_disjoint(self.images[j]):
-                    raise OverlapError(f"images {i} and {j} of U overlap")
+        meet = least_meet([(im, 0) for im in self.images])
+        if meet is not None:
+            raise OverlapError(f"images {meet[0]} and {meet[1]} of U overlap")
         self._swaps = {(i, j): compose(self.moves[j], inverse(self.moves[i]))
                        for i in range(self.n) for j in range(self.n)}
         self.engine = engine
@@ -161,23 +154,16 @@ def _return_times(src, radius, gap):
 
 @dataclass(frozen=True)
 class TowerPartition:
+    """Kakutani-Rokhlin towers: level i of the tower over a base B is phi^i(B).
+    The partition postcondition is the family query's partition test on the
+    levels, at their common radius."""
+
     pieces: tuple      # ((base CloSet, height), ...) sorted by height then base
 
     def verify(self):
-        engine = self.pieces[0][0].engine
-        levels = []
-        for base, height in self.pieces:
-            if base.is_empty():
-                return False
-            levels.extend(base.shift_image(i) for i in range(height))
-        for i in range(len(levels)):
-            for j in range(i + 1, len(levels)):
-                if not levels[i].is_disjoint(levels[j]):
-                    return False
-        total = levels[0]
-        for piece in levels[1:]:
-            total = total.union(piece)
-        return total == CloSet.full(engine)
+        if any(base.is_empty() for base, _ in self.pieces):
+            return False
+        return is_partition([(base, i) for base, height in self.pieces for i in range(height)])
 
     def tsv(self):
         lines = ["tower_id\theight\tbase_word_count"]
@@ -228,21 +214,20 @@ def kr_towers(closet, refine_by=(), cap=None):
 # Glasner-Weiss transport
 
 
-def _permutation_parity(perm):
-    seen = [False] * len(perm)
-    odd = False
+def _cycles(perm):
+    """The cycles of length >= 2 of a permutation of 0..n-1, each from its
+    least point, in order of that point."""
+    cycles, seen = [], set()
     for i in range(len(perm)):
-        if seen[i]:
+        if i in seen or perm[i] == i:
             continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
+        cycle, j = [i], perm[i]
+        while j != i:
+            cycle.append(j)
             j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            odd = not odd
-    return 1 if odd else 0
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -271,12 +256,7 @@ def _transport_base(target, engine, depth):
     # max keeps the first, so the least, of the words with the largest bound
     best = max(candidates, key=lambda w: recurrence_bound(engine, w))
     base = CloSet(engine, rho, {best})
-    translates = [base.shift_image(i) for i in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if not translates[i].is_disjoint(translates[j]):
-                return None
-    return base
+    return base if least_meet([(base, i) for i in range(5)]) is None else None
 
 
 def gw_transport(A, B):
@@ -286,97 +266,73 @@ def gw_transport(A, B):
     engine = A.engine
     if engine.minimal is not True:
         raise NotMinimal("transport needs a certified-minimal engine")
-    class_sets = {
-        "A": A.minus(B),
-        "B": B.minus(A),
-        "AB": A.intersect(B),
-        "none": A.union(B).complement(),
-    }
+    if B.engine is not engine:
+        raise EngineMismatch("CloSets live on different engines")
     last_error = None
     for depth in range(4):
         base = _transport_base(A, engine, depth)
         if base is None:
             continue
         try:
-            return _gw_attempt(engine, base, class_sets, A, B)
+            return _gw_attempt(engine, base, A, B)
         except SurplusViolated as err:
             last_error = err
     raise last_error if last_error is not None else NotOmniscient("no 5-disjoint base found")
 
 
-def _gw_attempt(engine, base, class_sets, A, B):
+# the transport class of a window, from (in A, in B)
+_GW_CLASS = {(True, False): "A", (False, True): "B", (True, True): "AB", (False, False): "none"}
+
+
+def _gw_attempt(engine, base, A, B):
+    # kr_towers has verified that the levels partition X at this radius
     towers = kr_towers(base, refine_by=(A, B))
-    names = list(class_sets)
-    plans = []
+    radius = max(piece.radius + height - 1 for piece, height in towers.pieces)
+    window_class = [_GW_CLASS[key] for key in zip(A.mask(radius), B.mask(radius))]
+    positions = range(len(window_class))
+    values = [0] * len(window_class)
+    report = []
     for t, (piece, height) in enumerate(towers.pieces):
-        classes = {name: [] for name in names}
-        for i in range(height):
-            level = piece.shift_image(i)
-            for name in names:
-                if level.is_subset(class_sets[name]):
-                    classes[name].append(i)
-                    break
-            else:
+        # each level as the positions of its windows in allowed_words(2 radius + 1)
+        levels = [list(compress(positions, piece.mask(radius, i))) for i in range(height)]
+        classes = {name: [] for name in _GW_CLASS.values()}
+        for i, level in enumerate(levels):
+            names = set(map(window_class.__getitem__, level))
+            if len(names) != 1:
                 raise AssertionError("tower level not refined into a class")
-        if len(classes["A"]) < len(classes["B"]):
+            classes[names.pop()].append(i)
+        a, b = classes["A"], classes["B"]
+        if len(a) < len(b):
             raise SurplusViolated(t)
+        # B-levels go to the first A-levels, A-levels to the other A-levels, then to B
         perm = list(range(height))
-        targets = sorted(classes["A"])[:len(classes["B"])]
-        rest_src = sorted(classes["A"])
-        rest_dst = sorted(set(classes["A"]) - set(targets)) + sorted(classes["B"])
-        for b, a in zip(sorted(classes["B"]), targets):
-            perm[b] = a
-        for s, d in zip(rest_src, rest_dst):
-            perm[s] = d
-        if _permutation_parity(perm) == 1:
+        for src, dst in zip(b + a, a + b):
+            perm[src] = dst
+        cycles = _cycles(perm)
+        if sum(len(c) - 1 for c in cycles) % 2:
             big = max(classes.values(), key=len)
             if len(big) < 2:
                 raise SurplusViolated(t)
-            u, v = sorted(big)[:2]
+            u, v = big[:2]
             # compose with the transposition (u v) on the right: swap sources
             perm[u], perm[v] = perm[v], perm[u]
-        plans.append((piece, height, classes, tuple(perm)))
-
-    radius = max(piece.radius + height - 1 for piece, height, _, _ in plans)
-    n = len(engine.allowed_words(2 * radius + 1))
-    values, hits = [0] * n, [0] * n
-    for piece, height, _, perm in plans:
-        for i in range(height):
-            for j in compress(range(n), piece.mask(radius, i)):
+            cycles = _cycles(perm)
+        for i, level in enumerate(levels):
+            for j in level:
                 values[j] = perm[i] - i
-                hits[j] += 1
-    if hits.count(1) != n:
-        raise AssertionError("towers fail to partition at the table radius")
-    alpha = make_element(engine, radius, tuple(values))
-
-    contained = element_image(B, alpha).is_subset(A)
-    index = index_mod(alpha)
-    report = []
-    for t, (piece, height, classes, perm) in enumerate(plans):
-        cycles = []
-        seen = set()
-        for i in range(height):
-            if i in seen or perm[i] == i:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = perm[i]
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = perm[j]
-            cycles.append("(" + " ".join(map(str, cyc)) + ")")
         report.append({
             "id": t,
             "height": height,
-            "classes": {k: v for k, v in classes.items()},
-            "permutation": "".join(cycles) or "()",
+            "classes": classes,
+            "permutation": "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()",
             "parity": "even",
         })
-    result = GWTransport(alpha, base, tuple(report), contained, index)
+    alpha = make_element(engine, radius, tuple(values))
+    contained = element_image(B, alpha).is_subset(A)
+    index = index_mod(alpha)
     if not contained or index != 0:
         raise AssertionError("transport postcondition failed")
-    return result
+    return GWTransport(alpha, base, tuple(report), contained, index)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +392,11 @@ def qeqz_check(U, V):
     """Exact check of [sigma_V, sigma_U^{-1}] = sigma_{phi U and phi^{-1} V};
     the six translates of U and V must be pairwise disjoint except possibly
     phi U with phi^{-1} V."""
-    engine = U.engine
-    labeled = [("phi^-1U", U.shift_image(-1)), ("U", U), ("phiU", U.shift_image(1)),
-               ("phi^-1V", V.shift_image(-1)), ("V", V), ("phiV", V.shift_image(1))]
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            ni, si = labeled[i]
-            nj, sj = labeled[j]
-            if {ni, nj} == {"phiU", "phi^-1V"}:
-                continue
-            if not si.is_disjoint(sj):
-                raise PreconditionViolated((ni, nj))
+    names = ("phi^-1U", "U", "phiU", "phi^-1V", "V", "phiV")
+    # pair (2, 3): phi U may meet phi^-1 V
+    meet = least_meet([(U, -1), (U, 0), (U, 1), (V, -1), (V, 0), (V, 1)], allowed={(2, 3)})
+    if meet is not None:
+        raise PreconditionViolated((names[meet[0]], names[meet[1]]))
     lhs = commutator(sigma_U(V), inverse(sigma_U(U)))
     rhs = sigma_U(U.shift_image(1).intersect(V.shift_image(-1)))
     return equal(lhs, rhs)
@@ -756,10 +706,8 @@ def rokhlin_base(f, n):
             shadow = shadow.union(img)
 
     translates = [base if i == 0 else element_image(base, powers[i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not translates[i].is_disjoint(translates[j]):
-                raise AssertionError("Rokhlin translates are not disjoint")
+    if least_meet([(t, 0) for t in translates]) is not None:
+        raise AssertionError("Rokhlin translates are not disjoint")
     acc = base
     fwd = bwd = base
     for _ in range(caps.orbit):

@@ -393,7 +393,7 @@ def canonical_form(f):
 
 
 def canonical_dump(f):
-    """Bit-exact canonical serialization (round-trips through the parser)."""
+    """Bit-exact canonical serialization (round-trips through parse_dump)."""
     form = canonical_form(f)
     fmt = f.engine.alphabet.format_word
     lines = [f"radius={form.radius} dbound={form.dbound}"]

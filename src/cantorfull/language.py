@@ -537,13 +537,14 @@ class SturmianEngine(LanguageEngine):
 
 class RecodedEngine(LanguageEngine):
     """Conjugate presentation over the alphabet of allowed L-blocks: letter i
-    is block i of ``source.allowed_words(L)``."""
+    is block i of ``source.allowed_words(L)``, named by the block as printed
+    with "_" in place of ".", since a multi-character token holds no "."."""
 
     kind = "recoded"
 
     def __init__(self, source, block_length):
         self.decode = source.allowed_words(block_length)
-        names = map(source.alphabet.format_word, self.decode)
+        names = (source.alphabet.format_word(w).replace(".", "_") for w in self.decode)
         super().__init__(Alphabet(names), minimal=source.minimal, aperiodic=source.aperiodic)
         self.caps = source.caps
         self.source = source

@@ -255,7 +255,8 @@ def parse_closet_text(text):
 
 
 # ---------------------------------------------------------------------------
-# printing (canonical forms round-trip through the parser)
+# printing expression trees back to text (canonical element dumps are read
+# back by elements.parse_dump, not by these parsers)
 
 
 def print_element(tree):

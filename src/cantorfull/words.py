@@ -27,19 +27,21 @@ class Alphabet:
     def __init__(self, letters):
         letters = tuple(letters)
         if not letters:
-            raise ValueError("alphabet must be nonempty")
+            raise SemanticError("alphabet must be nonempty")
         if len(letters) > MAX_LETTERS:
             raise SemanticError(f"alphabet has {len(letters)} letters; words hold at most "
                                 f"{MAX_LETTERS}")
         if len(set(letters)) != len(letters):
-            raise ValueError("alphabet letters must be distinct")
-        for letter in letters:
-            if not letter or any(c.isspace() for c in letter) or not letter.isprintable():
-                raise ValueError(f"bad letter token {letter!r}")
-        self.letters = letters
-        self._index = {a: i for i, a in enumerate(letters)}
+            raise SemanticError("alphabet letters must be distinct")
         # single-character alphabets print words without separators
         self.joined = all(len(a) == 1 for a in letters)
+        for letter in letters:
+            # "-" prints the empty word and "." separates multi-character tokens
+            if (not letter or any(c.isspace() for c in letter) or not letter.isprintable()
+                    or letter == "-" or ("." in letter and not self.joined)):
+                raise SemanticError(f"bad letter token {letter!r}")
+        self.letters = letters
+        self._index = {a: i for i, a in enumerate(letters)}
 
     def __len__(self):
         return len(self.letters)

@@ -34,6 +34,13 @@ kind: sft
 forbidden: bb
 """
 
+TM = """\
+alphabet: a b
+kind: substitution
+rule: a -> ab
+rule: b -> ba
+"""
+
 STURM = """\
 alphabet: a b
 kind: sturmian
@@ -285,6 +292,18 @@ def test_cli_alphabet_of_257_letters_is_a_semantic_error(capsys, tmp_path):
     assert err.startswith("error: ") and "256" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("letters, message", [
+    ("a a", "alphabet letters must be distinct"),
+    ("a.b c", "bad letter token 'a.b'"),
+    ("- a", "bad letter token '-'"),
+])
+def test_cli_ambiguous_alphabets_are_semantic_errors(capsys, tmp_path, letters, message):
+    path = tmp_path / "bad.subshift"
+    path.write_text(f"alphabet: {letters}\nkind: sft\n")
+    code, out, err = run(capsys, "--subshift", str(path), "lang", "words", "--length", "2")
+    assert (code, out, err) == (2, "", f"error: semantic-error: {message}\n")
+
+
 def test_cli_recur_on_two_fixed_points_is_not_minimal(capsys, tmp_path):
     path = tmp_path / "fixed.subshift"
     path.write_text("alphabet: a b\nkind: sft\nforbidden: ab ba\n")
@@ -301,18 +320,27 @@ def test_cli_determinism(capsys, fib_file):
     assert first == second and first[0] == 0
 
 
-@pytest.mark.parametrize("text", [FIB, GOLDEN], ids=["fibonacci", "golden_mean"])
-def test_cli_determinism_across_hash_seeds(tmp_path, text):
+SIGMA = 'sigma(cyl(-1,"aab"))'
+ELEMENT_CALLS = (["elem", "canon", "--expr", f"phi*{SIGMA}"],
+                 ["group", "ball", "--gen", "phi", "--gen", SIGMA, "--radius", "3"],
+                 ["lang", "words", "--length", "6"])
+
+
+@pytest.mark.parametrize("text, calls", [
+    (FIB, ELEMENT_CALLS + (["construct", "towers", "--closet", 'cyl(-1,"aab")'],
+                           ["construct", "gw", "--A", 'cyl(0,"a")', "--B", 'cyl(-1,"bab")'])),
+    (GOLDEN, ELEMENT_CALLS),
+    (TM, (["construct", "towers", "--closet", 'cyl(-1,"abb")'],
+          ["construct", "gw", "--A", 'cyl(0,"a")', "--B", 'cyl(-1,"bb")'])),
+], ids=["fibonacci", "golden_mean", "thue_morse"])
+def test_cli_determinism_across_hash_seeds(tmp_path, text, calls):
     """Set and dict-of-set iteration order follows the hash seed; the output
     must not, so each command runs in fresh interpreters under two seeds."""
     path = tmp_path / "engine.subshift"
     path.write_text(text)
     env = {k: v for k, v in os.environ.items() if k != "CANTORFULL_CAPS"}
     env["PYTHONPATH"] = str(pathlib.Path(cantorfull.__file__).parent.parent)
-    sigma = 'sigma(cyl(-1,"aab"))'
-    for argv in (["elem", "canon", "--expr", f"phi*{sigma}"],
-                 ["group", "ball", "--gen", "phi", "--gen", sigma, "--radius", "3"],
-                 ["lang", "words", "--length", "6"]):
+    for argv in calls:
         results = []
         for seed in ("0", "1"):
             done = subprocess.run([sys.executable, "-m", "cantorfull.cli", "--subshift",

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorfull.closets import CloSet
+from cantorfull.closets import CloSet, is_partition, least_meet
 from cantorfull.elements import compose, element_image, shift
 from cantorfull.errors import EngineMismatch
 from cantorfull.words import Word
@@ -202,3 +202,104 @@ def test_clopen_reads_against_slicing_oracles_on_fibonacci(fibonacci, data):
         lambda n: st.sampled_from(fibonacci.allowed_words(n))))
     closet = CloSet.cylinder(fibonacci, Word(word, data.draw(st.integers(-3, 3))))
     check_reads(data, fibonacci, closet, -2, 2)
+
+
+# -- families: the pairwise loops that least_meet and is_partition replaced ---
+
+
+def oracle_least_meet(family, allowed=()):
+    """Shift images intersected pair by pair; the witness is the least member
+    of the meet re-expressed at the family's radius."""
+    radius = max(s.radius + abs(c) for s, c in family)
+    sets = [s.shift_image(c) for s, c in family]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if (i, j) in allowed:
+                continue
+            meet = sets[i].intersect(sets[j])
+            if not meet.is_empty():
+                return i, j, min(meet.at_radius(radius).members)
+    return None
+
+
+def oracle_is_partition(family):
+    """Pairwise disjoint shift images whose union is the whole space."""
+    sets = [s.shift_image(c) for s, c in family]
+    if any(not a.is_disjoint(b) for i, a in enumerate(sets) for b in sets[i + 1:]):
+        return False
+    total = sets[0]
+    for piece in sets[1:]:
+        total = total.union(piece)
+    return total == CloSet.full(sets[0].engine)
+
+
+@st.composite
+def random_partitions(draw, engine):
+    """The words of one radius dealt into 1-4 pieces (some maybe empty), all
+    moved by one shift."""
+    radius = draw(st.integers(0, 2))
+    words = engine.allowed_words(2 * radius + 1)
+    count = draw(st.integers(1, 4))
+    deal = draw(st.lists(st.integers(0, count - 1), min_size=len(words), max_size=len(words)))
+    shift_by = draw(st.integers(-3, 3))
+    return [(CloSet(engine, radius, [w for w, k in zip(words, deal) if k == piece]), shift_by)
+            for piece in range(count)]
+
+
+def check_family(data, family):
+    pairs = [(i, j) for i in range(len(family)) for j in range(i + 1, len(family))]
+    allowed = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2))) if pairs else set()
+    assert least_meet(family) == oracle_least_meet(family)
+    assert least_meet(family, allowed) == oracle_least_meet(family, allowed)
+    assert is_partition(family) == oracle_is_partition(family)
+
+
+def check_partitions(data, engine):
+    family = data.draw(random_partitions(engine))
+    assert is_partition(family)
+    check_family(data, family)
+    # a dropped piece, a duplicated piece, a piece moved by another shift
+    k = data.draw(st.integers(0, len(family) - 1))
+    check_family(data, family[:k] + family[k + 1:] or family)
+    check_family(data, family + [family[k]])
+    moved = (family[k][0], data.draw(st.integers(-3, 3)))
+    check_family(data, family[:k] + [moved] + family[k + 1:])
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_family_query_against_pairwise_loops_on_sfts(data):
+    engine = data.draw(sft_engines())
+    family = [(data.draw(closets(engine)), data.draw(st.integers(-3, 3)))
+              for _ in range(data.draw(st.integers(1, 5)))]
+    check_family(data, family)
+    check_partitions(data, engine)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse"])
+@settings(deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_family_query_against_pairwise_loops_on_cylinders(request, name, data):
+    engine = request.getfixturevalue(name)
+    words = st.integers(1, 4).flatmap(lambda n: st.sampled_from(engine.allowed_words(n)))
+    family = [(CloSet.cylinder(engine, Word(data.draw(words), data.draw(st.integers(-3, 0)))),
+               data.draw(st.integers(-3, 3)))
+              for _ in range(data.draw(st.integers(2, 5)))]
+    check_family(data, family)
+    check_partitions(data, engine)
+
+
+def test_family_query_examples(fibonacci, golden_mean):
+    a = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
+    b = CloSet.cylinder(fibonacci, text_word(fibonacci, "b", 0))
+    # bb does not occur, so b misses phi^-1(b); bab does, so phi^-1(b) meets phi(b)
+    assert least_meet([(b, -1), (b, 0)]) is None
+    assert least_meet([(b, -1), (b, 0), (b, 1)]) == (0, 2, fibonacci.alphabet.parse_word("bab"))
+    # phi^-1(a) and a meet where x[-1] = x[0] = a: the window aab at radius 1
+    assert least_meet([(a, -1), (a, 0), (a, 1)]) == (0, 1, fibonacci.alphabet.parse_word("aab"))
+    assert least_meet([(a, 0), (a, 1)], allowed={(0, 1)}) is None
+    assert is_partition([(a, 0), (b, 0)]) and is_partition([(a, 2), (b, 2)])
+    assert not is_partition([(a, 0), (b, 1)])
+    assert not is_partition([(a, 0)]) and not is_partition([(a, 0), (b, 0), (b, 0)])
+    with pytest.raises(EngineMismatch):
+        least_meet([(a, 0), (CloSet.full(golden_mean), 0)])

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -12,7 +13,7 @@ from cantorfull.errors import (CapExceeded, FixedPointFound, NotGood,
                                WindowTooSmall)
 from cantorfull.language import sft_engine, SFTEngine
 from cantorfull.words import Alphabet, Word, factors
-from cantorfull.constructions import (HoughtonProfile, _permutation_parity,
+from cantorfull.constructions import (HoughtonProfile, TowerPartition,
                                       _swap_element, cylinder, first_return,
                                       gw_transport, houghton_engine_y,
                                       houghton_engine_y3, houghton_orbit_map,
@@ -127,6 +128,95 @@ def test_kr_towers_examples(fibonacci):
     fr = first_return(cylinder(fibonacci, -1, ("a", "a", "b")))
     assert sorted({h for _, h in over_aab.pieces}) == sorted(set(fr.table.values()) - {0})
     assert over_aab.verify()
+
+
+def oracle_tower_verify(pieces):
+    """Nonempty bases, levels disjoint pair by pair, union the whole space."""
+    levels = []
+    for base, height in pieces:
+        if base.is_empty():
+            return False
+        levels.extend(base.shift_image(i) for i in range(height))
+    for i in range(len(levels)):
+        for j in range(i + 1, len(levels)):
+            if not levels[i].is_disjoint(levels[j]):
+                return False
+    total = levels[0]
+    for piece in levels[1:]:
+        total = total.union(piece)
+    return total == CloSet.full(total.engine)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse"])
+def test_tower_verify_against_pairwise_oracle(request, name):
+    engine = request.getfixturevalue(name)
+    empty = CloSet.empty(engine)
+    for U in small_cylinders(engine):
+        pieces = kr_towers(U).pieces
+        (base, height), rest = pieces[0], pieces[1:]
+        broken = {
+            "dropped piece": rest or ((base, height - 1),),
+            "duplicated level": pieces + ((base, 1),),
+            "taller tower": ((base, height + 1),) + rest,
+            "empty base": pieces + ((empty, 1),),
+        }
+        assert TowerPartition(pieces).verify() and oracle_tower_verify(pieces)
+        for kind, bad in broken.items():
+            assert not TowerPartition(bad).verify(), kind
+            assert not oracle_tower_verify(bad), kind
+
+
+def oracle_good_witness(closet):
+    """(pair names, least window of the meet) of the first meeting pair."""
+    translates = {-1: closet.shift_image(-1), 0: closet, 1: closet.shift_image(1)}
+    for i, j in ((-1, 0), (-1, 1), (0, 1)):
+        meet = translates[i].intersect(translates[j])
+        if not meet.is_empty():
+            return (f"phi^{i}U", f"phi^{j}U"), closet.engine.alphabet.format_word(min(meet.members))
+    return None
+
+
+def oracle_qeqz_violation(U, V):
+    labeled = [("phi^-1U", U.shift_image(-1)), ("U", U), ("phiU", U.shift_image(1)),
+               ("phi^-1V", V.shift_image(-1)), ("V", V), ("phiV", V.shift_image(1))]
+    for i in range(len(labeled)):
+        for j in range(i + 1, len(labeled)):
+            (ni, si), (nj, sj) = labeled[i], labeled[j]
+            if {ni, nj} != {"phiU", "phi^-1V"} and not si.is_disjoint(sj):
+                return ni, nj
+    return None
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "thue_morse", "golden_mean"])
+def test_good_decision_against_pairwise_oracle(request, name):
+    engine = request.getfixturevalue(name)
+    for U in small_cylinders(engine) + [word_cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
+        witness = oracle_good_witness(U)
+        assert is_good(U) == (witness is None)
+        if witness is not None:
+            with pytest.raises(NotGood) as err:
+                sigma_U(U)
+            assert (err.value.pair, err.value.word) == witness
+
+
+def test_qeqz_decision_against_pairwise_oracle(matui_set):
+    """Cylinders of 3-words at -1 on the proper engine: phi U meets phi^-1 V
+    for some pairs (allowed), other translates for others (refused)."""
+    engine = matui_set.engine
+    sets = [word_cylinder(engine, -1, w) for w in engine.allowed_words(3)]
+    outcomes = set()
+    for U, V in itertools.product(sets, repeat=2):
+        violation = oracle_qeqz_violation(U, V)
+        if violation is None:
+            meets = not U.shift_image(1).is_disjoint(V.shift_image(-1))
+            outcomes.add("allowed meet" if meets else "disjoint")
+            assert qeqz_check(U, V)
+        else:
+            outcomes.add("violated")
+            with pytest.raises(PreconditionViolated) as err:
+                qeqz_check(U, V)
+            assert err.value.pair == violation
+    assert outcomes == {"allowed meet", "disjoint", "violated"}
 
 
 def test_tower_reports(fibonacci):
@@ -450,11 +540,47 @@ def oracle_kr_pieces(closet, refine_by=()):
                 key=lambda kv: (kv[0][0], kv[0][1], min(kv[1])))]
 
 
-def oracle_gw_alpha(engine, base, A, B):
-    """The transport element over `base`, its table read window by window."""
+def oracle_permutation_parity(perm):
+    """1 when the permutation has an odd number of even-length cycles."""
+    seen = [False] * len(perm)
+    odd = False
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            odd = not odd
+    return 1 if odd else 0
+
+
+def oracle_cycle_string(perm):
+    cycles = []
+    seen = set()
+    for i in range(len(perm)):
+        if i in seen or perm[i] == i:
+            continue
+        cyc = [i]
+        seen.add(i)
+        j = perm[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = perm[j]
+        cycles.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(cycles) or "()"
+
+
+def oracle_gw_transport(engine, base, A, B):
+    """The transport element over `base`, its table read window by window,
+    and the tower reports: each level classified by pairwise is_subset."""
     class_sets = {"A": A.minus(B), "B": B.minus(A), "AB": A.intersect(B),
                   "none": A.union(B).complement()}
-    plans = []
+    plans, report = [], []
     for t, (radius, members, height) in enumerate(oracle_kr_pieces(base, (A, B))):
         piece = CloSet(engine, radius, members)
         classes = {name: [] for name in class_sets}
@@ -471,10 +597,12 @@ def oracle_gw_alpha(engine, base, A, B):
             perm[b] = a
         for s, d in zip(sorted(classes["A"]), rest_dst):
             perm[s] = d
-        if _permutation_parity(perm) == 1:
+        if oracle_permutation_parity(perm) == 1:
             u, v = sorted(max(classes.values(), key=len))[:2]
             perm[u], perm[v] = perm[v], perm[u]
         plans.append((piece, height, perm))
+        report.append({"id": t, "height": height, "classes": classes,
+                       "permutation": oracle_cycle_string(perm), "parity": "even"})
     radius = max(piece.radius + height - 1 for piece, height, _ in plans)
     table = {}
     for w in engine.allowed_words(2 * radius + 1):
@@ -486,7 +614,7 @@ def oracle_gw_alpha(engine, base, A, B):
                     hits.append(perm[i] - i)
         assert len(hits) == 1
         table[w] = hits[0]
-    return make_element(engine, radius, table)
+    return make_element(engine, radius, table), report
 
 
 def small_cylinders(engine):
@@ -533,7 +661,8 @@ def test_returns_and_towers_refuse_non_minimal_engines(golden_mean):
     ("fibonacci", [(((0, "a"),), ((0, "b"),)), (((0, "a"),), ((-1, "bab"),)),
                    (((0, "a"),), ((-1, "aba"),)), (((0, "a"),), ())]),
     ("thue_morse", [(((0, "a"),), ((-1, "bab"),)), (((0, "ab"),), ((-1, "bba"),)),
-                    (((0, "a"),), ())]),
+                    (((0, "a"),), ()), (((0, "a"),), ((-1, "bb"),)),
+                    (((0, "b"),), ((-1, "aa"),))]),
 ])
 def test_gw_transport_against_slicing_oracle(request, name, pairs):
     engine = request.getfixturevalue(name)
@@ -547,8 +676,11 @@ def test_gw_transport_against_slicing_oracle(request, name, pairs):
     for a_cells, b_cells in pairs:
         A, B = closet(a_cells), closet(b_cells)
         result = gw_transport(A, B)
-        oracle = oracle_gw_alpha(engine, result.base, A, B)
-        assert canonical_dump(result.alpha) == canonical_dump(oracle)
+        alpha, towers = oracle_gw_transport(engine, result.base, A, B)
+        assert canonical_dump(result.alpha) == canonical_dump(alpha)
+        assert list(result.towers) == towers
+        assert result.to_json() == json.dumps({"contained": True, "mod": 0, "towers": towers},
+                                              indent=2, sort_keys=True) + "\n"
 
 
 def test_symmetric_embedding_against_slicing_oracle(fibonacci):

@@ -306,6 +306,20 @@ def test_proper_recode_decode_roundtrip(fibonacci):
     assert span == source.segment(-4, 4 + L - 1)
 
 
+def test_proper_recode_over_a_separated_alphabet():
+    """Fibonacci over the tokens x1, y2: the recoded letters are named by
+    their blocks with "_" for ".", and the recoded words print and parse back."""
+    source = substitution_engine({"x1": ["x1", "y2"], "y2": ["x1"]})
+    recoded, mapping = proper_recode(source, 2)
+    names = [source.alphabet.format_word(block).replace(".", "_")
+             for block in mapping.letter_decode]
+    assert list(recoded.alphabet.letters) == names
+    assert "x1_y2_x1_x1" in names and not recoded.alphabet.joined
+    for w in recoded.allowed_words(3):
+        assert recoded.alphabet.parse_word(recoded.alphabet.format_word(w)) == w
+        assert source.is_allowed(recoded.decode_word(w))
+
+
 def test_proper_recode_needs_aperiodicity(y_engine):
     with pytest.raises(NotAperiodic):
         proper_recode(y_engine, 1)

@@ -98,3 +98,15 @@ def test_alphabet_limit_is_256_letters():
     assert len(Alphabet(letters[:256])) == 256
     with pytest.raises(SemanticError, match="256"):
         sft_engine(letters, [])
+
+
+@pytest.mark.parametrize("letters", [[], ["a", "a"], ["-", "a"], ["a.b", "c"], ["a", "b."],
+                                     ["a b", "c"], [""]])
+def test_bad_alphabets_are_semantic_errors(letters):
+    with pytest.raises(SemanticError):
+        Alphabet(letters)
+
+
+def test_dot_is_a_letter_only_in_joined_alphabets():
+    alphabet = Alphabet([".", "a"])
+    assert alphabet.joined and alphabet.format_word(alphabet.parse_word("a.")) == "a."
