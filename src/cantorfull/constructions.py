@@ -186,6 +186,8 @@ def kr_towers(closet, refine_by=(), cap=None):
     """Kakutani-Rokhlin partition over `closet`, bases refined by return time
     (and, optionally, so every level lies inside or outside each given set)."""
     engine = closet.engine
+    if any(s.engine is not engine for s in refine_by):
+        raise EngineMismatch("CloSets live on different engines")
     if engine.minimal is not True:
         raise NotOmniscient("towers need a certified-minimal engine")
     if closet.is_empty():
@@ -524,12 +526,7 @@ def van_douwen_involutions(q):
         raise SemanticError(f"need between 3 and {len(VAN_DOUWEN_LETTERS)} letters, got {q}")
     letters = VAN_DOUWEN_LETTERS[:q]
     engine = sft_engine(letters, [c + c for c in letters])
-    sigmas = []
-    for a in range(q):
-        values = tuple(1 if w[1] == a else -1 if w[2] == a else 0
-                       for w in engine.allowed_words(3))
-        sigmas.append(make_element(engine, 1, values))
-    return engine, sigmas
+    return engine, [_swap_element(cylinder(engine, 0, letter)) for letter in letters]
 
 
 def van_douwen_witness(engine, indices):

@@ -263,7 +263,6 @@ class SFTEngine(LanguageEngine):
         # so greedy walks are deterministic
         self._succ = {v: sorted((u[-1:], u) for u in succ[v] if u in live) for v in live}
         self._pred = {v: sorted((u[:1], u) for u in pred[v] if u in live) for v in live}
-        self._short = {}          # length < k-1 -> allowed words
         self.aperiodic = False    # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
@@ -290,11 +289,7 @@ class SFTEngine(LanguageEngine):
         if length == k - 1:
             return self.essential
         if length < k - 1:
-            if length not in self._short:
-                self._short[length] = {v[i:i + length]
-                                       for v in self.essential
-                                       for i in range(k - 1 - length + 1)}
-            return self._short[length]
+            return {v[i:i + length] for v in self.essential for i in range(k - length)}
         shorter = self.allowed_words(length - 1)
         if len(shorter) * len(self.alphabet) > self.caps.word_store:
             raise MemoryCapExceeded(f"{len(shorter) * len(self.alphabet)} candidate words at length "
@@ -308,7 +303,7 @@ class SFTEngine(LanguageEngine):
             return True
         k = self.k
         if len(word) < k - 1:
-            return word in self._enumerate(len(word))
+            return word in self.word_set(len(word))
         if len(word) == k - 1:
             return word in self.essential
         if any(word[i:i + k] not in self.allowed_k for i in range(len(word) - k + 1)):
@@ -538,13 +533,19 @@ class SturmianEngine(LanguageEngine):
 class RecodedEngine(LanguageEngine):
     """Conjugate presentation over the alphabet of allowed L-blocks: letter i
     is block i of ``source.allowed_words(L)``, named by the block as printed
-    with "_" in place of ".", since a multi-character token holds no "."."""
+    with "_" in place of ".", since a multi-character token holds no ".".
+    When a source token holds "_", every token first has "~" written "~~" and
+    "_" written "~_", so a bare "_" stands only for "." and names stay distinct."""
 
     kind = "recoded"
 
     def __init__(self, source, block_length):
         self.decode = source.allowed_words(block_length)
-        names = (source.alphabet.format_word(w).replace(".", "_") for w in self.decode)
+        tokens = source.alphabet.letters
+        if any("_" in a for a in tokens):
+            tokens = [a.replace("~", "~~").replace("_", "~_") for a in tokens]
+        sep = "" if source.alphabet.joined else "."
+        names = (sep.join(map(tokens.__getitem__, w)).replace(".", "_") for w in self.decode)
         super().__init__(Alphabet(names), minimal=source.minimal, aperiodic=source.aperiodic)
         self.caps = source.caps
         self.source = source
@@ -611,7 +612,8 @@ def sturmian_engine(quotients, depth_cap, letters=("a", "b")):
 
 
 def build_engine(description):
-    """Build an engine from a parsed description dict (see the file format)."""
+    """Build an engine from a parsed description dict (see the file format); a
+    Sturmian engine's depth cap defaults to the length of its expansion."""
     kind = description.get("kind")
     letters = description.get("alphabet")
     if not letters:
@@ -624,8 +626,8 @@ def build_engine(description):
             raise SemanticError("substitution needs one rule per letter")
         return substitution_engine(rules, order=letters)
     if kind == "sturmian":
-        return sturmian_engine(description.get("cf", ()), description.get("depth", 1),
-                               letters=letters)
+        cf = description.get("cf", ())
+        return sturmian_engine(cf, description.get("depth", len(cf)), letters=letters)
     raise SemanticError(f"unknown engine kind {kind!r}")
 
 

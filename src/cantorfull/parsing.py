@@ -16,6 +16,15 @@ Clopen-set grammar ('|' binds loosest, then '&', then '!'):
              | 'phi' '^' INT '(' clo ')' | 'img' '(' expr ',' clo ')'
              | '(' clo ')'
 
+The parser is the one place that knows the grammar: each production compiles
+to a function of a `Session`.  The whole text is parsed before anything is
+evaluated, so a syntax error is always a ParseError, whatever the
+expression would do on the session's engine.  The compiled function
+evaluates left to right, in text order, except that ``img(e, c)`` evaluates
+the set c before the element e; that order fixes the order of the session's
+warnings and which error is raised first.  `let` bindings are stored in the
+session, so later programs on it see them.
+
 Errors carry line/column and the expected-token set.
 """
 
@@ -93,6 +102,12 @@ def tokenize(text):
     return tokens
 
 
+def _apply(op, *operands):
+    """The function of the session that evaluates the operands left to right
+    and applies `op` to their values."""
+    return lambda s: op(*[f(s) for f in operands])
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
@@ -107,219 +122,140 @@ class _Parser:
         return tok
 
     def expect(self, *kinds):
-        tok = self.peek()
-        if tok.kind not in kinds:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                             tok.line, tok.col, expected=kinds)
+        if self.peek().kind not in kinds:
+            raise self.unexpected(self.peek(), kinds)
         return self.next()
+
+    def number(self):
+        return int(self.expect("int").text)
+
+    def parens(self, production):
+        self.expect("lparen")
+        inner = production()
+        self.expect("rparen")
+        return inner
+
+    def pair(self, first, second):
+        self.expect("lparen")
+        a = first()
+        self.expect("comma")
+        b = second()
+        self.expect("rparen")
+        return a, b
+
+    def chain(self, operand, kind, op):
+        """operand (kind operand)*, applying `op` from the left."""
+        f = operand()
+        while self.peek().kind == kind:
+            self.next()
+            f = _apply(op, f, operand())
+        return f
+
+    def unexpected(self, tok, expected):
+        return ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col,
+                          expected=expected)
 
     # -- element expressions ---------------------------------------------
 
     def program(self):
-        bindings = []
+        lets = []
         while self.peek().kind == "let":
             self.next()
             name = self.expect("name").text
             self.expect("equals")
-            bindings.append((name, self.expr()))
+            lets.append((name, self.expr()))
             self.expect("semi")
-        tree = self.expr()
+        body = self.expr()
         self.expect("eof")
-        return bindings, tree
+
+        def run(s):
+            for name, f in lets:
+                s.bindings[name] = f(s)
+            return body(s)
+        return run
 
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "star":
-            self.next()
-            node = ("compose", node, self.term())
-        return node
+        return self.chain(self.term, "star", compose)
 
     def term(self):
-        tok = self.peek()
-        if tok.kind == "id":
-            self.next()
-            return ("id",)
-        if tok.kind == "phi":
-            self.next()
+        tok = self.next()
+        kind = tok.kind
+        if kind == "id":
+            return lambda s: identity(s.engine)
+        if kind == "phi":
             k = 1
             if self.peek().kind == "caret":
                 self.next()
-                k = int(self.expect("int").text)
-            return ("phi", k)
-        if tok.kind == "sigma":
-            self.next()
-            self.expect("lparen")
-            clo = self.clo()
-            self.expect("rparen")
-            return ("sigma", clo)
-        if tok.kind == "ret":
-            self.next()
-            self.expect("lparen")
-            clo = self.clo()
-            self.expect("rparen")
-            return ("ret", clo)
-        if tok.kind == "inv":
-            self.next()
-            self.expect("lparen")
-            inner = self.expr()
-            self.expect("rparen")
-            return ("inv", inner)
-        if tok.kind == "comm":
-            self.next()
-            self.expect("lparen")
-            a = self.expr()
-            self.expect("comma")
-            b = self.expr()
-            self.expect("rparen")
-            return ("comm", a, b)
-        if tok.kind == "name":
-            self.next()
-            return ("binding", tok.text)
-        if tok.kind == "lparen":
-            self.next()
+                k = self.number()
+            return lambda s: shift(s.engine, k)
+        if kind == "sigma":
+            return _apply(sigma_U, self.parens(self.clo))
+        if kind == "ret":
+            return _apply(first_return, self.parens(self.clo))
+        if kind == "inv":
+            return _apply(inverse, self.parens(self.expr))
+        if kind == "comm":
+            return _apply(commutator, *self.pair(self.expr, self.expr))
+        if kind == "name":
+            return lambda s: s._lookup(tok.text)
+        if kind == "lparen":
             inner = self.expr()
             self.expect("rparen")
             return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col,
-                         expected=("id", "phi", "sigma", "ret", "inv", "comm", "name", "("))
+        raise self.unexpected(tok, ("id", "phi", "sigma", "ret", "inv", "comm", "name", "("))
 
     # -- clopen expressions ------------------------------------------------
 
     def clo(self):
-        node = self.clo_conj()
-        while self.peek().kind == "pipe":
-            self.next()
-            node = ("or", node, self.clo_conj())
-        return node
+        return self.chain(self.clo_conj, "pipe", CloSet.union)
 
     def clo_conj(self):
-        node = self.clo_atom()
-        while self.peek().kind == "amp":
-            self.next()
-            node = ("and", node, self.clo_atom())
-        return node
+        return self.chain(self.clo_atom, "amp", CloSet.intersect)
 
     def clo_atom(self):
-        tok = self.peek()
-        if tok.kind == "bang":
-            self.next()
-            return ("not", self.clo_atom())
-        if tok.kind == "all":
-            self.next()
-            return ("all",)
-        if tok.kind == "empty":
-            self.next()
-            return ("empty",)
-        if tok.kind == "name" and tok.text == "cyl":
-            self.next()
-            self.expect("lparen")
-            anchor = int(self.expect("int").text)
-            self.expect("comma")
-            word = self.expect("string").text
-            self.expect("rparen")
-            return ("cyl", anchor, word)
-        if tok.kind == "phi":
-            self.next()
+        tok = self.next()
+        kind = tok.kind
+        if kind == "bang":
+            return _apply(CloSet.complement, self.clo_atom())
+        if kind == "all":
+            return lambda s: CloSet.full(s.engine)
+        if kind == "empty":
+            return lambda s: CloSet.empty(s.engine)
+        if kind == "name" and tok.text == "cyl":
+            anchor, text = self.pair(self.number, lambda: self.expect("string").text)
+            return lambda s: s._cylinder(anchor, text)
+        if kind == "phi":
             self.expect("caret")
-            k = int(self.expect("int").text)
-            self.expect("lparen")
-            inner = self.clo()
-            self.expect("rparen")
-            return ("shift", k, inner)
-        if tok.kind == "img":
-            self.next()
-            self.expect("lparen")
-            elem = self.expr()
-            self.expect("comma")
-            inner = self.clo()
-            self.expect("rparen")
-            return ("img", elem, inner)
-        if tok.kind == "lparen":
-            self.next()
+            k = self.number()
+            inner = self.parens(self.clo)
+            return lambda s: inner(s).shift_image(k)
+        if kind == "img":
+            elem, inner = self.pair(self.expr, self.clo)
+            # the set is evaluated before the element
+            return lambda s: element_image(inner(s), elem(s))
+        if kind == "lparen":
             inner = self.clo()
             self.expect("rparen")
             return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col,
-                         expected=("cyl", "all", "empty", "!", "phi", "img", "("))
+        raise self.unexpected(tok, ("cyl", "all", "empty", "!", "phi", "img", "("))
 
 
 def parse_element_text(text):
+    """The program in `text`, compiled to a function of a Session."""
     return _Parser(text).program()
 
 
 def parse_closet_text(text):
+    """The clopen-set expression in `text`, compiled to a function of a Session."""
     parser = _Parser(text)
-    tree = parser.clo()
+    f = parser.clo()
     parser.expect("eof")
-    return tree
-
-
-# ---------------------------------------------------------------------------
-# printing expression trees back to text (canonical element dumps are read
-# back by elements.parse_dump, not by these parsers)
-
-
-def print_element(tree):
-    kind = tree[0]
-    if kind == "id":
-        return "id"
-    if kind == "phi":
-        return "phi" if tree[1] == 1 else f"phi^{tree[1]}"
-    if kind == "sigma":
-        return f"sigma({print_closet(tree[1])})"
-    if kind == "ret":
-        return f"ret({print_closet(tree[1])})"
-    if kind == "inv":
-        return f"inv({print_element(tree[1])})"
-    if kind == "comm":
-        return f"comm({print_element(tree[1])},{print_element(tree[2])})"
-    if kind == "binding":
-        return tree[1]
-    if kind == "compose":
-        left = print_element(tree[1])
-        right = print_element(tree[2])
-        if tree[2][0] == "compose":
-            right = f"({right})"
-        return f"{left}*{right}"
-    raise ValueError(f"unknown node {kind}")
-
-
-def print_closet(tree):
-    kind = tree[0]
-    if kind == "all":
-        return "all"
-    if kind == "empty":
-        return "empty"
-    if kind == "cyl":
-        return f'cyl({tree[1]},"{tree[2]}")'
-    if kind == "shift":
-        return f"phi^{tree[1]}({print_closet(tree[2])})"
-    if kind == "img":
-        return f"img({print_element(tree[1])},{print_closet(tree[2])})"
-    if kind == "not":
-        inner = print_closet(tree[1])
-        if tree[1][0] in ("and", "or"):
-            inner = f"({inner})"
-        return f"!{inner}"
-    if kind == "and":
-        parts = []
-        for side in tree[1:]:
-            text = print_closet(side)
-            if side[0] == "or":
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
-    if kind == "or":
-        return " | ".join(print_closet(side) for side in tree[1:])
-    raise ValueError(f"unknown node {kind}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation against a session engine
+    return f
 
 
 class Session:
-    """Evaluates parsed expressions over one engine; collects warnings."""
+    """Evaluates expression texts over one engine; collects warnings and keeps
+    `let` bindings from one program to the next."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -327,60 +263,22 @@ class Session:
         self.bindings = {}
 
     def eval_program(self, text):
-        bindings, tree = parse_element_text(text)
-        for name, sub in bindings:
-            self.bindings[name] = self.eval_element(sub)
-        return self.eval_element(tree)
+        return parse_element_text(text)(self)
 
     def eval_closet_text(self, text):
-        return self.eval_closet(parse_closet_text(text))
+        return parse_closet_text(text)(self)
 
-    def eval_element(self, tree):
-        kind = tree[0]
-        if kind == "id":
-            return identity(self.engine)
-        if kind == "phi":
-            return shift(self.engine, tree[1])
-        if kind == "sigma":
-            return sigma_U(self.eval_closet(tree[1]))
-        if kind == "ret":
-            return first_return(self.eval_closet(tree[1]))
-        if kind == "inv":
-            return inverse(self.eval_element(tree[1]))
-        if kind == "comm":
-            return commutator(self.eval_element(tree[1]), self.eval_element(tree[2]))
-        if kind == "compose":
-            return compose(self.eval_element(tree[1]), self.eval_element(tree[2]))
-        if kind == "binding":
-            if tree[1] not in self.bindings:
-                raise SemanticError(f"unbound name {tree[1]!r}")
-            return self.bindings[tree[1]]
-        raise SemanticError(f"unknown element node {kind}")
+    def _lookup(self, name):
+        if name not in self.bindings:
+            raise SemanticError(f"unbound name {name!r}")
+        return self.bindings[name]
 
-    def eval_closet(self, tree):
-        kind = tree[0]
-        if kind == "all":
-            return CloSet.full(self.engine)
-        if kind == "empty":
-            return CloSet.empty(self.engine)
-        if kind == "cyl":
-            letters = self.engine.alphabet.parse_word(tree[2])
-            out = CloSet.cylinder(self.engine, Word(letters, tree[1]))
-            if out.is_empty() and letters:
-                self.warnings.append(
-                    f'cyl({tree[1]},"{tree[2]}") is empty: word not allowed')
-            return out
-        if kind == "shift":
-            return self.eval_closet(tree[2]).shift_image(tree[1])
-        if kind == "img":
-            return element_image(self.eval_closet(tree[2]), self.eval_element(tree[1]))
-        if kind == "not":
-            return self.eval_closet(tree[1]).complement()
-        if kind == "and":
-            return self.eval_closet(tree[1]).intersect(self.eval_closet(tree[2]))
-        if kind == "or":
-            return self.eval_closet(tree[1]).union(self.eval_closet(tree[2]))
-        raise SemanticError(f"unknown clopen node {kind}")
+    def _cylinder(self, anchor, text):
+        letters = self.engine.alphabet.parse_word(text)
+        out = CloSet.cylinder(self.engine, Word(letters, anchor))
+        if out.is_empty() and letters:
+            self.warnings.append(f'cyl({anchor},"{text}") is empty: word not allowed')
+        return out
 
 
 # ---------------------------------------------------------------------------

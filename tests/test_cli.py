@@ -11,8 +11,7 @@ from cantorfull.cli import main
 from cantorfull.elements import equal, parse_dump, shift
 from cantorfull.errors import ParseError, SemanticError
 from cantorfull.language import substitution_engine
-from cantorfull.parsing import (Session, parse_closet_text, parse_element_text,
-                                parse_subshift, print_closet, print_element)
+from cantorfull.parsing import Session, parse_element_text, parse_subshift
 
 
 FIB = """\
@@ -71,27 +70,6 @@ def test_parse_subshift_formats():
         parse_subshift("alphabet a b\n")
     with pytest.raises(ParseError):
         parse_subshift("alphabet: a b\n")  # missing kind
-
-
-def test_expression_roundtrip():
-    texts = ['phi^-3', 'id', 'phi*phi^2', 'inv(sigma(cyl(-1,"aab")))',
-             'comm(phi,sigma(cyl(0,"a")))*id',
-             'sigma(cyl(1,"ab") & !cyl(0,"b") | phi^2(all))']
-    for text in texts:
-        _, tree = parse_element_text(text)
-        printed = print_element(tree)
-        _, again = parse_element_text(printed)
-        assert again == tree
-        assert print_element(again) == printed
-
-
-def test_closet_roundtrip():
-    texts = ['all', 'empty', '!cyl(0,"a")', 'cyl(0,"a") & cyl(1,"b") | empty',
-             'img(phi,cyl(0,"a"))', 'phi^-2(cyl(3,"ab"))']
-    for text in texts:
-        tree = parse_closet_text(text)
-        printed = print_closet(tree)
-        assert parse_closet_text(printed) == tree
 
 
 def test_parse_errors_carry_position():
@@ -355,3 +333,23 @@ def test_cli_sturmian_session(capsys, tmp_path):
     path.write_text(STURM)
     code, out, _ = run(capsys, "--subshift", str(path), "lang", "words", "--length", "2")
     assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_cli_sturmian_depth_defaults_to_the_expansion(capsys, tmp_path):
+    with_depth = tmp_path / "sturm.subshift"
+    with_depth.write_text(STURM)
+    without = tmp_path / "nodepth.subshift"
+    without.write_text(STURM.replace("depth: 12\n", ""))
+    outputs = [run(capsys, "--subshift", str(path), "lang", "words", "--length", "3")
+               for path in (with_depth, without)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(outputs[0][1].splitlines()) == 4
+
+
+def test_cli_syntax_errors_come_before_evaluation(capsys, fib_file):
+    """sigma(cyl(0,"a")) is not good on Fibonacci, but the trailing * is a
+    syntax error, and syntax comes first."""
+    code, _, err = run(capsys, "--subshift", fib_file, "elem", "eval", "--expr", 'sigma(cyl(0,"a"))')
+    assert code == 2 and "not-good" in err
+    code, _, err = run(capsys, "--subshift", fib_file, "elem", "eval", "--expr", 'sigma(cyl(0,"a"))*')
+    assert code == 1 and "syntax-error" in err

@@ -7,7 +7,7 @@ from cantorfull.closets import CloSet
 from cantorfull.elements import (canonical_dump, compose, equal, identity,
                                  inverse, is_identity, make_element, order,
                                  power, shift, support, element_image)
-from cantorfull.errors import (CapExceeded, FixedPointFound, NotGood,
+from cantorfull.errors import (CapExceeded, EngineMismatch, FixedPointFound, NotGood,
                                NotOmniscient, OdometerLike, OverlapError,
                                PreconditionViolated, SurplusViolated,
                                WindowTooSmall)
@@ -389,6 +389,23 @@ def test_van_douwen_involutions():
         assert van_douwen_certify(engine, sigmas, word[:n]) == (True, True)
 
 
+def oracle_van_douwen_involutions(q):
+    """The involutions built from hand offsets: on the radius-1 window w,
+    sigma_a moves by +1 where w[1] = a and by -1 where w[2] = a."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:q]
+    engine = sft_engine(letters, [c + c for c in letters])
+    return [make_element(engine, 1, tuple(1 if w[1] == a else -1 if w[2] == a else 0
+                                          for w in engine.allowed_words(3)))
+            for a in range(q)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_van_douwen_involutions_against_hand_offsets(q):
+    _, sigmas = van_douwen_involutions(q)
+    assert [canonical_dump(s) for s in sigmas] == \
+        [canonical_dump(s) for s in oracle_van_douwen_involutions(q)]
+
+
 def test_van_douwen_walk_matches_paper():
     engine, sigmas = van_douwen_involutions(3)
     word, expected = van_douwen_witness(engine, (0, 1, 2))
@@ -647,6 +664,14 @@ def test_returns_and_towers_against_slicing_oracles(request, name):
             pieces = [(base.radius, base.members, height)
                       for base, height in kr_towers(U, refine_by=refine_by).pieces]
             assert pieces == oracle_kr_pieces(U, refine_by)
+
+
+def test_towers_refuse_refiners_on_another_engine(fibonacci, thue_morse):
+    with pytest.raises(EngineMismatch):
+        kr_towers(cylinder(fibonacci, 0, "b"), refine_by=(cylinder(thue_morse, 0, "a"),))
+    with pytest.raises(EngineMismatch):
+        kr_towers(cylinder(fibonacci, 0, "b"),
+                  refine_by=(cylinder(fibonacci, 0, "a"), cylinder(thue_morse, 0, "a")))
 
 
 def test_returns_and_towers_refuse_non_minimal_engines(golden_mean):

@@ -320,6 +320,22 @@ def test_proper_recode_over_a_separated_alphabet():
         assert source.is_allowed(recoded.decode_word(w))
 
 
+@pytest.mark.parametrize("letters", [["a", "a_", "b", "_b"], [".", "_"], ["x~", "y_", "~"]])
+def test_recoded_names_are_distinct_when_tokens_hold_underscores(letters):
+    """a+_b and a_+b used to share the name a__b, and the joined . and _
+    made ._ and _. both __."""
+    recoded = RecodedEngine(sft_engine(letters, []), 2)
+    assert len(recoded.alphabet) == len(letters) ** 2
+    for w in recoded.allowed_words(3):
+        assert recoded.alphabet.parse_word(recoded.alphabet.format_word(w)) == w
+
+
+def test_recoded_names_without_underscores_print_the_block():
+    source = sft_engine(["x~", "y"], [])
+    recoded = RecodedEngine(source, 2)
+    assert recoded.alphabet.letters == ("x~_x~", "x~_y", "y_x~", "y_y")
+
+
 def test_proper_recode_needs_aperiodicity(y_engine):
     with pytest.raises(NotAperiodic):
         proper_recode(y_engine, 1)
