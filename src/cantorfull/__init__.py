@@ -15,10 +15,10 @@ from .language import (LanguageEngine, SFTEngine, SubstitutionEngine,
                        sturmian_engine, recurrence_bound, max_gap,
                        proper_recode, sft_approximation, is_irreducible)
 from .closets import CloSet
-from .elements import (Element, CanonicalForm, make_element,
+from .elements import (Element, make_element,
                        make_semigroup_element, identity, shift, compose,
                        inverse, power, commutator, is_identity, equal, order,
-                       support, element_image, ball_sizes, canonical_form,
+                       support, element_image, ball_sizes,
                        canonical_dump, parse_dump)
 from .constructions import (is_good, sigma_U, cylinder, symmetric_embed,
                             SymmetricEmbedding, first_return, TowerPartition,

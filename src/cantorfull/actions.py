@@ -4,6 +4,9 @@ finite-quotient (LEF) certificates.
 The canonical basepoint is always the engine's point_window point, and
 j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
 window is known only to ``Element.orbit_map``; every reader here calls it.
+Since |j(n) - n| <= D, every crossing of the origin (n and j(n) on opposite
+sides of 0) lies in [-D, D); ``_crossings`` reads that range once, and the
+index and the half-orbit stabilizer test are both read off it.
 """
 
 import json
@@ -48,49 +51,33 @@ def orbit_permutation(psi, window, base_shift=0):
     return WindowedPermutation(window, table, d)
 
 
+def _crossings(psi, point, shift=0):
+    """The pairs (n, j(n)) with n and j(n) on opposite sides of 0, in order
+    of n, basepoint phi^shift x for x read off `point`."""
+    image = psi.orbit_map(point, psi.dbound, shift)
+    return [(n, m) for n, m in image.items() if (n < 0) != (m < 0)]
+
+
 def index_mod(psi, shifts=5):
     """Net transfer of the orbit across the origin; the abelianization onto Z.
 
-    mod(psi) = #{n < 0 : j(n) >= 0} - #{n >= 0 : j(n) < 0}, computed on a
-    displacement-sized window and cross-checked at `shifts` shifted basepoints.
+    mod(psi) = #{n < 0 : j(n) >= 0} - #{n >= 0 : j(n) < 0}, the signed count
+    of crossings, cross-checked at `shifts` shifted basepoints.
     """
     if psi.engine.aperiodic is not True:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
-    r, d = psi.radius, psi.dbound
-    point = psi.engine.point_window(d + r + shifts)
-    values = []
-    for s in range(shifts):
-        image = psi.orbit_map(point, d, s)
-        left = sum(1 for n in range(-d, 0) if image[n] >= 0)
-        right = sum(1 for n in range(0, d) if image[n] < 0)
-        values.append(left - right)
+    point = psi.engine.point_window(psi.dbound + psi.radius + shifts)
+    values = [sum(1 if n < 0 else -1 for n, _ in _crossings(psi, point, s))
+              for s in range(shifts)]
     if len(set(values)) != 1:
         raise AssertionError("index is not basepoint-independent")
     return values[0]
 
 
-def stabilizer_check(psi, window=None):
-    """Window-certified test that j_x(psi) maps N into N and its complement
-    into itself (the stabilizer of the positive half-orbit)."""
-    r, d = psi.radius, psi.dbound
-    if window is None:
-        window = 4 * (r + d) if r + d else 4
-    perm = orbit_permutation(psi, window)
-    c = perm.c
-    for n in range(0, window - c + 1):
-        if perm(n) < 0:
-            return False
-    for n in range(-window + c, 0):
-        if perm(n) >= 0:
-            return False
-    return True
-
-
-def _crossing_witness(perm):
-    for n in perm.defined_range():
-        if n < 0 <= perm(n) or (n >= 0 and perm(n) < 0):
-            return n, perm(n)
-    return None
+def stabilizer_check(psi):
+    """Does j_x(psi) map N into N and its complement into itself (the
+    stabilizer of the positive half-orbit)?  Exact: no n crosses the origin."""
+    return not _crossings(psi, psi.engine.point_window(psi.dbound + psi.radius))
 
 
 @dataclass(frozen=True)
@@ -126,11 +113,10 @@ def putnam_blocks(elements, window):
     for f in family:
         if f.radius + f.dbound > window:
             raise WindowTooSmall("window too small for the family's displacements")
-        perm = orbit_permutation(f, window)
-        if not stabilizer_check(f, window):
-            n, image = _crossing_witness(perm)
-            raise StabilizerViolated(n, image)
-        perms.append(perm)
+        crossings = _crossings(f, f.engine.point_window(window + f.radius))
+        if crossings:
+            raise StabilizerViolated(*crossings[0])
+        perms.append(orbit_permutation(f, window))
     m = max((f.dbound for f in family), default=0)
     tau = [{n: p(n) - n for n in p.defined_range()} for p in perms]
     recurrence = []
@@ -158,8 +144,7 @@ def block_orbits(elements, block):
     """Orbits of a block of integers under the induced permutations."""
     start, end = block
     window = max(abs(start), abs(end)) + max(f.radius + f.dbound for f in elements)
-    perms = [orbit_permutation(f, window) for f in elements] + \
-            [orbit_permutation(inverse(f), window) for f in elements]
+    perms = [orbit_permutation(f, window) for f in elements]
     parent = {n: n for n in range(start, end)}
 
     def find(n):
@@ -168,6 +153,7 @@ def block_orbits(elements, block):
             n = parent[n]
         return n
 
+    # an edge n - f^-1(n) inside the block is the edge m - f(m) from m = f^-1(n)
     for n in range(start, end):
         for p in perms:
             m = p(n)
@@ -264,17 +250,9 @@ def lef_certificate(elements, n_cap=None, p_cap=None):
             points = approx.periodic_blocks(p)
             if not points:
                 continue
+            # a certified bijection permutes the p-periodic points
             index = {b: t for t, b in enumerate(points)}
-            images = []
-            valid = True
-            for lift in lifts:
-                img = tuple(index.get(_act_on_block(lift, b), -1) for b in points)
-                if -1 in img or sorted(img) != list(range(len(points))):
-                    valid = False
-                    break
-                images.append(img)
-            if not valid:
-                continue
+            images = [tuple(index[_act_on_block(lift, b)] for b in points) for lift in lifts]
             witnesses = []
             separated = True
             for i, j in pairs:

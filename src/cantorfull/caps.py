@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Caps:
-    dbound: int = 64          # max |displacement| of any constructed cocycle
+    dbound: int = 64          # max |displacement| of any constructed cocycle, products included
     order: int = 4096         # order() iteration cap
     orbit: int = 64           # clopen_orbit iteration cap
     lef_n: int = 8            # lef_certificate approximation-order cap

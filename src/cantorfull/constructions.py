@@ -595,21 +595,25 @@ def houghton_engine_y3():
     return sft_engine("abc", ["ac", "ba", "bb", "ca", "cc"])
 
 
-def _houghton_kind(engine):
+def _houghton_tail(engine):
+    """The letters that repeat on the right of x0: b on Y, b c on Y'."""
     size, pairs = len(engine.alphabet), set(engine.allowed_words(2))
     if size == 2 and pairs == {b"\0\0", b"\0\1", b"\1\1"}:
-        return "y2"
+        return b"\1"
     if size == 3 and pairs == {b"\0\0", b"\0\1", b"\1\2", b"\2\1"}:
-        return "y3"
+        return b"\1\2"
     raise SemanticError("profiles are defined on the Y and Y' engines")
+
+
+# the -inf ends by residue of n modulo the tail's length
+_MINUS_ENDS = {1: ("-inf",), 2: ("even -inf", "odd -inf")}
 
 
 def houghton_orbit_map(f, window):
     """The induced permutation n -> n + kappa(phi^n x0) on [-window, window],
     x0 = a at every position <= 0, then b b b ... (Y) or b c b c ... (Y')."""
-    _houghton_kind(f.engine)
+    tail = _houghton_tail(f.engine)
     radius = window + f.radius
-    tail = bytes(range(1, len(f.engine.alphabet)))
     x0 = Word(bytes(radius + 1) + (tail * radius)[:radius], -radius)
     return f.orbit_map(x0, window)
 
@@ -624,39 +628,24 @@ def _end_translation(table, positions, label):
 def houghton_profile(f, window):
     """Per-end eventual translations and the exceptional set of the induced
     integer permutation.  Ends: (+inf,) then (-inf,) for Y; (+inf, even -inf,
-    odd -inf) for Y'."""
+    odd -inf) for Y'.  phi^n x0 for n -> -inf reads the tail of x0, so that
+    end has one translation per residue of n modulo the tail's length q."""
     if not f.bijective:
         raise NotBijective("profiles are defined for group elements")
-    engine = f.engine
-    kind = _houghton_kind(engine)
+    q = len(_houghton_tail(f.engine))
     if window < 1:
         raise WindowTooSmall("the ends are read off positions 1..window on each side")
     table = houghton_orbit_map(f, window)
     quarter = max(1, window // 4)
-    if kind == "y2":
-        t_plus = _end_translation(table, range(window - quarter + 1, window + 1), "+inf")
-        t_minus = _end_translation(table, range(-window, -window + quarter), "-inf")
-        ends = (t_plus, t_minus)
-
-        def expected(n):
-            return n + (t_plus if n >= 0 else t_minus)
-    else:
-        t_plus = _end_translation(table, range(window - quarter + 1, window + 1), "+inf")
-        evens = [n for n in range(-window, -window + 2 * quarter + 1) if n % 2 == 0]
-        odds = [n for n in range(-window, -window + 2 * quarter + 1) if n % 2 != 0]
-        t_even = _end_translation(table, evens, "even -inf")
-        t_odd = _end_translation(table, odds, "odd -inf")
-        ends = (t_plus, t_even, t_odd)
-
-        def expected(n):
-            if n >= 0:
-                return n + t_plus
-            return n + (t_even if n % 2 == 0 else t_odd)
-
-    exceptional = tuple(n for n in sorted(table) if table[n] != expected(n))
+    t_plus = _end_translation(table, range(window - quarter + 1, window + 1), "+inf")
+    reads = range(-window, -window + q * quarter + q - 1)
+    t_minus = tuple(_end_translation(table, [n for n in reads if n % q == residue], label)
+                    for residue, label in enumerate(_MINUS_ENDS[q]))
+    exceptional = tuple(n for n, m in table.items()
+                        if m != n + (t_plus if n >= 0 else t_minus[n % q]))
     if any(abs(n) > window // 2 for n in exceptional):
         raise WindowTooSmall("deviations reach outside half the window")
-    return HoughtonProfile(ends, exceptional)
+    return HoughtonProfile((t_plus,) + t_minus, exceptional)
 
 # ---------------------------------------------------------------------------
 # Rokhlin bases for fixed-point-free powers

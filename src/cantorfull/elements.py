@@ -28,20 +28,12 @@ cylinder of periodic points, values that differ by a multiple of its
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from types import MappingProxyType
 
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
                      NotBijective, NotInjective, NotSurjective, PartialTable)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    radius: int
-    entries: tuple          # ((word, displacement), ...) in alphabet order
-    dbound: int
 
 
 class Element:
@@ -246,9 +238,14 @@ def make_semigroup_element(engine, radius, values):
         if missing:
             raise PartialTable(missing)
         values = tuple(int(values[w]) for w in words)
-    e = Element(engine, radius, values, None)
-    if e.dbound > engine.caps.dbound:
-        raise CapExceeded("displacement bound exceeded", cap=engine.caps.dbound)
+    return _capped(Element(engine, radius, values, None))
+
+
+def _capped(e):
+    """The canonical form of `e`, whose displacements must stay within the
+    engine's dbound cap."""
+    if e.dbound > e.engine.caps.dbound:
+        raise CapExceeded("displacement bound exceeded", cap=e.engine.caps.dbound)
     return e.canonical_element()
 
 
@@ -262,7 +259,8 @@ def shift(engine, power=1):
 
 
 def compose(f, g):
-    """x -> f(g(x)).  Radius max(r_g, r_f + D_g); displacements add."""
+    """x -> f(g(x)).  Radius max(r_g, r_f + D_g); displacements add, and
+    CapExceeded is raised past the engine's dbound cap."""
     _check_same_engine(f, g)
     engine = f.engine
     rf, rg = f.radius, g.radius
@@ -274,7 +272,7 @@ def compose(f, g):
     fv = f.values
     values = tuple([k + fv[f_at[k][i]] for i, k in enumerate(kg)])
     bij = True if (f._bijective and g._bijective) else None
-    return Element(engine, radius, values, bij).canonical_element()
+    return _capped(Element(engine, radius, values, bij))
 
 
 def inverse(f):
@@ -308,7 +306,9 @@ def equal(f, g):
 
 
 def order(f, cap=None):
-    """Least n >= 1 with f^n = id, or None past the cap."""
+    """Least n >= 1 with f^n = id, or None past the cap.  Each power is a
+    composition, so CapExceeded is raised first when some f^n with n <= cap
+    outgrows the engine's dbound cap (phi^65 under the default caps)."""
     cap = cap if cap is not None else f.engine.caps.order
     if not f.bijective:
         raise NotBijective("order is defined for group elements")
@@ -316,7 +316,8 @@ def order(f, cap=None):
     for n in range(1, cap + 1):
         if is_identity(g):
             return n
-        g = compose(g, f)
+        if n < cap:
+            g = compose(g, f)
     return None
 
 
@@ -387,17 +388,13 @@ def ball_sizes(generators, radius):
     return sizes
 
 
-def canonical_form(f):
-    radius, entries = f.canonical_key()
-    return CanonicalForm(radius, entries, f.canonical_element().dbound)
-
-
 def canonical_dump(f):
     """Bit-exact canonical serialization (round-trips through parse_dump)."""
-    form = canonical_form(f)
+    c = f.canonical_element()
     fmt = f.engine.alphabet.format_word
-    lines = [f"radius={form.radius} dbound={form.dbound}"]
-    lines += [f"{fmt(w)} -> {v}" for w, v in form.entries]
+    words = f.engine.allowed_words(2 * c.radius + 1)
+    lines = [f"radius={c.radius} dbound={c.dbound}"]
+    lines += [f"{fmt(w)} -> {v}" for w, v in zip(words, c.values)]
     return "\n".join(lines) + "\n"
 
 

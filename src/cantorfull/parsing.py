@@ -49,6 +49,7 @@ class Token:
 _SYMBOLS = {"*": "star", "(": "lparen", ")": "rparen", ",": "comma", ";": "semi",
             "=": "equals", "!": "bang", "&": "amp", "|": "pipe", "^": "caret"}
 _KEYWORDS = {"id", "phi", "sigma", "ret", "inv", "comm", "let", "all", "empty", "img"}
+_DIGITS = frozenset("0123456789")    # str.isdigit also accepts "²" and "٣"
 
 
 def tokenize(text):
@@ -79,9 +80,9 @@ def tokenize(text):
             col += j - i + 1
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i

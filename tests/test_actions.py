@@ -92,7 +92,7 @@ def find_positive_sigma(engine, window=48):
             if not is_good(U):
                 continue
             s = sigma_U(U)
-            if stabilizer_check(s, window):
+            if stabilizer_check(s):
                 return s
     raise AssertionError("no positively supported 3-cycle found")
 

@@ -138,6 +138,24 @@ def test_cli_equal_and_order(capsys, fib_file):
     assert code == 0 and out.strip() == "exceeds-cap 5"
 
 
+def test_cli_order_stops_at_the_displacement_cap(capsys, monkeypatch, fib_file):
+    # each power of the first return grows its displacement; the product is
+    # refused at the cap instead of searching on to --cap
+    monkeypatch.setenv("CANTORFULL_CAPS", "dbound=16")
+    code, out, err = run(capsys, "--subshift", fib_file, "elem", "order",
+                         "--expr", 'ret(cyl(0,"b"))', "--cap", "40")
+    assert code == 2 and out == ""
+    assert err == "error: cap-exceeded: displacement bound exceeded (cap=16)\n"
+
+
+@pytest.mark.parametrize("expr", ["phi^²", "phi^٣"])
+def test_cli_exponents_take_ascii_digits_only(capsys, fib_file, expr):
+    # "²" and "٣" pass str.isdigit, and int() reads "٣" as 3
+    code, out, err = run(capsys, "--subshift", fib_file, "elem", "eval", "--expr", expr)
+    assert code == 1 and out == ""
+    assert err == f"error: syntax-error: line 1, column 5: unexpected character {expr[-1]!r}\n"
+
+
 def test_cli_gw_json(capsys, fib_file):
     code, out, _ = run(capsys, "--subshift", fib_file, "construct", "gw",
                        "--A", 'cyl(0,"a")', "--B", 'cyl(0,"b")')

@@ -22,7 +22,7 @@ def _mostly(valid, *malformed):
 
 
 numbers = st.integers(-2, 6).map(str)
-ints = _mostly(numbers, "x", "", "2.5", "1e9", "--")
+ints = _mostly(numbers, "x", "", "2.5", "1e9", "--", "²", "٣")
 words = _mostly(st.one_of(st.text(alphabet="ab", min_size=1, max_size=4),
                           st.text(alphabet="abcz", max_size=3)), "-", "a.b", " ", "'")
 lists = _mostly(st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=4).map(
@@ -56,7 +56,7 @@ def _expressions():
 # well-formed text three times in four; `u` is bound only after a let
 _valid = _expressions()
 exprs = _mostly(st.one_of(_valid, st.builds("let u = {}; {}".format, _valid, _valid)),
-                "phi^", "foo", "(", "phi*", "", "let u = phi;")
+                "phi^", "foo", "(", "phi*", "", "let u = phi;", "phi^²")
 closets = _mostly(_closets(_valid), "cyl(0,", 'cyl(a,"b")', ")", "!", "")
 
 

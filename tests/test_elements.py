@@ -5,11 +5,11 @@ import pytest
 
 from cantorfull.closets import CloSet
 from cantorfull.elements import (Element, ball_sizes, canonical_dump,
-                                 canonical_form, compose, equal, identity,
+                                 compose, equal, identity,
                                  inverse, is_identity, make_element,
                                  make_semigroup_element, order, parse_dump,
                                  power, shift, support, element_image)
-from cantorfull.errors import (EngineMismatch, NotBijective, NotInjective,
+from cantorfull.errors import (CapExceeded, EngineMismatch, NotBijective, NotInjective,
                                NotSurjective, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
@@ -122,14 +122,14 @@ def test_equality_and_canonical_forms(fibonacci, fib_pool):
         radius = max(f.radius, g.radius) + max(f.dbound, g.dbound)
         semantic = f.padded_table(radius) == g.padded_table(radius)
         assert equal(f, g) == semantic
-        assert (canonical_form(f) == canonical_form(g)) == semantic
+        assert (f.canonical_key() == g.canonical_key()) == semantic
 
 
 def test_equal_across_radii(fibonacci):
     phi = shift(fibonacci)
     padded = make_element(fibonacci, 2, {w: 1 for w in fibonacci.allowed_words(5)})
     assert equal(phi, padded)
-    assert canonical_form(padded).radius == 0
+    assert padded.canonical_key()[0] == 0
 
 
 def test_canonical_radius_detection(fibonacci):
@@ -137,7 +137,7 @@ def test_canonical_radius_detection(fibonacci):
     base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
     padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
-    assert canonical_form(padded).radius == canonical_form(f).radius == 1
+    assert padded.canonical_key()[0] == f.canonical_key()[0] == 1
 
 
 def test_canonical_element_holds_no_reference_to_itself(fibonacci):
@@ -223,6 +223,19 @@ def test_order_examples(fibonacci):
     s = sigma_U(cylinder(fibonacci, -1, ("a", "a", "b")))
     assert order(s) == 3
     assert order(shift(fibonacci), cap=16) is None
+
+
+def test_compose_keeps_the_displacement_cap(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "dbound=4")
+    engine = substitution_engine({"a": "ab", "b": "a"})
+    phi4 = shift(engine, 4)
+    with pytest.raises(CapExceeded, match=r"displacement bound exceeded \(cap=4\)"):
+        compose(phi4, phi4)
+    assert is_identity(compose(phi4, shift(engine, -4)))
+    # phi^4 is the last power order() builds at cap 4; phi^5 is past the cap
+    assert order(shift(engine), cap=4) is None
+    with pytest.raises(CapExceeded):
+        order(shift(engine), cap=5)
 
 
 def test_order_invariants(fib_pool):

@@ -403,7 +403,9 @@ def test_long_periodic_factors_are_not_a_periodic_verdict(rules):
     assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
 
 
-def test_aperiodic_substitution_shift_has_no_finite_order():
+def test_aperiodic_substitution_shift_has_no_finite_order(monkeypatch):
+    # phi^75 and phi^500 lie past the default displacement cap
+    monkeypatch.setenv("CANTORFULL_CAPS", "dbound=500")
     engine = substitution_engine({"a": "bbb", "b": "bba"})
     assert is_identity(power(shift(engine, 25), 3)) is False
     assert order(shift(engine, 25), cap=20) is None
