@@ -10,7 +10,7 @@ index and the half-orbit stabilizer test are both read off it.
 """
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elements import equal, inverse, make_element
 from .errors import (CapExceeded, NotAperiodic, NotInjective, NotSurjective,
@@ -19,8 +19,7 @@ from .errors import (CapExceeded, NotAperiodic, NotInjective, NotSurjective,
 from .language import SFTEngine, periodic_window, sft_approximation
 
 
-@dataclass(frozen=True)
-class WindowedPermutation:
+class WindowedPermutation(NamedTuple):
     """j_x(psi) restricted to [-window, window]; c bounds |g(n) - n|."""
 
     window: int
@@ -80,8 +79,7 @@ def stabilizer_check(psi):
     return not _crossings(psi, psi.engine.point_window(psi.dbound + psi.radius))
 
 
-@dataclass(frozen=True)
-class PutnamBlocks:
+class PutnamBlocks(NamedTuple):
     blocks: tuple            # (start, end) half-open interior blocks
     recurrence_set: tuple
     displacement: int
@@ -183,8 +181,7 @@ def clopen_orbit(closet, cap=None):
 # LEF certificates via periodic points of SFT approximations
 
 
-@dataclass(frozen=True)
-class FiniteQuotientCert:
+class FiniteQuotientCert(NamedTuple):
     alphabet: object         # the engine's Alphabet, which prints the points
     order: int               # approximation order n
     period: int              # period bound p

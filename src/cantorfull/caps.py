@@ -6,15 +6,14 @@ variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
 approximation takes the caps of the engine it comes from.  The variable
 overrides defaults with a comma-separated list of key=value pairs, e.g.
 ``CANTORFULL_CAPS=dbound=32,orbit=128``.  Keys: dbound, order, orbit, lef_n,
-lef_p, period_scan, word_store, radius_search.
+lef_p, period_scan, word_store, radius_search; each value is an integer >= 0.
 """
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     dbound: int = 64          # max |displacement| of any constructed cocycle, products included
     order: int = 4096         # order() iteration cap
     orbit: int = 64           # clopen_orbit iteration cap
@@ -26,7 +25,6 @@ class Caps:
 
 
 def parse_caps(text):
-    names = {f.name for f in fields(Caps)}
     updates = {}
     for item in text.split(","):
         item = item.strip()
@@ -34,12 +32,14 @@ def parse_caps(text):
             continue
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in names:
+        if key not in Caps._fields:
             raise ValueError(f"unknown cap {key!r}")
         try:
             updates[key] = int(value)
         except ValueError:
             raise ValueError(f"cap {key!r} needs an integer, got {value.strip()!r}") from None
+        if updates[key] < 0:
+            raise ValueError(f"cap {key!r} must be >= 0, got {updates[key]}")
     return Caps(**updates)
 
 

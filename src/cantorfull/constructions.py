@@ -7,8 +7,8 @@ partitions) go through the family query of :mod:`cantorfull.closets`.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .actions import clopen_orbit, index_mod
 from .closets import CloSet, is_partition, least_meet
@@ -152,8 +152,7 @@ def _return_times(src, radius, gap):
     return times
 
 
-@dataclass(frozen=True)
-class TowerPartition:
+class TowerPartition(NamedTuple):
     """Kakutani-Rokhlin towers: level i of the tower over a base B is phi^i(B).
     The partition postcondition is the family query's partition test on the
     levels, at their common radius."""
@@ -232,8 +231,7 @@ def _cycles(perm):
     return cycles
 
 
-@dataclass(frozen=True)
-class GWTransport:
+class GWTransport(NamedTuple):
     alpha: Element
     base: CloSet
     towers: tuple            # dicts: height, classes, permutation, parity
@@ -341,8 +339,7 @@ def _gw_attempt(engine, base, A, B):
 # Matui's generating set and the commutator recursion
 
 
-@dataclass(frozen=True)
-class MatuiSet:
+class MatuiSet(NamedTuple):
     engine: object
     recoding: object          # RecodingMap or None when already proper
     generators: tuple
@@ -407,8 +404,7 @@ def qeqz_check(U, V):
 # lamplighter pairs inside non-odometer systems
 
 
-@dataclass
-class LamplighterPair:
+class LamplighterPair(NamedTuple):
     engine: object
     U: CloSet
     V: CloSet
@@ -473,8 +469,7 @@ def lamplighter_pair(U):
         raise SearchExhausted("no refining cylinder with an infinite return orbit")
 
     pair = LamplighterPair(engine, U, V, psi, Psi, _swap_element(V))
-    _verify_lamplighter(pair)
-    return pair
+    return pair._replace(checked_shifts=_verify_lamplighter(pair))
 
 
 def _psi_orbit_infinite(psi, closet, cap):
@@ -509,7 +504,7 @@ def _verify_lamplighter(pair):
         if not equal(lhs, rhs):
             raise AssertionError(f"conjugation relation fails for F={F}")
         checked += 1
-    pair.checked_shifts = checked
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +574,7 @@ def van_douwen_certify(engine, sigmas, indices):
 # Houghton-type profiles on the non-minimal examples
 
 
-@dataclass(frozen=True)
-class HoughtonProfile:
+class HoughtonProfile(NamedTuple):
     end_translations: tuple
     exceptional_set: tuple
 

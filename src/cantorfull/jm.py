@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RangeUnavailable
 
@@ -151,8 +151,7 @@ def hn_lower_bound(g, n):
     return _lower_bound(_deltas(g, n))
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     rows: tuple    # (n, C, B, 1-C, (1-C) n / log n)
 
     @property

@@ -44,7 +44,7 @@ central window of phi^n(x) is x[-n-r .. -n+r].
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
@@ -423,7 +423,7 @@ class SubstitutionEngine(LanguageEngine):
         its complexity p(P + 1) is at most P, and then it is one finite orbit
         whose period is p(P + 1).  Periods above P = caps.period_scan are not
         seen: the subshift is then taken to be aperiodic."""
-        n = len(self.allowed_words(max(self.caps.period_scan, 0) + 1))
+        n = len(self.allowed_words(self.caps.period_scan + 1))
         self._finite = None
         self.aperiodic = n > self.caps.period_scan
         if not self.aperiodic:
@@ -657,8 +657,7 @@ def is_proper(engine, d):
     return all(len(set(w)) == len(w) for w in engine.allowed_words(d + 1))
 
 
-@dataclass(frozen=True)
-class RecodingMap:
+class RecodingMap(NamedTuple):
     block_length: int
     letter_decode: tuple      # the source block of each recoded letter
 

@@ -28,7 +28,7 @@ session, so later programs on it see them.
 Errors carry line/column and the expected-token set.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closets import CloSet
 from .constructions import first_return, sigma_U
@@ -38,8 +38,7 @@ from .language import build_engine
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

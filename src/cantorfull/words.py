@@ -10,7 +10,7 @@ definitions and point windows are position-aware).  Keeping the anchor in the
 type is deliberate; it removes a whole class of off-by-one mistakes.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SemanticError
 
@@ -75,9 +75,11 @@ class Alphabet:
         return f"Alphabet({' '.join(self.letters)})"
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word anchored in Z: letters[i] sits at position anchor + i."""
+class Word(NamedTuple):
+    """A finite word anchored in Z: letters[i] sits at position anchor + i.
+
+    ``len`` and ``word[p]`` read letters by position, not the tuple's two
+    fields; the field names read the fields directly."""
 
     letters: bytes
     anchor: int = 0

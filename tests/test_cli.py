@@ -271,12 +271,21 @@ def test_cli_out_of_range_numbers_are_usage_errors(capsys, fib_file, argv):
 @pytest.mark.parametrize("caps, message", [
     ("bogus=1", "unknown cap 'bogus'"),
     ("dbound=32,orbit=x", "cap 'orbit' needs an integer, got 'x'"),
+    ("dbound=-1", "cap 'dbound' must be >= 0, got -1"),
+    ("lef_p=-2", "cap 'lef_p' must be >= 0, got -2"),
+    ("order=3,radius_search=-1", "cap 'radius_search' must be >= 0, got -1"),
 ])
 def test_cli_bad_caps_variable(capsys, monkeypatch, fib_file, caps, message):
     monkeypatch.setenv("CANTORFULL_CAPS", caps)
     code, out, err = run(capsys, "--subshift", fib_file, "lang", "words", "--length", "2")
     assert code == 1 and out == ""
     assert err == f"usage error: bad CANTORFULL_CAPS: {message}\n"
+
+
+def test_cli_zero_caps_are_legal(capsys, monkeypatch, fib_file):
+    monkeypatch.setenv("CANTORFULL_CAPS", "order=0,period_scan=0")
+    code, out, err = run(capsys, "--subshift", fib_file, "elem", "order", "--expr", "phi")
+    assert (code, out, err) == (0, "exceeds-cap 0\n", "")
 
 
 def test_cli_alphabet_of_257_letters_is_a_semantic_error(capsys, tmp_path):

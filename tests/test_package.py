@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import os
 import pathlib
 import re
@@ -17,12 +16,22 @@ from cantorfull.language import proper_recode, sft_engine, substitution_engine
 PACKAGE = pathlib.Path(cantorfull.__file__).parent
 
 
-def test_import_leaves_networkx_out():
+def loaded_by_import(module):
+    """Is `module` in sys.modules after a fresh interpreter imports the CLI?"""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, cantorfull, cantorfull.cli; print('networkx' in sys.modules)"
+    code = f"import sys, cantorfull, cantorfull.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_networkx_out():
+    assert not loaded_by_import("networkx")
+
+
+def test_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize: ~10 ms per CLI call
+    assert not loaded_by_import("dataclasses")
 
 
 def test_caps_are_read_when_an_engine_is_built(monkeypatch):
@@ -77,6 +86,6 @@ def test_no_function_local_imports():
 
 def test_every_cap_is_read():
     source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
-    unread = [f.name for f in dataclasses.fields(Caps)
-              if not re.search(rf"\bcaps\.{f.name}\b", source)]
+    unread = [name for name in Caps._fields
+              if not re.search(rf"\bcaps\.{name}\b", source)]
     assert unread == []

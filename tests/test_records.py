@@ -1,0 +1,83 @@
+"""The package's records: field names, order and defaults, immutability, and
+the position-based reads of ``Word``."""
+
+import pytest
+
+from cantorfull.actions import FiniteQuotientCert, PutnamBlocks, WindowedPermutation
+from cantorfull.caps import Caps, parse_caps
+from cantorfull.constructions import (GWTransport, HoughtonProfile, LamplighterPair,
+                                      MatuiSet, TowerPartition)
+from cantorfull.jm import CorrelationReport
+from cantorfull.language import RecodingMap
+from cantorfull.parsing import Token
+from cantorfull.words import Word
+
+CAPS_DEFAULTS = {"dbound": 64, "order": 4096, "orbit": 64, "lef_n": 8, "lef_p": 12,
+                 "period_scan": 12, "word_store": 500_000, "radius_search": 64}
+
+# record -> (field names in order, defaults)
+RECORDS = {
+    Word: (("letters", "anchor"), {"anchor": 0}),
+    Caps: (tuple(CAPS_DEFAULTS), CAPS_DEFAULTS),
+    RecodingMap: (("block_length", "letter_decode"), {}),
+    Token: (("kind", "text", "line", "col"), {}),
+    WindowedPermutation: (("window", "table", "c"), {}),
+    PutnamBlocks: (("blocks", "recurrence_set", "displacement", "invariant"), {}),
+    FiniteQuotientCert: (("alphabet", "order", "period", "points", "images", "witnesses"), {}),
+    TowerPartition: (("pieces",), {}),
+    GWTransport: (("alpha", "base", "towers", "contained", "index"), {}),
+    MatuiSet: (("engine", "recoding", "generators", "cylinder_words"), {}),
+    LamplighterPair: (("engine", "U", "V", "psi", "Psi", "sigma0", "checked_shifts"),
+                      {"checked_shifts": 0}),
+    HoughtonProfile: (("end_translations", "exceptional_set"), {}),
+    CorrelationReport: (("rows",), {}),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_record_fields_and_defaults(record):
+    names, defaults = RECORDS[record]
+    assert record._fields == names
+    assert record._field_defaults == defaults
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_records_are_immutable(record):
+    value = record(*range(len(record._fields)))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_caps_defaults():
+    assert Caps() == parse_caps("") == Caps(**CAPS_DEFAULTS)
+    assert parse_caps("order=0,period_scan=0") == Caps(order=0, period_scan=0)
+    assert repr(Caps()) == ("Caps(dbound=64, order=4096, orbit=64, lef_n=8, lef_p=12, "
+                            "period_scan=12, word_store=500000, radius_search=64)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dbound=-1", "cap 'dbound' must be >= 0, got -1"),
+    ("lef_p=-2", "cap 'lef_p' must be >= 0, got -2"),
+    ("orbit=5,radius_search=-1", "cap 'radius_search' must be >= 0, got -1"),
+])
+def test_negative_caps_are_refused(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_caps(text)
+    assert str(err.value) == message
+
+
+def test_word_equality_hash_and_positions():
+    word = Word(b"\0\1\1", -1)
+    assert Word(b"\0\1") == Word(b"\0\1", 0) and Word(b"\0\1").anchor == 0
+    assert word == Word(b"\0\1\1", -1) and hash(word) == hash(Word(b"\0\1\1", -1))
+    assert word != Word(b"\0\1\1", 0) and word != Word(b"\0\1\0", -1)
+    assert len(word) == 3 and (word.start, word.end) == (-1, 2)
+    assert [word[p] for p in range(-1, 2)] == [0, 1, 1]
+    for outside in (-2, 2):
+        with pytest.raises(IndexError):
+            word[outside]
+    assert word.segment(0, 1) == b"\1\1"
+    assert not Word(b"") and repr(word) == r"Word(letters=b'\x00\x01\x01', anchor=-1)"
