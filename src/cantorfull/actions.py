@@ -1,5 +1,5 @@
-"""Orbit actions on Z, the index homomorphism, block stability, and
-finite-quotient (LEF) certificates.
+"""Orbit actions on Z, the index homomorphism, block stability, clopen
+orbits and finite-quotient (LEF) certificates.
 
 The canonical basepoint is always the engine's point_window point, and
 j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
@@ -7,13 +7,17 @@ window is known only to ``Element.orbit_map``; every reader here calls it.
 Since |j(n) - n| <= D, every crossing of the origin (n and j(n) on opposite
 sides of 0) lies in [-D, D); ``_crossings`` reads that range once, and the
 index and the half-orbit stabilizer test are both read off it.
+
+``clopen_orbit`` is the one loop over the images of a clopen set, under phi
+or any group element.  A bijection's orbit first repeats at the set itself,
+so each reduced image is compared with the reduced start.
 """
 
 import json
 from typing import NamedTuple
 
-from .elements import equal, inverse, make_element
-from .errors import (CapExceeded, NotAperiodic, NotInjective, NotSurjective,
+from .elements import element_image, equal, inverse, make_element
+from .errors import (CapExceeded, NotAperiodic, NotBijective, NotInjective, NotSurjective,
                      PartialTable, SemanticError, StabilizerViolated,
                      WindowTooSmall)
 from .language import SFTEngine, periodic_window, sft_approximation
@@ -163,17 +167,19 @@ def block_orbits(elements, block):
     return sorted(map(tuple, orbits.values()))
 
 
-def clopen_orbit(closet, cap=None):
-    """Size of the phi-orbit of the clopen set, or None past the cap."""
+def clopen_orbit(closet, cap=None, f=None):
+    """Size of the orbit of the clopen set under the group element f (phi
+    when None), or None past the cap.  Each image is reduced, which keeps the
+    radius from growing step after step."""
     cap = cap if cap is not None else closet.engine.caps.orbit
-    seen = {closet.key()}
-    current = closet
-    for _ in range(cap):
-        current = current.shift_image(1).reduced()
-        key = current.key()
-        if key in seen:
-            return len(seen)
-        seen.add(key)
+    if f is not None and not f.bijective:
+        raise NotBijective("clopen orbits are taken under group elements")
+    start = current = closet.reduced()
+    for n in range(1, cap + 1):
+        current = (current.shift_image(1) if f is None else element_image(current, f)).reduced()
+        # reduced forms are canonical
+        if current.radius == start.radius and current.members == start.members:
+            return n
     return None
 
 

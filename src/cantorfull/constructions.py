@@ -462,7 +462,7 @@ def lamplighter_pair(U):
         cand = CloSet(engine, rho, {w})
         if not cand.is_subset(U) or cand.is_empty():
             continue
-        if _psi_orbit_infinite(psi, cand, engine.caps.orbit):
+        if clopen_orbit(cand, f=psi) is None:
             V = cand
             break
     if V is None:
@@ -470,18 +470,6 @@ def lamplighter_pair(U):
 
     pair = LamplighterPair(engine, U, V, psi, Psi, _swap_element(V))
     return pair._replace(checked_shifts=_verify_lamplighter(pair))
-
-
-def _psi_orbit_infinite(psi, closet, cap):
-    seen = {closet.key()}
-    current = closet
-    for _ in range(cap):
-        current = element_image(current, psi).reduced()
-        key = current.key()
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 def _verify_lamplighter(pair):

@@ -4,19 +4,19 @@ An Element over an engine is a total map from allowed (2r+1)-windows
 (``bytes`` words, see :mod:`cantorfull.words`) to integer shift powers; it
 induces f(x) = phi^{kappa(x)} x with kappa(x) = table(x[-r..r]).  Its
 representation is ``values``, a tuple aligned with
-``engine.allowed_words(2r+1)``: composition, certification, inversion and
-canonical forms are position arithmetic through the engine's restriction maps
+``engine.allowed_words(2r+1)``: every table computation is position
+arithmetic through the engine's restriction maps
 (``LanguageEngine.restriction``), with no window sliced or hashed.
 ``table`` is a read-only {window: value} view derived from ``values`` on
 first use, for readers that look windows up by word; a reader of many windows
 takes the view once.  ``orbit_map`` is the one reader along a point: it alone
 knows where the window of phi^m x sits in a point window.
 
-Bijectivity is certified at construction by preimage counting: over every
-allowed window y of length 2(r+D)+1 the number of k in [-D, D] with
-table(y[k-r..k+r]) = k must be exactly 1 (the witness k is the displacement
-of the unique preimage, which is what inversion uses); the witnesses form a
-tuple aligned with ``allowed_words(2(r+D)+1)``.
+``_preimages`` counts, over every allowed window y of length 2(r+D)+1, the k
+in [-D, D] with table(y[k-r..k+r]) = k.  Bijectivity is certified at
+construction by that count being exactly 1 (the witness k, the displacement of
+the unique preimage, is what inversion uses), and ``element_image`` keeps the
+windows whose count is nonzero with the values off the set blanked.
 
 Composition follows compose(f, g) = f o g, apply g first.
 
@@ -24,7 +24,9 @@ The canonical form (``canonical_key``, ``canonical_dump``) names the table,
 which orbit reads on periodic points depend on.  ``map_key`` names the
 induced map, which ``is_identity``, ``equal`` and ``ball_sizes`` decide: on a
 cylinder of periodic points, values that differ by a multiple of its
-``local_period`` give the same map.
+``local_period`` give the same map.  Both are reached by ``_least_radius``,
+one radius down at a time; the map key merges the congruences of a core's
+extensions where they have a common solution.
 """
 
 import math
@@ -73,9 +75,6 @@ class Element:
         positions = self.engine.restriction(2 * radius + 1, radius - self.radius, 2 * self.radius + 1)
         return tuple(map(self.values.__getitem__, positions))
 
-    def padded_table(self, radius):
-        return dict(zip(self.engine.allowed_words(2 * radius + 1), self.values_at(radius)))
-
     def orbit_map(self, point, window, shift=0):
         """{n: n + kappa(phi^(n+shift) x)} for n in [-window, window], x read
         off the anchored Word `point`; IndexError when a read leaves it."""
@@ -93,19 +92,10 @@ class Element:
     def _run_certificate(self):
         """For each window y of allowed_words(2(r+D)+1), in that order, the one
         k in [-D, D] with table(y[k+D .. k+D+2r]) = k."""
-        engine, r, d, values = self.engine, self.radius, self.dbound, self.values
-        size = 2 * (r + d) + 1
-        n = len(engine.allowed_words(size))
-        counts = [0] * n
-        witness = [0] * n
-        for k in range(-d, d + 1):
-            hits = [v == k for v in values]
-            cores = engine.restriction(size, k + d, 2 * r + 1)
-            for i in compress(range(n), map(hits.__getitem__, cores)):
-                counts[i] += 1
-                witness[i] = k
-        if counts.count(1) != n:
-            for y, count in zip(engine.allowed_words(size), counts):
+        engine = self.engine
+        counts, witness = _preimages(engine, self.radius, self.values, self.dbound)
+        if counts.count(1) != len(counts):
+            for y, count in zip(engine.allowed_words(2 * (self.radius + self.dbound) + 1), counts):
                 if count > 1:
                     raise NotInjective(engine.alphabet.format_word(y), count)
                 if not count:
@@ -134,20 +124,11 @@ class Element:
     def canonical_element(self):
         if self._canonical is not None:
             return self._canonical or self
-        # A table that is a function of its central (2t+1)-cores is one of
-        # every larger core too, so the least radius is where the first step
-        # down fails.
-        engine, radius, values = self.engine, self.radius, self.values
-        while radius > 0:
-            coarser = _coarsen(values, engine.restriction(2 * radius + 1, 1, 2 * radius - 1),
-                               len(engine.allowed_words(2 * radius - 1)))
-            if coarser is None:
-                break
-            radius, values = radius - 1, coarser
+        radius, values = _least_radius(self.engine, self.radius, self.values)
         if radius == self.radius:
             self._canonical = False
             return self
-        reduced = Element(engine, radius, values, self._bijective)
+        reduced = Element(self.engine, radius, values, self._bijective)
         reduced._canonical = False
         self._canonical = reduced
         return reduced
@@ -169,13 +150,7 @@ class Element:
             # canonical table has a core whose extensions disagree
             return (radius, c.values)
         table = [(v % m if m else v, m) for v, m in zip(c.values, periods)]
-        while radius > 0:
-            coarser = [(0, 1)] * len(engine.allowed_words(2 * radius - 1))
-            for j, congruence in zip(engine.restriction(2 * radius + 1, 1, 2 * radius - 1), table):
-                coarser[j] = _crt(coarser[j], congruence)
-            if None in coarser:
-                break
-            table, radius = coarser, radius - 1
+        radius, table = _least_radius(engine, radius, table, _crt)
         return (radius, tuple(v for v, _ in table))
 
     def __repr__(self):
@@ -183,17 +158,43 @@ class Element:
         return f"<element r={c.radius} d={c.dbound} over {self.engine.kind}>"
 
 
-def _coarsen(values, cores, count):
-    """The values as a function of the `count` cores their windows restrict
-    to (positions `cores`), or None when some core meets two values."""
-    coarser = [None] * count
-    for j, v in zip(cores, values):
-        seen = coarser[j]
-        if seen is None:
-            coarser[j] = v
-        elif seen != v:
-            return None
-    return tuple(coarser)
+def _preimages(engine, radius, values, d):
+    """For each window y of allowed_words(2(radius + d) + 1): how many k in
+    [-d, d] have values[y[k+d .. k+d+2 radius]] = k, and the last such k (or 0).
+    `values` is aligned with allowed_words(2 radius + 1); None matches no k."""
+    size = 2 * (radius + d) + 1
+    n = len(engine.allowed_words(size))
+    counts = [0] * n
+    last = [0] * n
+    for k in range(-d, d + 1):
+        if k not in values:
+            continue
+        hits = [v == k for v in values]
+        cores = engine.restriction(size, k + d, 2 * radius + 1)
+        for i in compress(range(n), map(hits.__getitem__, cores)):
+            counts[i] += 1
+            last[i] = k
+    return counts, last
+
+
+def _least_radius(engine, radius, values, merge=None):
+    """(radius', values'): the values as a function of the central cores at the
+    least radius' reached one step down at a time.  A step fails where two
+    extensions of a core disagree and merge(a, b), their common value, is None
+    or not given.  A function of its (2t+1)-cores is one of every larger core
+    too, so the least radius is where the first step down fails."""
+    while radius > 0:
+        coarser = [None] * len(engine.allowed_words(2 * radius - 1))
+        for j, v in zip(engine.restriction(2 * radius + 1, 1, 2 * radius - 1), values):
+            seen = coarser[j]
+            if seen is None:
+                coarser[j] = v
+            elif seen != v:
+                coarser[j] = merge(seen, v) if merge else None
+                if coarser[j] is None:
+                    return radius, values
+        radius, values = radius - 1, tuple(coarser)
+    return radius, values
 
 
 def _crt(a, b):
@@ -322,12 +323,14 @@ def order(f, cap=None):
 
 
 def support(f):
-    """Clopen hull of the moved set, refined at radius r + D."""
+    """Clopen hull of the moved set, refined at radius r + D: the windows
+    whose value is not a multiple of their local period."""
     engine = f.engine
     c = f.canonical_element()
     radius = c.radius + c.dbound
-    members = [w for w, v in zip(engine.allowed_words(2 * radius + 1), c.values_at(radius))
-               if v != 0 and engine.cylinder_nonperiodic_exists(w, v)]
+    members = [w for w, v, m in zip(engine.allowed_words(2 * radius + 1), c.values_at(radius),
+                                    engine.local_periods(2 * radius + 1))
+               if (v % m if m else v)]
     return CloSet(engine, radius, members)
 
 
@@ -335,19 +338,15 @@ def element_image(closet, f):
     """f(U) as a CloSet (exact; works for semigroup elements too).
 
     At R = max(r_U, r_f), each window of U moves its points by its value k;
-    a window u of radius R + D is in f(U) when its core at k is such a window
-    with value k."""
+    a window of radius R + D is in f(U) when, for some k, its core at offset k
+    is a window of U with value k."""
     if closet.engine is not f.engine:
         raise EngineMismatch("closet and element live on different engines")
     engine = f.engine
-    radius = max(closet.radius, f.radius)
-    words = engine.allowed_words(2 * radius + 1)
-    moved = dict(compress(zip(words, f.values_at(radius)), closet.mask(radius)))
-    d = f.dbound
-    span = 2 * radius + 1
-    out = [u for u in engine.allowed_words(2 * (radius + d) + 1)
-           if any(moved.get(u[k + d:k + d + span]) == k for k in range(-d, d + 1))]
-    return CloSet(engine, radius + d, out)
+    radius, d = max(closet.radius, f.radius), f.dbound
+    moved = [v if inside else None for v, inside in zip(f.values_at(radius), closet.mask(radius))]
+    counts, _ = _preimages(engine, radius, moved, d)
+    return CloSet(engine, radius + d, compress(engine.allowed_words(2 * (radius + d) + 1), counts))
 
 
 def ball_sizes(generators, radius):

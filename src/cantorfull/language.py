@@ -72,7 +72,6 @@ class LanguageEngine:
         self.aperiodic = aperiodic
         self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
-        self._word_sets = {}        # length -> frozenset, for membership tests
         self._word_index = {}       # length -> {word: position}
         self._restrictions = {}     # (length, start, size) -> tuple of positions
         self._local_periods = {}    # length -> tuple of local periods
@@ -146,13 +145,8 @@ class LanguageEngine:
         order without repeats, else any iterable of distinct words."""
         raise NotImplementedError
 
-    def word_set(self, length):
-        if length not in self._word_sets:
-            self._word_sets[length] = frozenset(self.allowed_words(length))
-        return self._word_sets[length]
-
     def _is_allowed(self, word):
-        return not word or word in self.word_set(len(word))
+        return not word or word in self.word_index(len(word))
 
     def local_period(self, word):
         """The lcm of the least periods of the points through the cylinder of
@@ -303,7 +297,7 @@ class SFTEngine(LanguageEngine):
             return True
         k = self.k
         if len(word) < k - 1:
-            return word in self.word_set(len(word))
+            return word in self.word_index(len(word))
         if len(word) == k - 1:
             return word in self.essential
         if any(word[i:i + k] not in self.allowed_k for i in range(len(word) - k + 1)):

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorfull.closets import CloSet
-from cantorfull.elements import (compose, equal, identity, inverse, shift,
+from cantorfull.elements import (compose, element_image, equal, identity, inverse, shift,
                                  make_semigroup_element)
-from cantorfull.errors import (CapExceeded, NotAperiodic, SemanticError,
+from cantorfull.errors import (CapExceeded, NotAperiodic, NotBijective, SemanticError,
                                StabilizerViolated, WindowTooSmall)
 from cantorfull.actions import (block_orbits, clopen_orbit, index_mod,
                                 lef_certificate, orbit_permutation,
@@ -13,6 +14,7 @@ from cantorfull.actions import (block_orbits, clopen_orbit, index_mod,
 from cantorfull.constructions import cylinder, first_return, sigma_U
 from cantorfull.language import sft_engine
 from conftest import sample_elements, word_cylinder
+from test_sft_properties import closets, sft_engines, tables, widest_radius
 
 
 def test_orbit_permutation_shift_and_identity(fibonacci):
@@ -131,6 +133,52 @@ def test_clopen_orbit(fibonacci, period_two):
     assert clopen_orbit(CloSet.full(fibonacci)) == 1
     assert clopen_orbit(cylinder(fibonacci, 0, ("a",)), cap=64) is None
     assert clopen_orbit(cylinder(period_two, 0, ("a",))) == 2
+
+
+def seen_set_orbit(closet, cap, step):
+    """Every image's key kept in a set, until one repeats: the loop that
+    clopen_orbit replaced, which does not rely on `step` being a bijection."""
+    seen = {closet.key()}
+    current = closet
+    for _ in range(cap):
+        current = step(current).reduced()
+        key = current.key()
+        if key in seen:
+            return len(seen)
+        seen.add(key)
+    return None
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_clopen_orbit_against_the_seen_set_loop_on_sfts(data):
+    engine = data.draw(sft_engines())
+    closet = data.draw(closets(engine))
+    # the n-th image lies at radius about r + n
+    r = closet.radius
+    cap = widest_radius(engine, r + 1, r + data.draw(st.integers(1, 4))) - r
+    assert clopen_orbit(closet, cap) == seen_set_orbit(closet, cap, lambda c: c.shift_image(1))
+    f = data.draw(tables(engine, -1, 1))
+    if f.bijective:
+        assert clopen_orbit(closet, cap, f=f) == seen_set_orbit(
+            closet, cap, lambda c: element_image(c, f))
+    else:
+        with pytest.raises(NotBijective):
+            clopen_orbit(closet, cap, f=f)
+
+
+def test_clopen_orbit_under_a_first_return(fibonacci):
+    U = cylinder(fibonacci, 0, ("b",))
+    psi = first_return(U)
+    sizes = []
+    for n in range(1, 5):
+        for w in fibonacci.allowed_words(n):
+            V = word_cylinder(fibonacci, 0, w)
+            sizes.append(clopen_orbit(V, 10, f=psi))
+            assert sizes[-1] == seen_set_orbit(V, 10, lambda c: element_image(c, psi))
+    # psi fixes the sets off U and moves those inside it along an infinite orbit
+    assert 1 in sizes and None in sizes
+    assert clopen_orbit(U, f=psi) == 1
 
 
 def test_lef_trivial(fibonacci):

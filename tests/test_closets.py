@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cantorfull.closets import CloSet, is_partition, least_meet
 from cantorfull.elements import compose, element_image, shift
 from cantorfull.errors import EngineMismatch
+from cantorfull.language import RecodedEngine
 from cantorfull.words import Word
 from conftest import sample_elements
 from test_sft_properties import closets, sft_engines, tables
@@ -195,13 +196,29 @@ def test_clopen_reads_against_slicing_oracles_on_sfts(data):
     check_reads(data, engine, data.draw(closets(engine)), -1, 1)
 
 
+def check_cylinder_reads(data, engine):
+    word = data.draw(st.integers(1, 5).flatmap(
+        lambda n: st.sampled_from(engine.allowed_words(n))))
+    closet = CloSet.cylinder(engine, Word(word, data.draw(st.integers(-3, 3))))
+    check_reads(data, engine, closet, -2, 2)
+
+
 @settings(deadline=None, database=None)
 @given(st.data())
 def test_clopen_reads_against_slicing_oracles_on_fibonacci(fibonacci, data):
-    word = data.draw(st.integers(1, 5).flatmap(
-        lambda n: st.sampled_from(fibonacci.allowed_words(n))))
-    closet = CloSet.cylinder(fibonacci, Word(word, data.draw(st.integers(-3, 3))))
-    check_reads(data, fibonacci, closet, -2, 2)
+    check_cylinder_reads(data, fibonacci)
+
+
+@pytest.fixture(scope="module")
+def recoded_fibonacci(fibonacci):
+    return RecodedEngine(fibonacci, 2)
+
+
+@pytest.mark.parametrize("name", ["thue_morse", "sturmian_fib", "recoded_fibonacci"])
+@settings(deadline=None, database=None, max_examples=50)
+@given(data=st.data())
+def test_clopen_reads_against_slicing_oracles_on_other_kinds(request, name, data):
+    check_cylinder_reads(data, request.getfixturevalue(name))
 
 
 # -- families: the pairwise loops that least_meet and is_partition replaced ---

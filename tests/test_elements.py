@@ -2,6 +2,7 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorfull.closets import CloSet
 from cantorfull.elements import (Element, ball_sizes, canonical_dump,
@@ -15,6 +16,7 @@ from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
 from cantorfull.words import Word
 from conftest import sample_elements
+from test_sft_properties import check_descent, raw_tables
 
 
 def test_shift_is_bijective(fibonacci):
@@ -120,7 +122,7 @@ def test_equality_and_canonical_forms(fibonacci, fib_pool):
     gs = sample_elements(fib_pool, 25, 10)
     for f, g in zip(fs, gs):
         radius = max(f.radius, g.radius) + max(f.dbound, g.dbound)
-        semantic = f.padded_table(radius) == g.padded_table(radius)
+        semantic = f.values_at(radius) == g.values_at(radius)
         assert equal(f, g) == semantic
         assert (f.canonical_key() == g.canonical_key()) == semantic
 
@@ -136,7 +138,7 @@ def test_canonical_radius_detection(fibonacci):
     a = fibonacci.alphabet.index("a")
     base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
-    padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
+    padded = make_semigroup_element(fibonacci, 3, f.values_at(3))
     assert padded.canonical_key()[0] == f.canonical_key()[0] == 1
 
 
@@ -146,7 +148,7 @@ def test_canonical_element_holds_no_reference_to_itself(fibonacci):
     a = fibonacci.alphabet.index("a")
     base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
-    padded = make_semigroup_element(fibonacci, 3, f.padded_table(3))
+    padded = make_semigroup_element(fibonacci, 3, f.values_at(3))
     reduced = padded.canonical_element()
     assert reduced.radius == 1
     for e in (f, reduced):
@@ -181,14 +183,16 @@ def test_ball_sizes_count_maps_not_tables():
     assert ball_sizes([f], 3) == [1, 1, 1]
 
 
-def sft_from_allowed_3_words(letters, allowed):
-    return sft_engine(letters, ["".join(w) for w in itertools.product(letters, repeat=3)
+def sft_from_allowed_words(letters, allowed):
+    """The SFT whose allowed words of one length are `allowed`."""
+    length = len(next(iter(allowed)))
+    return sft_engine(letters, ["".join(w) for w in itertools.product(letters, repeat=length)
                                 if "".join(w) not in allowed])
 
 
 def test_map_key_solves_congruences_across_cycles():
     # a 2-cycle (ab) and a 3-cycle (acd) that share the letter a
-    engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "acd", "cda", "dac"})
+    engine = sft_from_allowed_words("abcd", {"aba", "bab", "acd", "cda", "dac"})
     # phi on the 2-cycle and phi^2 on the 3-cycle, at radius 1 and at radius 0
     # (5 = 1 mod 2 = 2 mod 3 on the letter a)
     g = make_element(engine, 1, by_text(engine, {"bab": 1, "aba": 1, "dac": 2, "acd": 2, "cda": 2}))
@@ -200,7 +204,7 @@ def test_map_key_solves_congruences_across_cycles():
 
 def test_map_key_keeps_the_radius_when_congruences_conflict():
     # a 2-cycle (ab) and a 4-cycle (acad) that share the letter a
-    engine = sft_from_allowed_3_words("abcd", {"aba", "bab", "aca", "cad", "ada", "dac"})
+    engine = sft_from_allowed_words("abcd", {"aba", "bab", "aca", "cad", "ada", "dac"})
     two = {"bab": 1, "aba": 1}
     # on a: 1 mod 2 and 3 mod 4 meet in 3 mod 4; 1 mod 2 and 2 mod 4 never meet
     meet = make_element(engine, 1, by_text(engine, {**two, **dict.fromkeys(["aca", "cad", "ada", "dac"], 3)}))
@@ -209,6 +213,35 @@ def test_map_key_keeps_the_radius_when_congruences_conflict():
     assert clash.map_key()[0] == 1
     assert not equal(clash, make_semigroup_element(engine, 0, by_text(engine, {"a": 2, "b": 1,
                                                                              "c": 2, "d": 2})))
+
+
+# isolated cycles of the transfer graph whose short words are shared
+CROSS_CYCLES = {
+    "2-and-3-cycles": ("abcd", {"aba", "bab", "acd", "cda", "dac"}),
+    "2-and-4-cycles": ("abcd", {"aba", "bab", "aca", "cad", "ada", "dac"}),
+    # (ab) and (abb) share the 3-word bab, so a map key can take two steps down
+    "2-and-3-cycles-sharing-bab": ("ab", {"ababa", "babab", "abbab", "bbabb", "babba"}),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CYCLES)
+@settings(deadline=None, database=None, max_examples=50)
+@given(data=st.data())
+def test_multi_step_descent_across_cycles(name, data):
+    engine = sft_from_allowed_words(*CROSS_CYCLES[name])
+    check_descent(data, engine, data.draw(raw_tables(engine, -3, 3)))
+
+
+def test_support_on_periodic_cylinders(period_two):
+    engine = sft_from_allowed_words(*CROSS_CYCLES["2-and-3-cycles"])
+    assert support(shift(engine, 6)).is_empty()
+    assert support(shift(period_two, 2)).is_empty()
+    assert support(shift(period_two, 3)) == CloSet.full(period_two)
+    # phi^2 moves the points of the 3-cycle only, phi^3 those of the 2-cycle
+    on_two = cylinder(engine, 0, ("b",)).union(cylinder(engine, 1, ("b",)))
+    on_three = CloSet.full(engine).minus(on_two)
+    assert support(shift(engine, 2)) == on_three
+    assert support(shift(engine, 3)) == on_two
 
 
 def test_equal_semigroup_elements_on_periodic_points(period_two):
@@ -302,7 +335,6 @@ def test_padding_reads_one_restriction_map(monkeypatch):
     values = e.values_at(150)
     assert len(lengths) <= 3
     assert values == (1,) * len(engine.allowed_words(301))
-    assert e.padded_table(150) == dict(zip(engine.allowed_words(301), values))
 
 
 def test_tuple_and_dict_tables_agree(fibonacci):

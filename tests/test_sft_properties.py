@@ -10,13 +10,14 @@ composed, certified and canonicalised by slicing each window.
 
 import functools
 import itertools
+import random
 
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.closets import CloSet
-from cantorfull.elements import (_crt, ball_sizes, canonical_dump, compose, equal,
-                                 identity, inverse, is_identity,
-                                 make_semigroup_element, order, parse_dump)
+from cantorfull.elements import (Element, _crt, ball_sizes, canonical_dump, compose,
+                                 equal, identity, inverse, is_identity,
+                                 make_semigroup_element, order, parse_dump, support)
 from cantorfull.errors import EmptySubshift
 from cantorfull.language import RecodedEngine, sft_engine
 
@@ -147,9 +148,9 @@ def same_map_oracle(f, g):
     """f and g agree on a window when their values are equal or when no point
     of the window is moved by their difference."""
     radius = max(f.radius, g.radius)
-    tf, tg = f.padded_table(radius), g.padded_table(radius)
-    return all(tf[w] == tg[w] or not nonperiodic_oracle(f.engine, w, tf[w] - tg[w])
-               for w in tf)
+    words = f.engine.allowed_words(2 * radius + 1)
+    return all(a == b or not nonperiodic_oracle(f.engine, w, a - b)
+               for w, a, b in zip(words, f.values_at(radius), g.values_at(radius)))
 
 
 @st.composite
@@ -394,6 +395,63 @@ def test_element_layer_against_dict_oracle(data):
     if witness is not None:
         assert f.witness() == tuple(witness.values())
         assert as_pair(inverse(f)) == oracle_inverse(engine, of)
+
+
+def widest_radius(engine, low, high, max_windows=2500):
+    """The largest radius in low..high whose level holds at most `max_windows`
+    words, or `low`; levels are built upwards, never past the first too large."""
+    radius = low
+    while radius < high and len(engine.allowed_words(2 * radius + 3)) <= max_windows:
+        radius += 1
+    return radius
+
+
+def check_descent(data, engine, raw):
+    """Pad the raw table by 1-4 radii, so that the canonical form is reached
+    in several steps down, and move each value by a multiple of its window's
+    local period, which keeps the map and so the map key."""
+    radius = widest_radius(engine, raw[0] + 1, raw[0] + data.draw(st.integers(1, 4)))
+    words = engine.allowed_words(2 * radius + 1)
+    base = tuple(raw[1][w] for w in engine.allowed_words(2 * raw[0] + 1))
+    exact = Element(engine, raw[0], base, None).values_at(radius)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    moved = tuple(v + rng.randint(-1, 1) * engine.local_period(w) for w, v in zip(words, exact))
+    keys = set()
+    for values in (exact, moved):
+        padded, table = Element(engine, radius, values, None), (radius, dict(zip(words, values)))
+        least, groups = oracle_canonical(table)
+        assert padded.canonical_key() == (least, tuple(sorted(groups.items())))
+        assert canonical_dump(padded) == oracle_dump(engine, table)
+        assert padded.map_key() == oracle_map_key(engine, table)
+        keys.add(padded.map_key())
+    assert len(keys) == 1
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_multi_step_descent_against_dict_oracle(data):
+    engine = data.draw(sft_engines())
+    check_descent(data, engine, data.draw(raw_tables(engine, -2, 2)))
+
+
+def support_oracle(f):
+    """The per-window rule: a window of radius r + D is in the support when
+    its value is nonzero and some point of its cylinder is not periodic with
+    that period."""
+    engine, c = f.engine, f.canonical_element()
+    radius = c.radius + c.dbound
+    return CloSet(engine, radius, [w for w, v in zip(engine.allowed_words(2 * radius + 1),
+                                                     c.values_at(radius))
+                                   if v != 0 and engine.cylinder_nonperiodic_exists(w, v)])
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_support_against_the_per_window_rule(data):
+    engine = data.draw(sft_engines())
+    f = data.draw(tables(engine, -3, 3))
+    got, want = support(f), support_oracle(f)
+    assert (got.radius, got.members) == (want.radius, want.members)
 
 
 @settings(deadline=None, database=None)
