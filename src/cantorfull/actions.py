@@ -246,7 +246,7 @@ def lef_certificate(elements, n_cap=None, p_cap=None):
     for n in range(1, n_cap + 1):
         approx = sft_approximation(engine, n)
         try:
-            lifts = [_lift_to(approx, f.canonical_element()) for f in elements]
+            lifts = [_lift_to(approx, f) for f in elements]
         except (PartialTable, NotInjective, NotSurjective):
             continue
         for p in range(1, p_cap + 1):

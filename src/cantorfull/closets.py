@@ -82,30 +82,35 @@ class CloSet:
         return CloSet(self.engine, radius, compress(words, self.mask(radius)))
 
     def reduced(self):
-        """Canonical minimal-radius form."""
+        """Canonical minimal-radius form: the least t at which membership is a
+        function of the radius-t cores of this set's own windows, found by
+        halving from t = r - 1.  A function of the t-core is one of every larger
+        core, and every allowed (2t+1)-word is the core of an allowed window, so
+        the members at t are the t-cores of the member windows; no other level
+        is built."""
         if self._reduced is not None:
             return self._reduced
-        current = self
-        while current.radius > 0:
-            r = current.radius
-            groups = {}
-            for u in self.engine.allowed_words(2 * r + 1):
-                groups.setdefault(u[1:-1], []).append(u)
-            inside = set()
-            consistent = True
-            for w, extensions in groups.items():
-                hits = sum(1 for u in extensions if u in current.members)
-                if hits == len(extensions):
-                    inside.add(w)
-                elif hits != 0:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-            current = CloSet(self.engine, r - 1, inside)
-        self._reduced = current
-        current._reduced = current
-        return current
+        r, members = self.radius, self.members
+        outside = [u for u in self.engine.allowed_words(2 * r + 1) if u not in members]
+
+        def cores(t):
+            """The t-cores of the members, or None when a window outside has one."""
+            inside = {u[r - t:r + t + 1] for u in members}
+            return inside if inside.isdisjoint(u[r - t:r + t + 1] for u in outside) else None
+
+        # the least t lies in [lo, hi]; cores(hi) is `found` once hi < r
+        lo, hi, t, found = 0, r, r - 1, None
+        while lo < hi:
+            inside = cores(t)
+            if inside is None:
+                lo = t + 1
+            else:
+                hi, found = t, inside
+            t = (lo + hi) // 2
+        reduced = self if found is None else CloSet(self.engine, hi, found)
+        self._reduced = reduced
+        reduced._reduced = reduced
+        return reduced
 
     def key(self):
         reduced = self.reduced()

@@ -126,7 +126,7 @@ def symmetric_embed(moves, closet):
 # first-return maps and Kakutani-Rokhlin towers
 
 
-def first_return(closet, cap=None):
+def first_return(closet):
     """phi_A: x in A -> phi^k x for the least k >= 1 with phi^k x in A."""
     engine = closet.engine
     if engine.minimal is not True:
@@ -134,7 +134,7 @@ def first_return(closet, cap=None):
     if closet.is_empty():
         raise NotOmniscient("the empty set is not omniscient")
     src = closet.reduced()
-    gap = min(max_gap(engine, w, cap=cap) for w in src.members)
+    gap = min(max_gap(engine, w) for w in src.members)
     radius = src.radius + gap
     return make_element(engine, radius, tuple(_return_times(src, radius, gap)))
 
@@ -181,7 +181,7 @@ class TowerPartition(NamedTuple):
         return "\n".join(out) + "\n"
 
 
-def kr_towers(closet, refine_by=(), cap=None):
+def kr_towers(closet, refine_by=()):
     """Kakutani-Rokhlin partition over `closet`, bases refined by return time
     (and, optionally, so every level lies inside or outside each given set)."""
     engine = closet.engine
@@ -192,7 +192,7 @@ def kr_towers(closet, refine_by=(), cap=None):
     if closet.is_empty():
         raise NotOmniscient("the empty set has no towers")
     src = closet.reduced()
-    gap = min(max_gap(engine, w, cap=cap) for w in src.members)
+    gap = min(max_gap(engine, w) for w in src.members)
     radius = src.radius + gap + max([s.radius for s in refine_by], default=0)
     times = _return_times(src, radius, gap)
     # level i of the column over [y] lives in phi^i([y]), so it lies in a set
@@ -454,14 +454,13 @@ def lamplighter_pair(U):
     phi = shift(engine)
     Psi = compose(psi, compose(compose(phi, psi), inverse(phi)))
 
+    # each candidate is one allowed window of U, so a nonempty subset of it
     base = U.reduced()
     candidate_words = [(base.radius + ext, w) for ext in range(9)
                        for w in sorted(base.at_radius(base.radius + ext).members)]
     V = None
     for rho, w in candidate_words:
         cand = CloSet(engine, rho, {w})
-        if not cand.is_subset(U) or cand.is_empty():
-            continue
         if clopen_orbit(cand, f=psi) is None:
             V = cand
             break
@@ -486,8 +485,9 @@ def _verify_lamplighter(pair):
     for n in window:
         subsets += [s + (n,) for s in subsets]
     checked = 0
+    Psi_inv = inverse(pair.Psi)
     for F in subsets:
-        lhs = compose(pair.Psi, compose(pair.sigma(F), inverse(pair.Psi)))
+        lhs = compose(pair.Psi, compose(pair.sigma(F), Psi_inv))
         rhs = pair.sigma(tuple(n + 1 for n in F))
         if not equal(lhs, rhs):
             raise AssertionError(f"conjugation relation fails for F={F}")
@@ -646,8 +646,7 @@ def rokhlin_base(f, n):
     powers = {}
     for i in range(1, n):
         powers[i] = power(f, i)
-        c = powers[i].canonical_element()
-        for w, v in c.table.items():
+        for w, v in powers[i].table.items():
             if v == 0 or engine.cylinder_periodic_exists(w, v):
                 raise FixedPointFound(i, engine.alphabet.format_word(w))
     for i in range(1, n):

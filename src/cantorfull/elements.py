@@ -20,13 +20,15 @@ windows whose count is nonzero with the values off the set blanked.
 
 Composition follows compose(f, g) = f o g, apply g first.
 
-The canonical form (``canonical_key``, ``canonical_dump``) names the table,
-which orbit reads on periodic points depend on.  ``map_key`` names the
-induced map, which ``is_identity``, ``equal`` and ``ball_sizes`` decide: on a
-cylinder of periodic points, values that differ by a multiple of its
-``local_period`` give the same map.  Both are reached by ``_least_radius``,
-one radius down at a time; the map key merges the congruences of a core's
-extensions where they have a common solution.
+Every Element is canonical from construction: ``__init__`` takes the values
+down by ``_least_radius``, one radius at a time through the restriction maps,
+to the least radius at which they are a function of the central cores.  That
+table (``canonical_key``, ``canonical_dump``) is what orbit reads on periodic
+points depend on.  ``map_key`` names the induced map, which ``is_identity``,
+``equal`` and ``ball_sizes`` decide: on a cylinder of periodic points, values
+that differ by a multiple of its ``local_period`` give the same map, so the
+map key continues the descent, merging the congruences of a core's extensions
+where they have a common solution.
 """
 
 import math
@@ -39,21 +41,16 @@ from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
 
 
 class Element:
-    __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness",
-                 "_canonical", "_table")
+    __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness", "_table")
 
     def __init__(self, engine, radius, values, bijective):
-        """`values` is a tuple aligned with engine.allowed_words(2 radius + 1)."""
+        """`values` is a tuple aligned with engine.allowed_words(2 radius + 1);
+        the element keeps them at their least radius."""
         self.engine = engine
-        self.radius = radius
-        self.values = values
-        self.dbound = max(max(values), -min(values))
+        self.radius, self.values = _least_radius(engine, radius, values)
+        self.dbound = max(max(self.values), -min(self.values))
         self._bijective = bijective      # True / False / None (not yet certified)
         self._witness = None
-        # canonical form: None until computed, False when it is this element
-        # (a reference to itself would make a cycle that only the cyclic
-        # garbage collector frees)
-        self._canonical = None
         self._table = None
 
     # -- basic views ---------------------------------------------------------
@@ -122,40 +119,29 @@ class Element:
     # -- canonical form ------------------------------------------------------
 
     def canonical_element(self):
-        if self._canonical is not None:
-            return self._canonical or self
-        radius, values = _least_radius(self.engine, self.radius, self.values)
-        if radius == self.radius:
-            self._canonical = False
-            return self
-        reduced = Element(self.engine, radius, values, self._bijective)
-        reduced._canonical = False
-        self._canonical = reduced
-        return reduced
+        return self
 
     def canonical_key(self):
-        c = self.canonical_element()
-        return (c.radius, tuple(zip(self.engine.allowed_words(2 * c.radius + 1), c.values)))
+        words = self.engine.allowed_words(2 * self.radius + 1)
+        return (self.radius, tuple(zip(words, self.values)))
 
     def map_key(self):
         """(radius, values in allowed_words(2 radius + 1) order), a complete
         invariant of the induced map: the canonical table with each value
         reduced modulo its window's local period (0 keeps it exact), at the
         least radius where the extensions of every core have a common value."""
-        c = self.canonical_element()
-        engine, radius = self.engine, c.radius
+        engine, radius = self.engine, self.radius
         periods = engine.local_periods(2 * radius + 1)
         if not any(periods):
             # every value is exact, so the CRT step would fail at once: the
             # canonical table has a core whose extensions disagree
-            return (radius, c.values)
-        table = [(v % m if m else v, m) for v, m in zip(c.values, periods)]
+            return (radius, self.values)
+        table = [(v % m if m else v, m) for v, m in zip(self.values, periods)]
         radius, table = _least_radius(engine, radius, table, _crt)
         return (radius, tuple(v for v, _ in table))
 
     def __repr__(self):
-        c = self.canonical_element()
-        return f"<element r={c.radius} d={c.dbound} over {self.engine.kind}>"
+        return f"<element r={self.radius} d={self.dbound} over {self.engine.kind}>"
 
 
 def _preimages(engine, radius, values, d):
@@ -243,11 +229,10 @@ def make_semigroup_element(engine, radius, values):
 
 
 def _capped(e):
-    """The canonical form of `e`, whose displacements must stay within the
-    engine's dbound cap."""
+    """`e`, whose displacements must stay within the engine's dbound cap."""
     if e.dbound > e.engine.caps.dbound:
         raise CapExceeded("displacement bound exceeded", cap=e.engine.caps.dbound)
-    return e.canonical_element()
+    return e
 
 
 def identity(engine):
@@ -279,7 +264,7 @@ def compose(f, g):
 def inverse(f):
     """kappa_inv(y) = -k(y), k(y) the certificate witness."""
     values = tuple([-k for k in f.witness()])
-    return Element(f.engine, f.radius + f.dbound, values, True).canonical_element()
+    return Element(f.engine, f.radius + f.dbound, values, True)
 
 
 def power(f, n):
@@ -326,9 +311,8 @@ def support(f):
     """Clopen hull of the moved set, refined at radius r + D: the windows
     whose value is not a multiple of their local period."""
     engine = f.engine
-    c = f.canonical_element()
-    radius = c.radius + c.dbound
-    members = [w for w, v, m in zip(engine.allowed_words(2 * radius + 1), c.values_at(radius),
+    radius = f.radius + f.dbound
+    members = [w for w, v, m in zip(engine.allowed_words(2 * radius + 1), f.values_at(radius),
                                     engine.local_periods(2 * radius + 1))
                if (v % m if m else v)]
     return CloSet(engine, radius, members)
@@ -389,11 +373,10 @@ def ball_sizes(generators, radius):
 
 def canonical_dump(f):
     """Bit-exact canonical serialization (round-trips through parse_dump)."""
-    c = f.canonical_element()
     fmt = f.engine.alphabet.format_word
-    words = f.engine.allowed_words(2 * c.radius + 1)
-    lines = [f"radius={c.radius} dbound={c.dbound}"]
-    lines += [f"{fmt(w)} -> {v}" for w, v in zip(words, c.values)]
+    words = f.engine.allowed_words(2 * f.radius + 1)
+    lines = [f"radius={f.radius} dbound={f.dbound}"]
+    lines += [f"{fmt(w)} -> {v}" for w, v in zip(words, f.values)]
     return "\n".join(lines) + "\n"
 
 

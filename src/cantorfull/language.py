@@ -641,9 +641,9 @@ def recurrence_bound(engine, word, cap=None):
     raise CapExceeded("no recurrence bound found", cap=cap)
 
 
-def max_gap(engine, word, cap=None):
+def max_gap(engine, word):
     """Upper bound for the gap between consecutive occurrences of `word`."""
-    return recurrence_bound(engine, word, cap=cap) - len(word) + 1
+    return recurrence_bound(engine, word) - len(word) + 1
 
 
 def is_proper(engine, d):

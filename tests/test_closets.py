@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorfull.actions import clopen_orbit
 from cantorfull.closets import CloSet, is_partition, least_meet
 from cantorfull.elements import compose, element_image, shift
 from cantorfull.errors import EngineMismatch
-from cantorfull.language import RecodedEngine
+from cantorfull.language import RecodedEngine, substitution_engine
 from cantorfull.words import Word
 from conftest import sample_elements
-from test_sft_properties import closets, sft_engines, tables
+from test_sft_properties import closets, sft_engines, tables, widest_radius
 
 
 def text_word(engine, text, anchor):
@@ -185,6 +186,11 @@ def check_reads(data, engine, closet, low, high):
     k = data.draw(st.integers(-3, 3))
     assert_same_set(closet.shift_image(k), oracle_shift_image(closet, k))
     assert_same_set(closet.reduced(), oracle_reduced(closet))
+    # re-expressed up to 12 radii wider (as far as levels of 2500 words go),
+    # the set reduces back across a large drop
+    wide = closet.at_radius(widest_radius(engine, closet.radius,
+                                          closet.radius + data.draw(st.integers(0, 12))))
+    assert_same_set(wide.reduced(), oracle_reduced(wide))
     f = data.draw(tables(engine, low, high))
     assert_same_set(element_image(closet, f), oracle_element_image(closet, f))
 
@@ -219,6 +225,38 @@ def recoded_fibonacci(fibonacci):
 @given(data=st.data())
 def test_clopen_reads_against_slicing_oracles_on_other_kinds(request, name, data):
     check_cylinder_reads(data, request.getfixturevalue(name))
+
+
+def starts_block(word, c, n):
+    """Does index c of a Thue-Morse word start a sigma^n-block?  A doubled
+    letter straddles a 2-block boundary, so each step desubstitutes the word
+    by the first letter of each block."""
+    for _ in range(n):
+        phase = next(i for i in range(len(word) - 1) if word[i] == word[i + 1]) + 1
+        if (c - phase) % 2:
+            return False
+        word, c = word[phase % 2::2], (c - phase % 2) // 2
+    return True
+
+
+def test_reduced_across_a_large_drop_builds_no_level():
+    """P7, the points whose position 0 starts a sigma^7-block of Thue-Morse,
+    written at radius 768, is a union of 4 cylinders of radius 65."""
+    engine = substitution_engine({"a": "ab", "b": "ba"})
+    words = engine.allowed_words(2 * 768 + 1)
+    p7 = CloSet(engine, 768, [w for w in words if starts_block(w, 768, 7)])
+    levels = set(engine._words)
+    reduced = p7.reduced()
+    assert set(engine._words) == levels
+    assert (reduced.radius, len(reduced.members)) == (65, 4)
+    assert reduced.members == {w[768 - 65:768 + 66] for w in p7.members}
+    assert oracle_reduced(reduced) is reduced and reduced.at_radius(768) == p7
+    assert clopen_orbit(p7, cap=300) == 128
+    aba = CloSet.cylinder(engine, text_word(engine, "aba", -1))
+    wide = aba.at_radius(300)
+    levels = set(engine._words)
+    assert_same_set(wide.reduced(), aba)
+    assert set(engine._words) == levels
 
 
 # -- families: the pairwise loops that least_meet and is_partition replaced ---

@@ -420,6 +420,10 @@ def check_descent(data, engine, raw):
     for values in (exact, moved):
         padded, table = Element(engine, radius, values, None), (radius, dict(zip(words, values)))
         least, groups = oracle_canonical(table)
+        # canonical from construction: the element holds the least radius
+        assert padded.radius == least
+        assert padded.values == tuple(groups[w] for w in engine.allowed_words(2 * least + 1))
+        assert padded.canonical_element() is padded
         assert padded.canonical_key() == (least, tuple(sorted(groups.items())))
         assert canonical_dump(padded) == oracle_dump(engine, table)
         assert padded.map_key() == oracle_map_key(engine, table)
