@@ -4,6 +4,9 @@ orbits and finite-quotient (LEF) certificates.
 The canonical basepoint is always the engine's point_window point, and
 j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
 window is known only to ``Element.orbit_map``; every reader here calls it.
+A ``WindowedPermutation`` keeps its window, the list of images of
+-window, ..., window in that order (readers index it by position, n + window)
+and the displacement bound c.
 Since |j(n) - n| <= D, every crossing of the origin (n and j(n) on opposite
 sides of 0) lies in [-D, D); ``_crossings`` reads that range once, and the
 index and the half-orbit stabilizer test are both read off it.
@@ -14,6 +17,7 @@ so each reduced image is compared with the reduced start.
 """
 
 import json
+import operator
 from typing import NamedTuple
 
 from .elements import element_image, equal, inverse, make_element
@@ -24,21 +28,25 @@ from .language import SFTEngine, periodic_window, sft_approximation
 
 
 class WindowedPermutation(NamedTuple):
-    """j_x(psi) restricted to [-window, window]; c bounds |g(n) - n|."""
+    """j_x(psi) restricted to [-window, window]: images[i] is the image of
+    n = i - window; c bounds |g(n) - n|."""
 
     window: int
-    table: dict
+    images: list
     c: int
 
     def __call__(self, n):
-        return self.table[n]
+        """The image of n; KeyError outside [-window, window]."""
+        if -self.window <= n <= self.window:
+            return self.images[n + self.window]
+        raise KeyError(n)
 
     def defined_range(self):
         return range(-self.window, self.window + 1)
 
     def tsv(self):
         lines = ["n\timage"]
-        lines += [f"{n}\t{self.table[n]}" for n in self.defined_range()]
+        lines += [f"{n}\t{m}" for n, m in zip(self.defined_range(), self.images)]
         return "\n".join(lines) + "\n"
 
 
@@ -48,25 +56,28 @@ def orbit_permutation(psi, window, base_shift=0):
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
     point = psi.engine.point_window(window + r + abs(base_shift))
-    table = psi.orbit_map(point, window, base_shift)
-    if len(set(table.values())) != len(table):
+    images = psi.orbit_map(point, window, base_shift)
+    if len(set(images)) != len(images):
         raise AssertionError("orbit restriction is not injective")
-    return WindowedPermutation(window, table, d)
+    return WindowedPermutation(window, images, d)
 
 
 def _crossings(psi, point, shift=0):
     """The pairs (n, j(n)) with n and j(n) on opposite sides of 0, in order
     of n, basepoint phi^shift x for x read off `point`."""
-    image = psi.orbit_map(point, psi.dbound, shift)
-    return [(n, m) for n, m in image.items() if (n < 0) != (m < 0)]
+    d = psi.dbound
+    images = psi.orbit_map(point, d, shift)
+    return [(n, m) for n, m in zip(range(-d, d + 1), images) if (n < 0) != (m < 0)]
 
 
 def index_mod(psi, shifts=5):
     """Net transfer of the orbit across the origin; the abelianization onto Z.
 
     mod(psi) = #{n < 0 : j(n) >= 0} - #{n >= 0 : j(n) < 0}, the signed count
-    of crossings, cross-checked at `shifts` shifted basepoints.
+    of crossings, cross-checked at `shifts` >= 1 shifted basepoints.
     """
+    if shifts < 1:
+        raise ValueError(f"index_mod needs shifts >= 1, got {shifts}")
     if psi.engine.aperiodic is not True:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
     point = psi.engine.point_window(psi.dbound + psi.radius + shifts)
@@ -120,10 +131,11 @@ def putnam_blocks(elements, window):
             raise StabilizerViolated(*crossings[0])
         perms.append(orbit_permutation(f, window))
     m = max((f.dbound for f in family), default=0)
-    tau = [{n: p(n) - n for n in p.defined_range()} for p in perms]
+    # tau[i] is the displacement at n = i - window
+    tau = [list(map(operator.sub, p.images, p.defined_range())) for p in perms]
     recurrence = []
     for n in range(-window, window - m + 2):
-        if all(t[n + k] == t[k] for t in tau for k in range(m)):
+        if all(t[n + window:n + window + m] == t[window:window + m] for t in tau):
             recurrence.append(n)
     if len(recurrence) < 2:
         raise WindowTooSmall("recurrence set too sparse in the window")
@@ -135,7 +147,7 @@ def putnam_blocks(elements, window):
         blocks.append((a, b))
         cells = set(range(a, b))
         for p in perms:
-            if {p(n) for n in cells} != cells:
+            if set(p.images[a + window:b + window]) != cells:
                 invariant = False
     if not blocks:
         raise WindowTooSmall("no interior blocks in the window")
@@ -156,9 +168,8 @@ def block_orbits(elements, block):
         return n
 
     # an edge n - f^-1(n) inside the block is the edge m - f(m) from m = f^-1(n)
-    for n in range(start, end):
-        for p in perms:
-            m = p(n)
+    for p in perms:
+        for n, m in zip(range(start, end), p.images[start + window:end + window]):
             if start <= m < end:
                 parent[find(n)] = find(m)
     orbits = {}

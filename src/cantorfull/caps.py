@@ -20,7 +20,7 @@ class Caps(NamedTuple):
     lef_n: int = 8            # lef_certificate approximation-order cap
     lef_p: int = 12           # lef_certificate period cap
     period_scan: int = 12     # aperiodicity scan: periods checked
-    word_store: int = 500_000  # enumeration guard (words, ball elements)
+    word_store: int = 500_000  # enumeration guard (words, ball elements, point-window letters)
     radius_search: int = 64   # cover-refinement radius guard
 
 

@@ -16,10 +16,10 @@ from .elements import (Element, commutator, compose, element_image, equal,
                        identity, inverse, is_identity, make_element, power,
                        shift)
 from .errors import (CapExceeded, EngineMismatch, FixedPointFound,
-                     NotBijective, NotGood, NotMinimal, NotOmniscient,
-                     OdometerLike, OverlapError, PreconditionViolated,
-                     SearchExhausted, SemanticError, SurplusViolated,
-                     WindowTooSmall)
+                     MemoryCapExceeded, NotBijective, NotGood, NotMinimal,
+                     NotOmniscient, OdometerLike, OverlapError,
+                     PreconditionViolated, SearchExhausted, SemanticError,
+                     SurplusViolated, WindowTooSmall)
 from .language import (is_proper, max_gap, proper_recode, recurrence_bound,
                        sft_engine)
 from .words import Word
@@ -592,16 +592,20 @@ _MINUS_ENDS = {1: ("-inf",), 2: ("even -inf", "odd -inf")}
 
 
 def houghton_orbit_map(f, window):
-    """The induced permutation n -> n + kappa(phi^n x0) on [-window, window],
+    """The images n + kappa(phi^n x0) for n in range(-window, window + 1),
     x0 = a at every position <= 0, then b b b ... (Y) or b c b c ... (Y')."""
-    tail = _houghton_tail(f.engine)
+    engine = f.engine
+    tail = _houghton_tail(engine)
     radius = window + f.radius
+    if 2 * radius + 1 > engine.caps.word_store:
+        raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
+                                cap=engine.caps.word_store)
     x0 = Word(bytes(radius + 1) + (tail * radius)[:radius], -radius)
     return f.orbit_map(x0, window)
 
 
-def _end_translation(table, positions, label):
-    deviations = {table[n] - n for n in positions}
+def _end_translation(images, window, positions, label):
+    deviations = {images[n + window] - n for n in positions}
     if len(deviations) != 1:
         raise WindowTooSmall(f"{label} end does not stabilize in the window")
     return deviations.pop()
@@ -617,13 +621,14 @@ def houghton_profile(f, window):
     q = len(_houghton_tail(f.engine))
     if window < 1:
         raise WindowTooSmall("the ends are read off positions 1..window on each side")
-    table = houghton_orbit_map(f, window)
+    images = houghton_orbit_map(f, window)
     quarter = max(1, window // 4)
-    t_plus = _end_translation(table, range(window - quarter + 1, window + 1), "+inf")
+    t_plus = _end_translation(images, window, range(window - quarter + 1, window + 1), "+inf")
     reads = range(-window, -window + q * quarter + q - 1)
-    t_minus = tuple(_end_translation(table, [n for n in reads if n % q == residue], label)
-                    for residue, label in enumerate(_MINUS_ENDS[q]))
-    exceptional = tuple(n for n, m in table.items()
+    t_minus = tuple(
+        _end_translation(images, window, [n for n in reads if n % q == residue], label)
+        for residue, label in enumerate(_MINUS_ENDS[q]))
+    exceptional = tuple(n for n, m in zip(range(-window, window + 1), images)
                         if m != n + (t_plus if n >= 0 else t_minus[n % q]))
     if any(abs(n) > window // 2 for n in exceptional):
         raise WindowTooSmall("deviations reach outside half the window")

@@ -10,7 +10,11 @@ arithmetic through the engine's restriction maps
 ``table`` is a read-only {window: value} view derived from ``values`` on
 first use, for readers that look windows up by word; a reader of many windows
 takes the view once.  ``orbit_map`` is the one reader along a point: it alone
-knows where the window of phi^m x sits in a point window.
+knows where the window of phi^m x sits in a point window.  It returns a list
+of images aligned with range(-window, window + 1).  A long read takes the
+windows of _BLOCK consecutive n as one run of letters and reads each distinct
+run once per call: the canonical points have low complexity, so a window of
+10^5 positions on Fibonacci or a Sturmian point repeats some 80 distinct runs.
 
 ``_preimages`` counts, over every allowed window y of length 2(r+D)+1, the k
 in [-D, D] with table(y[k-r..k+r]) = k.  Bijectivity is certified at
@@ -32,12 +36,19 @@ where they have a common solution.
 """
 
 import math
+import operator
 from itertools import compress
 from types import MappingProxyType
 
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
                      NotBijective, NotInjective, NotSurjective, PartialTable)
+
+# the n read together by Element.orbit_map: long enough that most reads of a
+# canonical point are a hit on a run already read, short enough that those
+# points have few distinct runs of that length.  A shorter read goes window by
+# window, which costs half as much for the van Douwen walk's one-window reads.
+_BLOCK = 64
 
 
 class Element:
@@ -73,8 +84,8 @@ class Element:
         return tuple(map(self.values.__getitem__, positions))
 
     def orbit_map(self, point, window, shift=0):
-        """{n: n + kappa(phi^(n+shift) x)} for n in [-window, window], x read
-        off the anchored Word `point`; IndexError when a read leaves it."""
+        """[n + kappa(phi^(n+shift) x) for n in range(-window, window + 1)], x
+        read off the anchored Word `point`; IndexError when a read leaves it."""
         letters, size = point.letters, 2 * self.radius + 1
         # the window of phi^m x, m = n + shift, starts at index top - n
         top = -shift - self.radius - point.anchor
@@ -82,7 +93,20 @@ class Element:
             raise IndexError(f"orbit window {window} at shift {shift} leaves "
                              f"[{point.start}, {point.end})")
         kappa = self.table
-        return {n: n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)}
+        if 2 * window + 1 < _BLOCK:
+            return [n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)]
+        # the window of n starts one letter left of that of n - 1, so a run
+        # holds the windows of its block from the right end
+        runs = {}
+        values = []
+        for n in range(-window, window + 1, _BLOCK):
+            count = min(_BLOCK, window + 1 - n)
+            run = letters[top - n - count + 1:top - n + size]
+            got = runs.get(run)
+            if got is None:
+                got = runs[run] = [kappa[run[i:i + size]] for i in range(count - 1, -1, -1)]
+            values += got
+        return list(map(operator.add, range(-window, window + 1), values))
 
     # -- certification -------------------------------------------------------
 

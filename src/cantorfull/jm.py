@@ -11,7 +11,10 @@ being cos(x) >= exp(-x^2) on [-pi/4, pi/4].  The kernels themselves are never
 materialized; everything reduces to this product.
 
 The angle differences theta(n, j) - theta(n, g(j)) for one n are computed
-once, with g evaluated once per j, and shared by C(n) and its lower bound.
+once and shared by C(n) and its lower bound.  The angles theta(n, k) form one
+table per n, built without a Python call per k.  An orbit view, which holds
+its images as a run aligned with its window, is read by position; any other g
+is evaluated once per j.
 Products are evaluated as a balanced tree over the sorted j range and
 cross-checked against the sum-of-logs form to 1e-9 relative.
 """
@@ -106,21 +109,44 @@ def _paired(span):
         zip(range(1, span + 1), range(-1, -span - 1, -1))))
 
 
+def _angles(n, top):
+    """[theta(n, k) for k in range(top)]: sqrt(k / n) <= 1 exactly when k <= n,
+    so the clamp leaves pi/4 from k = n on."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    low = min(top, n)
+    roots = map(math.sqrt, map(operator.truediv, range(low), itertools.repeat(n)))
+    return [*map((math.pi / 4).__mul__, roots), *[math.pi / 4] * (top - low)]
+
+
 def _deltas(g, n):
     """theta(n, j) - theta(n, g(j)) for j in _paired(n + c).
 
     The angles come from a table of theta(n, k) indexed by k = |j|, so every
-    difference is the float the two theta calls would give.  g is evaluated
-    once per j; |g(j)| <= |j| + c <= span + c.
+    difference is the float the two theta calls would give; |g(j)| <= |j| + c
+    <= span + c.  A view with images (an orbit window) is read by position;
+    any other g is evaluated once per j.
     """
     span = _span(g, n)
-    angles = [theta(n, k) for k in range(span + g.c + 1)]
-    try:
-        return array("d", (angles[abs(j)] - angles[abs(g(j))] for j in _paired(span)))
-    except KeyError:
-        for j in _paired(span):
-            _evaluate(g, j)
-        raise
+    angles = _angles(n, span + g.c + 1)
+    images = getattr(g, "images", None)
+    if images is not None:
+        zero = g.window
+    else:
+        zero = span
+        try:
+            images = [g(j) for j in range(-span, span + 1)]
+        except KeyError:
+            for j in _paired(span):
+                _evaluate(g, j)
+            raise
+    # j = 0, -1, ..., -span at even places, j = 1, ..., span at odd ones
+    deltas = array("d", bytes(8 * (2 * span + 1)))
+    for place, run in ((0, images[zero - span:zero + 1][::-1]),
+                       (1, images[zero + 1:zero + span + 1])):
+        deltas[place::2] = array("d", map(operator.sub, angles[place:span + 1],
+                                          map(angles.__getitem__, map(abs, run))))
+    return deltas
 
 
 def _correlation(deltas):

@@ -124,7 +124,12 @@ class LanguageEngine:
 
     def point_window(self, radius):
         """The window x[-radius..radius] of the engine's canonical point: a
-        slice of the widest window computed so far, which grows on demand."""
+        slice of the widest window computed so far, which grows on demand.
+        MemoryCapExceeded past the word store: the window would hold more
+        than caps.word_store letters."""
+        if 2 * radius + 1 > self.caps.word_store:
+            raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
+                                    cap=self.caps.word_store)
         point = self._point
         if point is None or point.anchor > -radius:
             point = self._point = self._point_window(radius)

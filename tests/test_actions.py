@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from cantorfull.actions import (block_orbits, clopen_orbit, index_mod,
                                 lef_certificate, orbit_permutation,
                                 putnam_blocks, stabilizer_check)
 from cantorfull.constructions import cylinder, first_return, sigma_U
-from cantorfull.language import sft_engine
+from cantorfull.language import proper_recode, sft_engine, sturmian_engine
+from cantorfull.words import Word
 from conftest import sample_elements, word_cylinder
 from test_sft_properties import closets, sft_engines, tables, widest_radius
 
@@ -73,6 +75,13 @@ def test_index_mod_homomorphism_sample(fib_pool):
     gs = sample_elements(fib_pool, 20, 52)
     for f, g in zip(fs, gs):
         assert index_mod(compose(f, g)) == index_mod(f) + index_mod(g)
+
+
+def test_index_mod_needs_a_basepoint(fibonacci):
+    for shifts in (0, -1):
+        with pytest.raises(ValueError, match="shifts >= 1"):
+            index_mod(shift(fibonacci), shifts=shifts)
+    assert index_mod(shift(fibonacci), shifts=1) == 1
 
 
 def test_index_mod_needs_aperiodicity(y_engine):
@@ -230,9 +239,10 @@ def test_lef_separates_sigma_powers(matui_set):
 
 # The segment-based reads these functions replaced, kept as oracles.
 
-def oracle_orbit_table(psi, window, base_shift=0):
+def oracle_orbit_table(psi, window, base_shift=0, point=None):
     r = psi.radius
-    point = psi.engine.point_window(window + r + abs(base_shift))
+    if point is None:
+        point = psi.engine.point_window(window + r + abs(base_shift))
     kappa = psi.table
     table = {}
     for n in range(-window, window + 1):
@@ -254,27 +264,75 @@ def oracle_index_mod(psi, shifts=5):
     return values[0]
 
 
-def read_elements(engine, good, letter):
+def read_elements(engine, good, letter=None):
+    """sigma_U of the cylinder of `good` at -1, the first return to `letter`
+    at 0 (when given) and their product with phi^2, and phi^-3."""
     sigma = sigma_U(cylinder(engine, -1, good))
+    if letter is None:
+        return [sigma, compose(sigma, shift(engine, 2)), shift(engine, -3)]
     ret = first_return(cylinder(engine, 0, letter))
     return [sigma, ret, compose(compose(sigma, ret), shift(engine, 2)), shift(engine, -3)]
 
 
-def test_orbit_reads_match_segment_oracle(fibonacci, sturmian_fib):
-    for engine, good, letter in ((fibonacci, ("a", "a", "b"), ("b",)),
-                                 (sturmian_fib, ("a", "b", "b"), ("a",))):
+# reads below one block, of one block and a position either side, and of many
+# blocks (Element.orbit_map reads 64 consecutive n as one run)
+LONG_READS = [(window, base_shift) for window in (31, 32, 63, 64, 65, 128, 1000, 5000)
+              for base_shift in (0, 7, -7)]
+
+
+def test_orbit_reads_match_segment_oracle(fibonacci, thue_morse):
+    recoded, _ = proper_recode(fibonacci, 2)
+    # deep enough for windows of 5000
+    sturmian = sturmian_engine([1] * 30, 30)
+    cases = [(fibonacci, ("a", "a", "b"), ("b",)), (sturmian, ("a", "b", "b"), ("a",)),
+             (thue_morse, ("a", "a", "b"), ("b",)),
+             (recoded, ("aaba", "abaa"), ("abab",)),
+             # its canonical point is the eventually periodic walk a b a b ...
+             (sft_engine("ab", ["aa"]), ("b", "b", "a"), None)]
+    for engine, good, letter in cases:
         for f in read_elements(engine, good, letter):
-            for window, base_shift in ((f.radius + f.dbound, 0), (50, 0), (40, 7), (40, -9)):
+            for window, base_shift in [(f.radius + f.dbound, 0), (50, 0), (40, 7), (40, -9),
+                                       *LONG_READS]:
                 perm = orbit_permutation(f, window, base_shift)
-                assert perm.table == oracle_orbit_table(f, window, base_shift)
+                table = oracle_orbit_table(f, window, base_shift)
+                assert perm.images == [table[n] for n in range(-window, window + 1)]
+            if engine.aperiodic is not True:
+                continue
             assert index_mod(f) == oracle_index_mod(f)
             assert index_mod(f, shifts=2) == oracle_index_mod(f, shifts=2)
+
+
+def test_orbit_map_reads_a_point_of_distinct_runs(full_shift):
+    # a random point: almost every run of letters orbit_map reads is new
+    radius = 5000 + 20
+    letters = bytes(random.Random(19).randrange(2) for _ in range(2 * radius + 1))
+    point = Word(letters, -radius)
+    sigma = sigma_U(word_cylinder(full_shift, -1, b"\0\0\1"))
+    for f in (sigma, inverse(sigma), compose(sigma, shift(full_shift, 2)), shift(full_shift, -3)):
+        for window, base_shift in LONG_READS:
+            table = oracle_orbit_table(f, window, base_shift, point)
+            assert f.orbit_map(point, window, base_shift) == [table[n] for n in
+                                                              range(-window, window + 1)]
+
+
+def test_windowed_permutation_reads_only_its_window(fibonacci):
+    s = sigma_U(cylinder(fibonacci, -1, ("a", "a", "b")))
+    window = 70
+    perm = orbit_permutation(s, window)
+    table = oracle_orbit_table(s, window)
+    assert [perm(n) for n in perm.defined_range()] == [table[n] for n in range(-window, window + 1)]
+    # -2 window would be a valid list index, counted from the end
+    for n in (window + 1, -window - 1, -2 * window):
+        with pytest.raises(KeyError):
+            perm(n)
+    assert perm.tsv() == "n\timage\n" + "".join(f"{n}\t{table[n]}\n"
+                                                 for n in range(-window, window + 1))
 
 
 def test_orbit_map_refuses_reads_outside_the_point(fibonacci):
     phi = shift(fibonacci)
     point = fibonacci.point_window(5)
-    assert phi.orbit_map(point, 5) == {n: n + 1 for n in range(-5, 6)}
+    assert phi.orbit_map(point, 5) == [n + 1 for n in range(-5, 6)]
     for window, base_shift in ((10, 0), (6, 0), (5, 1), (5, -1), (0, 6), (0, -6)):
         with pytest.raises(IndexError):
             phi.orbit_map(point, window, base_shift)

@@ -216,6 +216,14 @@ def test_cli_vandouwen_counts_words_against_the_store(capsys, monkeypatch):
     assert err.startswith("error: memory-cap-exceeded: ") and err.endswith("(cap=100)\n")
 
 
+def test_cli_orbit_window_is_capped_by_the_word_store(capsys, monkeypatch, fib_file):
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
+    code, out, err = run(capsys, "--subshift", fib_file, "act", "orbit", "--expr", "phi",
+                         "--window", "600")
+    assert code == 2 and out == ""
+    assert err.startswith("error: memory-cap-exceeded: ") and err.endswith("(cap=1000)\n")
+
+
 def test_cli_exit_codes(capsys, fib_file):
     code, _, err = run(capsys, "--subshift", fib_file, "lang", "recur", "--word", "bb")
     assert code == 2 and "semantic-error" in err

@@ -445,8 +445,8 @@ def test_houghton_transposition_fixture():
     profile = houghton_profile(t, 64)
     assert profile.end_translations == (0, 0)
     assert profile.exceptional_set == (0, 1)
-    mapping = houghton_orbit_map(t, 4)
-    assert mapping[0] == 1 and mapping[1] == 0 and mapping[2] == 2
+    images = houghton_orbit_map(t, 4)
+    assert images[4] == 1 and images[5] == 0 and images[6] == 2
 
 
 @pytest.mark.parametrize("build", [houghton_engine_y, houghton_engine_y3])
@@ -752,8 +752,9 @@ def test_houghton_orbit_map_against_window_oracle(build):
     elements = [phi, s, compose(phi, s), compose(s, phi)]
     elements += [inverse(f) for f in elements]
     for f in elements:
-        for window in range(41):
-            assert houghton_orbit_map(f, window) == oracle_houghton_orbit_map(f, window)
+        for window in [*range(41), 64, 65, 300]:
+            table = oracle_houghton_orbit_map(f, window)
+            assert houghton_orbit_map(f, window) == [table[n] for n in range(-window, window + 1)]
 
 
 def oracle_van_douwen_walk(sigmas, indices, word):

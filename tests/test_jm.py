@@ -6,7 +6,7 @@ from cantorfull.errors import RangeUnavailable
 from cantorfull.actions import orbit_permutation
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.elements import shift
-from cantorfull.jm import (EventuallyTranslation, ReflectedView, correlation,
+from cantorfull.jm import (EventuallyTranslation, ReflectedView, _angles, correlation,
                            decay_report, hn_lower_bound, identity_view,
                            theta, translation_view, transposition_view)
 
@@ -186,6 +186,19 @@ def test_reads_match_two_pass_oracle(fibonacci, sturmian_fib):
             assert hn_lower_bound(g, n) == oracle_lower_bound(g, n)
         n_list = [2, 10, 99, 200]
         assert decay_report(g, n_list).rows == oracle_rows(g, n_list)
+
+
+def test_angle_table_is_theta():
+    for n in (1, 2, 3, 7, 64, 97000):
+        for top in (1, n // 2 + 1, n, n + 1, n + 50):
+            assert _angles(n, top) == [theta(n, k) for k in range(top)]
+
+
+def test_long_orbit_row_matches_oracle(fibonacci):
+    s = sigma_U(cylinder(fibonacci, -1, ("a", "a", "b")))
+    n = 10_000
+    view = orbit_permutation(s, n + s.radius + s.dbound)
+    assert decay_report(view, [n]).rows == oracle_rows(view, [n])
 
 
 def test_range_errors_match_oracle(fibonacci):

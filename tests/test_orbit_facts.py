@@ -27,7 +27,7 @@ def oracle_index_mod(psi, shifts=5):
     point = psi.engine.point_window(d + r + shifts)
     values = []
     for s in range(shifts):
-        image = psi.orbit_map(point, d, s)
+        image = dict(zip(range(-d, d + 1), psi.orbit_map(point, d, s)))
         left = sum(1 for n in range(-d, 0) if image[n] >= 0)
         right = sum(1 for n in range(0, d) if image[n] < 0)
         values.append(left - right)
@@ -123,7 +123,7 @@ def oracle_houghton_profile(f, window):
     kind = _oracle_houghton_kind(f.engine)
     if window < 1:
         raise WindowTooSmall("the ends are read off positions 1..window on each side")
-    table = houghton_orbit_map(f, window)
+    table = dict(zip(range(-window, window + 1), houghton_orbit_map(f, window)))
     quarter = max(1, window // 4)
     if kind == "y2":
         t_plus = _oracle_end_translation(table, range(window - quarter + 1, window + 1), "+inf")

@@ -11,7 +11,8 @@ import cantorfull
 from cantorfull.caps import Caps
 from cantorfull.elements import ball_sizes, shift
 from cantorfull.errors import CapExceeded, MemoryCapExceeded
-from cantorfull.language import proper_recode, sft_engine, substitution_engine
+from cantorfull.constructions import houghton_engine_y, houghton_orbit_map
+from cantorfull.language import proper_recode, sft_engine, sturmian_engine, substitution_engine
 
 PACKAGE = pathlib.Path(cantorfull.__file__).parent
 
@@ -72,6 +73,23 @@ def test_memory_caps_are_named_by_ball_sizes(monkeypatch):
     with pytest.raises(MemoryCapExceeded) as err:
         ball_sizes([shift(engine)], 3)      # the second sphere makes 5 elements
     assert_names_cap(err, 4)
+
+
+def test_memory_caps_are_named_by_point_windows(monkeypatch):
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
+    fib = substitution_engine({"a": "ab", "b": "a"})
+    engines = [fib, sft_engine("ab", ["aa"]), sturmian_engine([1] * 30, 30),
+               proper_recode(fib, 2)[0]]
+    for engine in engines:
+        assert len(engine.point_window(400)) == 801
+        with pytest.raises(MemoryCapExceeded) as err:
+            engine.point_window(500)
+        assert_names_cap(err, 1000)
+    y = houghton_engine_y()
+    assert len(houghton_orbit_map(shift(y), 499)) == 999
+    with pytest.raises(MemoryCapExceeded) as err:
+        houghton_orbit_map(shift(y), 500)
+    assert_names_cap(err, 1000)
 
 
 def test_no_function_local_imports():

@@ -21,7 +21,7 @@ RECORDS = {
     Caps: (tuple(CAPS_DEFAULTS), CAPS_DEFAULTS),
     RecodingMap: (("block_length", "letter_decode"), {}),
     Token: (("kind", "text", "line", "col"), {}),
-    WindowedPermutation: (("window", "table", "c"), {}),
+    WindowedPermutation: (("window", "images", "c"), {}),
     PutnamBlocks: (("blocks", "recurrence_set", "displacement", "invariant"), {}),
     FiniteQuotientCert: (("alphabet", "order", "period", "points", "images", "witnesses"), {}),
     TowerPartition: (("pieces",), {}),
