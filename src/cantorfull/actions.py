@@ -3,7 +3,9 @@ orbits and finite-quotient (LEF) certificates.
 
 The canonical basepoint is always the engine's point_window point, and
 j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
-window is known only to ``Element.orbit_map``; every reader here calls it.
+window is known to ``Element.orbit_map``, which every orbit reader here calls,
+and to the coded sequence of ``_unrefuted``, which reads a clopen set's
+windows by the same rule: x[-n-r..-n+r].
 A ``WindowedPermutation`` keeps its window, the list of images of
 -window, ..., window in that order (readers index it by position, n + window)
 and the displacement bound c.
@@ -13,7 +15,14 @@ index and the half-orbit stabilizer test are both read off it.
 
 ``clopen_orbit`` is the one loop over the images of a clopen set, under phi
 or any group element.  A bijection's orbit first repeats at the set itself,
-so each reduced image is compared with the reduced start.
+so each reduced image is compared with the reduced start.  Before any image
+is built, the canonical point rules lengths out: if f^n(U) = U, the coded
+sequence u(k) = [phi^k x in U] has u(k) = u(j^n(k)) for every k, with j the
+orbit map of f, so one k where they differ refutes n (``_unrefuted``).  Only
+the lengths left are compared as sets, so the answer stays exact.  For a
+Fibonacci cylinder every length up to the cap is refuted and no level is
+built; on the constant greedy point of the full shift nothing is.  The reads only
+refute: an orbit is still called infinite by running out of the cap.
 """
 
 import json
@@ -21,8 +30,8 @@ import operator
 from typing import NamedTuple
 
 from .elements import element_image, equal, inverse, make_element
-from .errors import (CapExceeded, NotAperiodic, NotBijective, NotInjective, NotSurjective,
-                     PartialTable, SemanticError, StabilizerViolated,
+from .errors import (CapExceeded, EngineMismatch, NotAperiodic, NotBijective, NotInjective,
+                     NotSurjective, PartialTable, SemanticError, StabilizerViolated,
                      WindowTooSmall)
 from .language import SFTEngine, periodic_window, sft_approximation
 
@@ -178,16 +187,69 @@ def block_orbits(elements, block):
     return sorted(map(tuple, orbits.values()))
 
 
+def _unrefuted(start, cap, f=None):
+    """The n in 1..cap, in increasing order, that the canonical point x leaves
+    open as orbit lengths of `start` under f (phi when None).
+
+    u(k) = [phi^k x in start] is read off x[-k-s..-k+s], s the radius of
+    `start`, as orbit_map reads windows, and j(k) = k + kappa(phi^k x) (k + 1
+    under phi), so that f^n(phi^k x) = phi^(j^n(k)) x.  When u(k) != u(j^n(k)),
+    phi^k x witnesses f^n(start) != start, and n is refuted.  The compared k
+    fill [-2 cap - 32, 2 cap + 32], several times the longest period tested
+    (an aperiodic primitive substitution's point repeats a period boundedly
+    many times: at most ~3.6 times on Fibonacci), and each is followed for
+    cap steps of at most D.
+    The window shrinks to what the engine's point reaches, and leaves every n
+    open when nothing is left of it."""
+    engine = start.engine
+    d = 1 if f is None else f.dbound
+    r = start.radius if f is None else max(start.radius, f.radius)
+    reach = min(2 * cap + 32 + cap * d, engine.max_point_radius() - r)
+    width = reach - cap * d
+    if width < 0:
+        yield from range(1, cap + 1)
+        return
+    point = engine.point_window(reach + r)
+    letters, size, members = point.letters, 2 * start.radius + 1, start.members
+    # u[k + reach]: the window of phi^k x starts at index top - k
+    top = reach + r - start.radius
+    u = [letters[i:i + size] in members for i in range(top + reach, top - reach - 1, -1)]
+    lo, hi = reach - width, reach + width + 1
+    if f is None:
+        # j^n(k) = k + n: u against itself n positions on
+        here = u[lo:hi]
+        for n in range(1, cap + 1):
+            if u[lo + n:hi + n] == here:
+                yield n
+        return
+    step = [m + reach for m in f.orbit_map(point, reach)]
+    # a position that j fixes witnesses nothing
+    at = [i for i in range(lo, hi) if step[i] != i]
+    here = list(map(u.__getitem__, at))
+    for n in range(1, cap + 1):
+        at = list(map(step.__getitem__, at))
+        if all(map(operator.eq, map(u.__getitem__, at), here)):
+            yield n
+
+
 def clopen_orbit(closet, cap=None, f=None):
     """Size of the orbit of the clopen set under the group element f (phi
-    when None), or None past the cap.  Each image is reduced, which keeps the
-    radius from growing step after step."""
+    when None), or None past the cap.  The lengths the canonical point
+    refutes are skipped (``_unrefuted``); each one left is decided by
+    comparing the reduced image with the reduced start.  Each image is
+    reduced, which keeps the radius from growing step after step."""
     cap = cap if cap is not None else closet.engine.caps.orbit
-    if f is not None and not f.bijective:
-        raise NotBijective("clopen orbits are taken under group elements")
+    if f is not None:
+        if not f.bijective:
+            raise NotBijective("clopen orbits are taken under group elements")
+        if f.engine is not closet.engine:
+            raise EngineMismatch("closet and element live on different engines")
     start = current = closet.reduced()
-    for n in range(1, cap + 1):
-        current = (current.shift_image(1) if f is None else element_image(current, f)).reduced()
+    built = 0
+    for n in _unrefuted(start, cap, f):
+        for _ in range(n - built):
+            current = (current.shift_image(1) if f is None else element_image(current, f)).reduced()
+        built = n
         # reduced forms are canonical
         if current.radius == start.radius and current.members == start.members:
             return n

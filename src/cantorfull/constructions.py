@@ -444,7 +444,14 @@ def _swap_element(closet):
 def lamplighter_pair(U):
     """A lamplighter inside the full group: Psi acts as the shift on the lamps
     sigma_F, F a finite subset of Z.  Requires U disjoint from phi(U) and a
-    clopen orbit of U that does not close up (non-odometer behaviour)."""
+    clopen orbit of U that does not close up (non-odometer behaviour).
+
+    Both orbit searches, U under phi and each candidate V under the first
+    return psi, go through ``clopen_orbit``.  Its canonical-point reads
+    refute orbit lengths before any image is built: on Fibonacci with
+    U = [b] they refute every length up to the cap, for U and for the V
+    found, and only the candidates equal to U, which psi fixes, have an
+    image built."""
     engine = U.engine
     if not U.is_disjoint(U.shift_image(1)):
         raise OverlapError("U must be disjoint from phi(U)")

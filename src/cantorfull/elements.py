@@ -359,7 +359,9 @@ def element_image(closet, f):
 
 def ball_sizes(generators, radius):
     """Sizes |B(1)| <= ... <= |B(radius)| for the symmetrized generating set
-    (identity included), deduplicated by map keys."""
+    (identity included), deduplicated by map keys.  A fresh element g h' is
+    not multiplied by g's inverse: that makes g^-1 g h' = h', which is
+    already stored."""
     if not generators:
         raise ValueError("need at least one generator")
     engine = generators[0].engine
@@ -367,30 +369,37 @@ def ball_sizes(generators, radius):
         _check_same_engine(generators[0], g)
         if not g.bijective:
             raise NotBijective("ball enumeration wants group elements")
-    gens = []
-    seen_gens = set()
+    gens, inverse_keys, index = [], [], {}      # index: map key -> position in gens
     for g in generators:
-        for h in (g, inverse(g)):
-            key = h.map_key()
-            if key not in seen_gens:
-                seen_gens.add(key)
-                gens.append(h)
-    store = {identity(engine).map_key(): identity(engine)}
-    frontier = list(store.values())
+        h = inverse(g)
+        g_key, h_key = g.map_key(), h.map_key()
+        for e, key, undo in ((g, g_key, h_key), (h, h_key, g_key)):
+            if key not in index:
+                index[key] = len(gens)
+                gens.append(e)
+                inverse_keys.append(undo)
+    undoes = [index[key] for key in inverse_keys]
+    e = identity(engine)
+    store = {e.map_key(): e}
+    # skips[j]: the generator that frontier[j] skips
+    frontier, skips = [e], [None]
     sizes = []
     for _ in range(radius):
-        fresh = []
-        for h in frontier:
-            for g in gens:
+        fresh, fresh_skips = [], []
+        for h, skip in zip(frontier, skips):
+            for i, g in enumerate(gens):
+                if i == skip:
+                    continue
                 e = compose(g, h)
                 key = e.map_key()
                 if key not in store:
                     store[key] = e
                     fresh.append(e)
+                    fresh_skips.append(undoes[i])
                     if len(store) > engine.caps.word_store:
                         raise MemoryCapExceeded("ball grew past the element store",
                                                 cap=engine.caps.word_store)
-        frontier = fresh
+        frontier, skips = fresh, fresh_skips
         sizes.append(len(store))
     return sizes
 

@@ -35,7 +35,11 @@ greedy walk from the least essential vertex, the substitution point the fixed
 point of sigma^power at the seed pair, the Sturmian point the mechanical word
 and the recoded point the recoding of its source's point.  So
 ``point_window`` keeps the widest window computed so far and answers every
-narrower radius with a slice of it.
+narrower radius with a slice of it.  ``max_point_radius`` is the widest radius
+it answers: the word store bounds every kind, and a Sturmian point (and a
+recoding of one) is bounded by the convergent denominator too.  A recoding
+reads L - 1 letters of its source past the window asked for, so it reads the
+source's cached point without the word-store check.
 
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
@@ -130,6 +134,16 @@ class LanguageEngine:
         if 2 * radius + 1 > self.caps.word_store:
             raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
                                     cap=self.caps.word_store)
+        return self._cached_point(radius)
+
+    def max_point_radius(self):
+        """The widest radius point_window answers without raising: the word
+        store's, or less where the presentation reaches less far."""
+        return min((self.caps.word_store - 1) // 2, self._point_reach())
+
+    def _cached_point(self, radius):
+        """point_window without the word-store check: a recoding reads L - 1
+        letters past the window its caller asked for."""
         point = self._point
         if point is None or point.anchor > -radius:
             point = self._point = self._point_window(radius)
@@ -144,6 +158,10 @@ class LanguageEngine:
         """x[-radius..radius] of the canonical point, which does not depend
         on `radius`."""
         raise NotImplementedError
+
+    def _point_reach(self):
+        """The widest radius _point_window computes; unbounded by default."""
+        return math.inf
 
     def _enumerate(self, length):
         """The length-`length` factors: a tuple when already in reference
@@ -515,6 +533,9 @@ class SturmianEngine(LanguageEngine):
             raise DepthCapExceeded(f"cannot certify the length-{length} language at this depth")
         return found
 
+    def _point_reach(self):
+        return self.convergent[1] - 2
+
     def _point_window(self, radius):
         p, q = self.convergent
         if radius + 2 > q:
@@ -580,10 +601,13 @@ class RecodedEngine(LanguageEngine):
         return tuple(sorted(self.encode_word((b * L)[:period + L - 1])
                             for b in self.source.periodic_blocks(period)))
 
+    def _point_reach(self):
+        return self.source._point_reach() - (self.block_length - 1)
+
     def _point_window(self, radius):
         # the block at n is x[n..n+L-1]; x[-radius] sits at index L - 1
         L = self.block_length
-        src = self.source.point_window(radius + L - 1).letters
+        src = self.source._cached_point(radius + L - 1).letters
         return Word(self.encode_word(src[L - 1:2 * radius + 2 * L - 1]), -radius)
 
 

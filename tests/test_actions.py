@@ -2,20 +2,22 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.closets import CloSet
 from cantorfull.elements import (compose, element_image, equal, identity, inverse, shift,
                                  make_semigroup_element)
-from cantorfull.errors import (CapExceeded, NotAperiodic, NotBijective, SemanticError,
+from cantorfull.errors import (CapExceeded, DepthCapExceeded, EngineMismatch,
+                               NonPrimitiveSubstitution, NotAperiodic, NotBijective, SemanticError,
                                StabilizerViolated, WindowTooSmall)
-from cantorfull.actions import (block_orbits, clopen_orbit, index_mod,
+from cantorfull.actions import (_unrefuted, block_orbits, clopen_orbit, index_mod,
                                 lef_certificate, orbit_permutation,
                                 putnam_blocks, stabilizer_check)
-from cantorfull.constructions import cylinder, first_return, sigma_U
-from cantorfull.language import proper_recode, sft_engine, sturmian_engine
+from cantorfull.constructions import cylinder, first_return, is_good, sigma_U
+from cantorfull.language import proper_recode, sft_engine, sturmian_engine, substitution_engine
 from cantorfull.words import Word
 from conftest import sample_elements, word_cylinder
+from test_language import substitutions
 from test_sft_properties import closets, sft_engines, tables, widest_radius
 
 
@@ -142,6 +144,10 @@ def test_clopen_orbit(fibonacci, period_two):
     assert clopen_orbit(CloSet.full(fibonacci)) == 1
     assert clopen_orbit(cylinder(fibonacci, 0, ("a",)), cap=64) is None
     assert clopen_orbit(cylinder(period_two, 0, ("a",))) == 2
+    # every length is refuted before an image is built, and still the
+    # element's engine is checked
+    with pytest.raises(EngineMismatch):
+        clopen_orbit(cylinder(fibonacci, 0, ("a",)), f=shift(period_two))
 
 
 def seen_set_orbit(closet, cap, step):
@@ -188,6 +194,120 @@ def test_clopen_orbit_under_a_first_return(fibonacci):
     # psi fixes the sets off U and moves those inside it along an infinite orbit
     assert 1 in sizes and None in sizes
     assert clopen_orbit(U, f=psi) == 1
+
+
+@st.composite
+def minimal_engines(draw):
+    """A primitive substitution, a Sturmian engine, or a proper recoding of
+    an aperiodic one; the expansions are deep enough for the levels drawn."""
+    kind = draw(st.sampled_from(["substitution", "sturmian", "recoded"]))
+    if kind == "sturmian" or (kind == "recoded" and draw(st.booleans())):
+        # quotients up to a denominator of 5000 at least: standard words
+        # of some 10^4 letters, however large the quotients
+        quotients, q, q_prev = [], 1, 0
+        while q < 5000:
+            quotients.append(draw(st.integers(1, 8)))
+            q, q_prev = quotients[-1] * q + q_prev, q
+        engine = sturmian_engine(quotients, len(quotients))
+    else:
+        try:
+            engine = substitution_engine(draw(substitutions()))
+        except NonPrimitiveSubstitution:
+            assume(False)
+    if kind == "recoded":
+        assume(engine.aperiodic is True)
+        engine = proper_recode(engine, draw(st.integers(1, 2)))[0]
+    return engine
+
+
+def orbit_steps(data, engine):
+    """f and the step of its orbit: phi, the first return to a cylinder, or
+    sigma_U of a good cylinder (phi when none of the drawn ones is good)."""
+    kind = data.draw(st.sampled_from(["phi", "first_return", "sigma"]))
+    if kind == "first_return":
+        word = data.draw(st.sampled_from(engine.allowed_words(data.draw(st.integers(1, 2)))))
+        f = first_return(word_cylinder(engine, data.draw(st.integers(-1, 0)), word))
+        return f, lambda c: element_image(c, f)
+    if kind == "sigma":
+        good = [c for c in (word_cylinder(engine, -1, w) for w in engine.allowed_words(3))
+                if is_good(c)]
+        if good:
+            f = sigma_U(data.draw(st.sampled_from(good)))
+            return f, lambda c: element_image(c, f)
+    return None, lambda c: c.shift_image(1)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_clopen_orbit_against_the_seen_set_loop_on_minimal_engines(data):
+    engine = data.draw(minimal_engines())
+    # a nonempty proper subset of a level, so the orbit is not one set
+    words = engine.allowed_words(2 * data.draw(st.integers(0, 2)) + 1)
+    members = data.draw(st.sets(st.sampled_from(words), min_size=1, max_size=len(words) - 1))
+    closet = CloSet(engine, (len(words[0]) - 1) // 2, members)
+    f, step = orbit_steps(data, engine)
+    cap = data.draw(st.integers(1, 10))
+    start = closet.reduced()
+    left = list(_unrefuted(start, cap, f))
+    assert left == sorted(set(left)) and set(left) <= set(range(1, cap + 1))
+    # a refuted n really moves the set
+    current = start
+    for n in range(1, cap + 1):
+        current = step(current).reduced()
+        if n not in left:
+            assert current.key() != start.key()
+    assert clopen_orbit(closet, cap, f=f) == seen_set_orbit(closet, cap, step)
+
+
+def test_clopen_orbit_refutes_without_building_levels():
+    engine = substitution_engine({"a": "ab", "b": "a"})
+    closet = cylinder(engine, 0, ("a",))
+    levels = set(engine._words)
+    assert clopen_orbit(closet, cap=64) is None
+    assert set(engine._words) == levels
+
+
+def agrees_with_the_plain_loop(closet, cap, f=None):
+    """clopen_orbit is the seen-set loop's answer wherever that loop answers;
+    where the loop runs out of depth, clopen_orbit may answer or raise the same."""
+    step = (lambda c: c.shift_image(1)) if f is None else (lambda c: element_image(c, f))
+    try:
+        want = seen_set_orbit(closet, cap, step)
+    except DepthCapExceeded:
+        try:
+            clopen_orbit(closet, cap, f=f)
+        except DepthCapExceeded:
+            pass
+        return
+    assert clopen_orbit(closet, cap, f=f) == want
+
+
+def test_clopen_orbit_under_a_small_word_store(monkeypatch):
+    # a cap past 155 asks for more than radius 499, the widest point the word
+    # store allows, so the read is clamped; on a recoding it reads its source
+    # past radius 499
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
+    fib = substitution_engine({"a": "ab", "b": "a"})
+    recoded = proper_recode(fib, 2)[0]
+    U = cylinder(fib, 0, ("b",))
+    psi = first_return(U)
+    for closet in (U, cylinder(fib, -1, ("a", "a", "b")), CloSet.full(fib)):
+        agrees_with_the_plain_loop(closet, 64)
+        agrees_with_the_plain_loop(closet, 64, psi)
+    assert clopen_orbit(U, cap=300) is None
+    for word in recoded.allowed_words(1):
+        agrees_with_the_plain_loop(word_cylinder(recoded, 0, word), 160)
+
+
+def test_clopen_orbit_on_shallow_sturmian_engines():
+    # convergent denominators 5, 13 and 89: points of radius 3, 11 and 87,
+    # certified levels up to lengths 1, 4 and 29
+    for quotients in ([1, 1, 2], [1] * 6, [1] * 10):
+        engine = sturmian_engine(quotients, len(quotients))
+        for closet in [CloSet.full(engine)] + [word_cylinder(engine, 0, w)
+                                               for w in engine.allowed_words(1)]:
+            for cap in (1, 8, 64):
+                agrees_with_the_plain_loop(closet, cap)
 
 
 def test_lef_trivial(fibonacci):

@@ -82,6 +82,9 @@ def test_memory_caps_are_named_by_point_windows(monkeypatch):
                proper_recode(fib, 2)[0]]
     for engine in engines:
         assert len(engine.point_window(400)) == 801
+        # the widest window under the cap; a recoding reads past it in its source
+        assert len(engine.point_window(499)) == 999
+        assert engine.max_point_radius() == 499
         with pytest.raises(MemoryCapExceeded) as err:
             engine.point_window(500)
         assert_names_cap(err, 1000)
