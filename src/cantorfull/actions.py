@@ -83,7 +83,8 @@ def index_mod(psi, shifts=5):
     """Net transfer of the orbit across the origin; the abelianization onto Z.
 
     mod(psi) = #{n < 0 : j(n) >= 0} - #{n >= 0 : j(n) < 0}, the signed count
-    of crossings, cross-checked at `shifts` >= 1 shifted basepoints.
+    of crossings, cross-checked at `shifts` >= 1 shifted basepoints.  Needs
+    ``engine.aperiodic``: on a substitution, no period <= 2 caps.dbound.
     """
     if shifts < 1:
         raise ValueError(f"index_mod needs shifts >= 1, got {shifts}")

@@ -6,7 +6,7 @@ variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
 approximation takes the caps of the engine it comes from.  The variable
 overrides defaults with a comma-separated list of key=value pairs, e.g.
 ``CANTORFULL_CAPS=dbound=32,orbit=128``.  Keys: dbound, order, orbit, lef_n,
-lef_p, period_scan, word_store, radius_search; each value is an integer >= 0.
+lef_p, word_store, radius_search; each value is an integer >= 0.
 """
 
 import os
@@ -19,7 +19,6 @@ class Caps(NamedTuple):
     orbit: int = 64           # clopen_orbit iteration cap
     lef_n: int = 8            # lef_certificate approximation-order cap
     lef_p: int = 12           # lef_certificate period cap
-    period_scan: int = 12     # aperiodicity scan: periods checked
     word_store: int = 500_000  # enumeration guard (words, ball elements, point-window letters)
     radius_search: int = 64   # cover-refinement radius guard
 

@@ -205,10 +205,14 @@ def _run(args):
             sys.stdout.write(canonical_dump(sigma_U(session.eval_closet_text(args.closet))))
         elif command == "towers":
             partition = kr_towers(session.eval_closet_text(args.closet))
+            try:
+                dot = open(args.dot, "w", encoding="utf-8") if args.dot else None
+            except OSError as err:
+                raise UsageError(f"cannot write --dot {args.dot}: {err.strerror}") from None
             sys.stdout.write(partition.tsv())
-            if args.dot:
-                with open(args.dot, "w", encoding="utf-8") as handle:
-                    handle.write(partition.dot())
+            if dot:
+                with dot:
+                    dot.write(partition.dot())
         elif command == "gw":
             result = gw_transport(session.eval_closet_text(args.A),
                                   session.eval_closet_text(args.B))

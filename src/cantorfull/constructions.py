@@ -347,7 +347,9 @@ class MatuiSet(NamedTuple):
 
 
 def matui_generators(engine):
-    """sigma over every cylinder Cyl({-1,0,1}, f) of the 4-proper recoding."""
+    """sigma over every cylinder Cyl({-1,0,1}, f) of the 4-proper recoding.
+    X infinite is read off ``engine.aperiodic``: on a substitution, no period
+    <= 2 caps.dbound (see :mod:`cantorfull.language`)."""
     if engine.minimal is not True or engine.aperiodic is not True:
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
     proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)

@@ -32,7 +32,9 @@ points depend on.  ``map_key`` names the induced map, which ``is_identity``,
 ``equal`` and ``ball_sizes`` decide: on a cylinder of periodic points, values
 that differ by a multiple of its ``local_period`` give the same map, so the
 map key continues the descent, merging the congruences of a core's extensions
-where they have a common solution.
+where they have a common solution.  Two values the caps admit differ by at
+most 2 caps.dbound, the longest period a substitution engine reads, so these
+answers are exact for every element the caps admit.
 """
 
 import math

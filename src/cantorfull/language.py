@@ -8,19 +8,23 @@ kind, the higher-block recoding of another engine, is produced by
 
 Words are ``bytes`` of letter indices (see :mod:`cantorfull.words`), so a
 level sorts natively in the alphabet's reference order.  Every engine answers
-the same queries: ``allowed_words(L)`` (the length-L factors, sorted),
-``is_allowed(word)``, ``point_window(M)`` (the window x[-M..M] of a canonical
-point), ``local_period(word)`` (the lcm of the least periods of the points
-through the cylinder of an allowed word when all of them are periodic, else
-0) and ``periodic_blocks(p)`` (the block x[0..p-1] of each point x with
-phi^p x = x, sorted).  Every decision of the form "does phi^q fix each point
-of this cylinder?" reads ``local_period``: the answer is yes exactly when it
-divides q.  The periodic blocks are computed once per period, and
-``periodic_windows(p, r)`` holds their radius-r windows, read off by
-:func:`periodic_window`, the one place that knows where a periodic point's
-window sits.  An SFT builds its words of length >= k sorted: it extends the
-sorted shorter words by the letters of its transfer graph in letter order, so
-only the other engines and the short SFT levels are sorted after enumeration.
+``allowed_words(L)`` (the length-L factors, sorted), ``is_allowed(word)``,
+``point_window(M)`` (the window x[-M..M] of a canonical point),
+``local_period(word)`` (the lcm of the least periods of the points through
+the cylinder of an allowed word when all of them are periodic, else 0) and
+``periodic_blocks(p)`` (the block x[0..p-1] of each point x with phi^p x = x,
+sorted).  phi^q fixes each point of a cylinder iff its local period divides q.
+
+An SFT reads periods off its transfer graph, a recoding off its source, and a
+minimal engine off its language (Morse-Hedlund): it has a point of period
+<= p iff level p + 1 holds at most p words, and is then one orbit of that many
+points.  So ``periodic_blocks(p)`` is ``allowed_words(p)`` when that count
+divides p, else (), for every p.  A substitution reads ``local_period`` and
+``aperiodic`` off level 2 caps.dbound + 1 on first use: two displacements an
+element may hold at one point differ by at most 2 caps.dbound, so answers on
+elements are exact, but ``aperiodic`` certifies only that no period is that
+short, and so does the infinite X that ``matui_generators`` asks for.
+``periodic_windows(p, r)`` holds the blocks' radius-r windows (:func:`periodic_window`).
 
 Positions in ``allowed_words(L)`` name words wherever a table is aligned with
 a level, as element tables are.  Three computed-once maps work on positions:
@@ -73,7 +77,8 @@ class LanguageEngine:
     def __init__(self, alphabet, minimal=None, aperiodic=None):
         self.alphabet = alphabet
         self.minimal = minimal      # tri-state: True / False / None (unknown)
-        self.aperiodic = aperiodic
+        self._aperiodic = aperiodic  # as the constructor can say
+        self._period = None         # local_period of a minimal engine
         self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
         self._word_index = {}       # length -> {word: position}
@@ -84,6 +89,13 @@ class LanguageEngine:
         self._point = None          # widest window of the canonical point so far
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def aperiodic(self):
+        """True / False / None (unknown); see the module doc."""
+        if self._aperiodic is None and self.minimal is True:
+            return self.local_period(b"") == 0
+        return self._aperiodic
 
     def allowed_words(self, length):
         if length < 0:
@@ -178,9 +190,18 @@ class LanguageEngine:
         phi^q and phi^q' agree on the cylinder exactly when this number
         divides q - q' (0 divides only 0).
         """
-        if self.aperiodic is True:
+        # a minimal engine: every point has the least period of its one
+        # finite orbit, read up to 2 caps.dbound on first use
+        if self._period is None:
+            self._period = self._orbit_size(2 * self.caps.dbound)
+        return self._period
+
+    def _orbit_size(self, period):
+        """A minimal engine's number of points if at most `period`, else 0."""
+        if self._aperiodic:
             return 0
-        raise NotImplementedError
+        count = len(self.allowed_words(period + 1))
+        return count if count <= period else 0
 
     def cylinder_nonperiodic_exists(self, word, period):
         """Is some point through the cylinder of `word` not |period|-periodic?
@@ -197,12 +218,14 @@ class LanguageEngine:
             raise ValueError("period must be >= 1")
         blocks = self._periodic.get(period)
         if blocks is None:
-            blocks = () if self.aperiodic is True else self._periodic_blocks(period)
+            blocks = self._periodic_blocks(period)
             self._periodic[period] = blocks
         return blocks
 
     def _periodic_blocks(self, period):
-        raise NotImplementedError
+        # a minimal engine: one orbit whose size divides `period`, or none
+        size = self._orbit_size(period)
+        return self.allowed_words(period) if size and period % size == 0 else ()
 
     def periodic_windows(self, period, radius):
         """The windows x[-radius..radius] of the points x with phi^period x = x."""
@@ -280,7 +303,7 @@ class SFTEngine(LanguageEngine):
         # so greedy walks are deterministic
         self._succ = {v: sorted((u[-1:], u) for u in succ[v] if u in live) for v in live}
         self._pred = {v: sorted((u[:1], u) for u in pred[v] if u in live) for v in live}
-        self.aperiodic = False    # a nonempty SFT always has periodic points
+        self._aperiodic = False   # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
         # of periodic points: a second successor or predecessor anywhere on
@@ -385,7 +408,6 @@ class SubstitutionEngine(LanguageEngine):
         if max(map(len, self.rules)) < 2:
             raise NonPrimitiveSubstitution("substitution does not expand (all images are single letters)")
         self._pairs = self._allowed_pairs()
-        self._scan_periodicity()
 
     def _primitive(self):
         n = len(self.alphabet)
@@ -434,27 +456,6 @@ class SubstitutionEngine(LanguageEngine):
                     pairs.add(pair)
                     pending.append(self.apply(pair))
         return pairs
-
-    def _scan_periodicity(self):
-        """Morse-Hedlund: a minimal subshift has a point of period <= P iff
-        its complexity p(P + 1) is at most P, and then it is one finite orbit
-        whose period is p(P + 1).  Periods above P = caps.period_scan are not
-        seen: the subshift is then taken to be aperiodic."""
-        n = len(self.allowed_words(self.caps.period_scan + 1))
-        self._finite = None
-        self.aperiodic = n > self.caps.period_scan
-        if not self.aperiodic:
-            # the orbit is recoverable from any long enough word
-            twice = self.allowed_words(3 * n)[0][:n] * 2
-            self._finite = (n, tuple(sorted({twice[j:j + n] for j in range(n)})))
-
-    def local_period(self, word):
-        # every point of a single finite orbit has its period as least period
-        return 0 if self.aperiodic else self._finite[0]
-
-    def _periodic_blocks(self, period):
-        n, blocks = self._finite
-        return () if period % n else tuple(b * (period // n) for b in blocks)
 
     def _seed_pair(self):
         """(power, (p, q)): the least power at which sigma^power(p) ends with p
@@ -513,19 +514,21 @@ class SturmianEngine(LanguageEngine):
         super().__init__(alphabet, minimal=True, aperiodic=True)
         self.quotients = quotients
         self.depth_cap = depth_cap
-        depth = min(len(quotients), depth_cap)
-        s = [b"\0", bytes(quotients[0] - 1) + b"\1"]
+        self._depth = min(len(quotients), depth_cap)
+        # s_0, s_1, ...: extended by _enumerate only as deep as it needs
+        self._standard = [b"\0", bytes(quotients[0] - 1) + b"\1"]
         p, q = [0, 1], [1, quotients[0]]
-        for k in range(1, depth):
-            s.append(s[-1] * quotients[k] + s[-2])
+        for k in range(1, self._depth):
             p.append(quotients[k] * p[-1] + p[-2])
             q.append(quotients[k] * q[-1] + q[-2])
-        self._standard = s
         self.convergent = (p[-1], q[-1])
 
     def _enumerate(self, length):
         need = (2 + max(self.quotients)) * length
-        word = next((s for s in self._standard if len(s) >= need), None)
+        s = self._standard
+        while len(s[-1]) < need and len(s) <= self._depth:
+            s.append(s[-1] * self.quotients[len(s) - 1] + s[-2])
+        word = next((w for w in s if len(w) >= need), None)
         if word is None:
             raise DepthCapExceeded(f"no standard word of length >= {need} within depth cap")
         found = set(factors(word, length))

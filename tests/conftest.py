@@ -2,6 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
+
+# every failing draw prints its @reproduce_failure blob: the tests keep no
+# example database, so the blob is the only way to replay a failure
+settings.register_profile("cantorfull", print_blob=True)
+settings.load_profile("cantorfull")
 
 from cantorfull.closets import CloSet
 from cantorfull.elements import Element, compose, shift

@@ -220,19 +220,28 @@ def minimal_engines(draw):
     return engine
 
 
+def admitted(build, argument):
+    """build(argument), or the draw is rejected when the caps refuse the
+    element: CapExceeded is the package's answer there."""
+    try:
+        return build(argument)
+    except CapExceeded:
+        assume(False)
+
+
 def orbit_steps(data, engine):
     """f and the step of its orbit: phi, the first return to a cylinder, or
     sigma_U of a good cylinder (phi when none of the drawn ones is good)."""
     kind = data.draw(st.sampled_from(["phi", "first_return", "sigma"]))
     if kind == "first_return":
         word = data.draw(st.sampled_from(engine.allowed_words(data.draw(st.integers(1, 2)))))
-        f = first_return(word_cylinder(engine, data.draw(st.integers(-1, 0)), word))
+        f = admitted(first_return, word_cylinder(engine, data.draw(st.integers(-1, 0)), word))
         return f, lambda c: element_image(c, f)
     if kind == "sigma":
         good = [c for c in (word_cylinder(engine, -1, w) for w in engine.allowed_words(3))
                 if is_good(c)]
         if good:
-            f = sigma_U(data.draw(st.sampled_from(good)))
+            f = admitted(sigma_U, data.draw(st.sampled_from(good)))
             return f, lambda c: element_image(c, f)
     return None, lambda c: c.shift_image(1)
 

@@ -278,6 +278,7 @@ def test_cli_out_of_range_numbers_are_usage_errors(capsys, fib_file, argv):
 
 @pytest.mark.parametrize("caps, message", [
     ("bogus=1", "unknown cap 'bogus'"),
+    ("period_scan=0", "unknown cap 'period_scan'"),
     ("dbound=32,orbit=x", "cap 'orbit' needs an integer, got 'x'"),
     ("dbound=-1", "cap 'dbound' must be >= 0, got -1"),
     ("lef_p=-2", "cap 'lef_p' must be >= 0, got -2"),
@@ -291,7 +292,7 @@ def test_cli_bad_caps_variable(capsys, monkeypatch, fib_file, caps, message):
 
 
 def test_cli_zero_caps_are_legal(capsys, monkeypatch, fib_file):
-    monkeypatch.setenv("CANTORFULL_CAPS", "order=0,period_scan=0")
+    monkeypatch.setenv("CANTORFULL_CAPS", "order=0")
     code, out, err = run(capsys, "--subshift", fib_file, "elem", "order", "--expr", "phi")
     assert (code, out, err) == (0, "exceeds-cap 0\n", "")
 
@@ -323,6 +324,58 @@ def test_cli_recur_on_two_fixed_points_is_not_minimal(capsys, tmp_path):
     code, out, err = run(capsys, "--subshift", str(path), "lang", "recur", "--word", "a")
     assert code == 2 and out == ""
     assert err.startswith("error: not-minimal: ")
+
+
+@pytest.mark.parametrize("where", ["missing/towers.dot", "."])
+def test_cli_towers_dot_to_an_unwritable_path(capsys, fib_file, tmp_path, where):
+    path = tmp_path / where
+    code, out, err = run(capsys, "--subshift", fib_file, "construct", "towers",
+                         "--closet", 'cyl(0,"b")', "--dot", str(path))
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert (code, out, err) == (1, "", f"usage error: cannot write --dot {path}: {reason}\n")
+
+
+def test_cli_towers_dot_is_written(capsys, fib_file, tmp_path):
+    path = tmp_path / "towers.dot"
+    code, out, _ = run(capsys, "--subshift", fib_file, "construct", "towers",
+                       "--closet", 'cyl(0,"b")', "--dot", str(path))
+    assert code == 0 and out.startswith("tower_id\t")
+    assert path.read_text().startswith("digraph towers {")
+
+
+ORBIT_13 = """\
+alphabet: a b
+kind: substitution
+rule: a -> aaaaaaaaaaaab
+rule: b -> aaaaaaaaaaaab
+"""
+
+ORBIT_81 = """\
+alphabet: a b c d e
+kind: substitution
+rule: a -> ebc
+rule: b -> ebb
+rule: c -> ebd
+rule: d -> ebb
+rule: e -> eba
+"""
+
+
+@pytest.mark.parametrize("text, argv, expected", [
+    (ORBIT_13, ["elem", "equal", "--left", "phi^13", "--right", "id"], (0, "true\n", "")),
+    (ORBIT_13, ["elem", "order", "--expr", "phi", "--cap", "100"], (0, "13\n", "")),
+    (ORBIT_13, ["elem", "mod", "--expr", "phi"], (2, "", "not-aperiodic")),
+    (ORBIT_13, ["lang", "recode", "--d", "1"], (2, "", "not-aperiodic")),
+    (ORBIT_13, ["construct", "matui"], (2, "", "not-minimal")),
+    (ORBIT_81, ["elem", "equal", "--left", "phi^40", "--right", "inv(phi^41)"], (0, "true\n", "")),
+], ids=["equal", "order", "mod", "recode", "matui", "equal81"])
+def test_cli_one_finite_orbit(capsys, tmp_path, text, argv, expected):
+    path = tmp_path / "orbit.subshift"
+    path.write_text(text)
+    code, out, err = run(capsys, "--subshift", str(path), *argv)
+    if code == 2:
+        err = err.split(":")[1].strip()
+    assert (code, out, err) == expected
 
 
 def test_cli_determinism(capsys, fib_file):

@@ -1,9 +1,14 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cantorfull.elements import is_identity, order, power, shift
+import cantorfull
+from cantorfull.elements import equal, is_identity, order, power, shift
 from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
                                EmptySubshift, MemoryCapExceeded,
                                NonPrimitiveSubstitution, NotAperiodic,
@@ -280,6 +285,18 @@ def test_sturmian_depth_cap(sturmian_fib):
         sturmian_fib.allowed_words(200)
 
 
+def test_sturmian_standard_words_are_built_as_deep_as_a_level_needs():
+    # 16 quotients of 8 give standard words of some 10^14 letters; a level
+    # of length 20 needs one of 200, in a child limited to 400 MB
+    code = ("import resource; limit = 400 * 2 ** 20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+            "from cantorfull.language import sturmian_engine; "
+            "print(len(sturmian_engine([8] * 16, 16).allowed_words(20)))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cantorfull.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "21\n", "")
+
+
 def test_proper_recode_d1(fibonacci):
     recoded, mapping = proper_recode(fibonacci, 1)
     for w in recoded.allowed_words(2):
@@ -448,15 +465,61 @@ def test_substitution_periodic_cylinders_against_orbit_oracle(case):
                 assert engine.cylinder_periodic_exists(w, p) == expected
 
 
+def is_periodic_by_definition(engine, p):
+    """Is every point p-periodic?  Exactly when every allowed (p+1)-word has
+    equal first and last letters."""
+    return all(w[0] == w[-1] for w in engine.allowed_words(p + 1))
+
+
+def check_periods_against_the_definition(engine):
+    """periodic_blocks, local_period, aperiodic and the identity of phi^p,
+    for every p <= 2 caps.dbound, against the definition of p-periodic."""
+    dbound = engine.caps.dbound
+    periods = [p for p in range(1, 2 * dbound + 1) if is_periodic_by_definition(engine, p)]
+    for p in range(1, 2 * dbound + 1):
+        periodic = p in periods
+        assert engine.periodic_blocks(p) == (engine.allowed_words(p) if periodic else ())
+        # phi^p = id read as two displacements the caps admit
+        assert equal(shift(engine, (p + 1) // 2), shift(engine, -(p // 2))) is periodic
+        if p <= dbound:
+            assert is_identity(power(shift(engine), p)) is periodic
+    assert engine.local_period(b"") == (periods[0] if periods else 0)
+    assert engine.aperiodic is not periods
+
+
 @settings(deadline=None, database=None, max_examples=40)
 @given(substitutions())
 def test_aperiodic_substitutions_have_no_periodic_blocks(rules):
-    try:
-        engine = substitution_engine(rules)
-    except NonPrimitiveSubstitution:
-        assume(False)
-    assume(engine.aperiodic)
-    assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CANTORFULL_CAPS", "dbound=8")
+        try:
+            engine = substitution_engine(rules)
+        except NonPrimitiveSubstitution:
+            assume(False)
+    check_periods_against_the_definition(engine)
+
+
+ORBIT_81 = {"a": "ebc", "b": "ebb", "c": "ebd", "d": "ebb", "e": "eba"}
+
+
+# a -> a^k b, b -> a^k b is one orbit of k + 1 points: here on both sides of
+# 2 dbound = 16; the 81-point orbit on both sides of 16 and of 82
+@pytest.mark.parametrize("rules, dbound", [
+    *(({"a": "a" * k + "b", "b": "a" * k + "b"}, 8) for k in (14, 15, 16, 17)),
+    (ORBIT_81, 8), (ORBIT_81, 41)])
+def test_one_finite_orbit_against_the_definition(monkeypatch, rules, dbound):
+    monkeypatch.setenv("CANTORFULL_CAPS", f"dbound={dbound}")
+    engine = substitution_engine(rules)
+    assert engine._words == {}          # nothing is enumerated at construction
+    check_periods_against_the_definition(engine)
+
+
+def test_orbit_of_13_points_is_read_at_the_default_caps():
+    # its CLI answers (equal, order, mod, recode, matui) are in test_cli
+    engine = substitution_engine({"a": "a" * 12 + "b", "b": "a" * 12 + "b"})
+    assert engine.aperiodic is False and engine.local_period(b"") == 13
+    assert strings(engine, engine.periodic_blocks(13)) == {
+        "a" * i + "b" + "a" * (12 - i) for i in range(13)}
 
 
 @settings(deadline=None, database=None, max_examples=30)

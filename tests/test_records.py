@@ -13,7 +13,7 @@ from cantorfull.parsing import Token
 from cantorfull.words import Word
 
 CAPS_DEFAULTS = {"dbound": 64, "order": 4096, "orbit": 64, "lef_n": 8, "lef_p": 12,
-                 "period_scan": 12, "word_store": 500_000, "radius_search": 64}
+                 "word_store": 500_000, "radius_search": 64}
 
 # record -> (field names in order, defaults)
 RECORDS = {
@@ -53,9 +53,9 @@ def test_records_are_immutable(record):
 
 def test_caps_defaults():
     assert Caps() == parse_caps("") == Caps(**CAPS_DEFAULTS)
-    assert parse_caps("order=0,period_scan=0") == Caps(order=0, period_scan=0)
+    assert parse_caps("order=0,lef_p=0") == Caps(order=0, lef_p=0)
     assert repr(Caps()) == ("Caps(dbound=64, order=4096, orbit=64, lef_n=8, lef_p=12, "
-                            "period_scan=12, word_store=500000, radius_search=64)")
+                            "word_store=500000, radius_search=64)")
 
 
 @pytest.mark.parametrize("text, message", [
