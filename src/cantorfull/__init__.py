@@ -7,7 +7,7 @@ sets, lamplighters), orbit actions with the index homomorphism and LEF
 certificates, and the numerical almost-invariance reports.
 """
 
-from .words import Alphabet, Word
+from .words import Alphabet
 from .caps import Caps
 from .language import (LanguageEngine, SFTEngine, SubstitutionEngine,
                        SturmianEngine, RecodedEngine, RecodingMap,

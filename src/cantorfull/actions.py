@@ -2,10 +2,11 @@
 orbits and finite-quotient (LEF) certificates.
 
 The canonical basepoint is always the engine's point_window point, and
-j_x(psi)(n) = n + kappa(phi^n x).  Where the window of phi^n x sits in a point
-window is known to ``Element.orbit_map``, which every orbit reader here calls,
-and to the coded sequence of ``_unrefuted``, which reads a clopen set's
-windows by the same rule: x[-n-r..-n+r].
+j_x(psi)(n) = n + kappa(phi^n x).  A point window x[-R..R] is centered bytes,
+index R + n holding x[n].  Where the window of phi^n x sits in it is known to
+``Element.orbit_map``, which every orbit reader here calls, and to the coded
+sequence of ``_unrefuted``, which reads a clopen set's windows by the same
+rule: x[-n-r..-n+r].
 A ``WindowedPermutation`` keeps its window, the list of images of
 -window, ..., window in that order (readers index it by position, n + window)
 and the displacement bound c.
@@ -211,10 +212,10 @@ def _unrefuted(start, cap, f=None):
         yield from range(1, cap + 1)
         return
     point = engine.point_window(reach + r)
-    letters, size, members = point.letters, 2 * start.radius + 1, start.members
+    size, members = 2 * start.radius + 1, start.members
     # u[k + reach]: the window of phi^k x starts at index top - k
     top = reach + r - start.radius
-    u = [letters[i:i + size] in members for i in range(top + reach, top - reach - 1, -1)]
+    u = [point[i:i + size] in members for i in range(top + reach, top - reach - 1, -1)]
     lo, hi = reach - width, reach + width + 1
     if f is None:
         # j^n(k) = k + n: u against itself n positions on

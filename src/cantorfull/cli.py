@@ -168,12 +168,22 @@ def _van_douwen(args):
 
 def _run(args):
     """Run one command; every command but ``construct vandouwen`` works in a
-    session over the --subshift engine, whose warnings follow the output."""
-    group, command = args.group, args.command
-    if (group, command) == ("construct", "vandouwen"):
+    session over the --subshift engine, whose warnings follow the output, or
+    precede the error line when the command fails."""
+    if (args.group, args.command) == ("construct", "vandouwen"):
         _van_douwen(args)
         return 0
     session = _session(args)
+    try:
+        _session_command(session, args)
+    finally:
+        for message in session.warnings:
+            print(f"warning: {message}", file=sys.stderr)
+    return 0
+
+
+def _session_command(session, args):
+    group, command = args.group, args.command
     engine = session.engine
     if group == "lang":
         if command == "words":
@@ -263,9 +273,6 @@ def _run(args):
             print(f"{i}\t{size}")
     else:
         raise UsageError(f"unknown command {group} {command}")
-    for message in session.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    return 0
 
 
 def main(argv=None):

@@ -21,7 +21,6 @@ from itertools import combinations, compress
 from operator import add, and_
 
 from .errors import EngineMismatch
-from .words import Word
 
 
 class CloSet:
@@ -44,17 +43,15 @@ class CloSet:
         return cls(engine, 0, frozenset(engine.allowed_words(1)))
 
     @classmethod
-    def cylinder(cls, engine, word):
-        """The set of points whose restriction to the anchored word's support
-        equals the word.  An unallowed word gives the empty set."""
-        if not isinstance(word, Word):
-            raise TypeError("cylinder wants an anchored Word")
-        if len(word) == 0:
+    def cylinder(cls, engine, anchor, word):
+        """The set of points x with x[anchor + i] = word[i] for every i.  An
+        unallowed word gives the empty set."""
+        if not word:
             return cls.full(engine)
-        radius = max(abs(word.start), abs(word.end - 1))
-        lo = word.start - (-radius)
+        radius = max(abs(anchor), abs(anchor + len(word) - 1))
+        lo = radius + anchor
         members = [w for w in engine.allowed_words(2 * radius + 1)
-                   if w[lo:lo + len(word)] == word.letters]
+                   if w[lo:lo + len(word)] == word]
         return cls(engine, radius, members)
 
     # -- representation -----------------------------------------------------

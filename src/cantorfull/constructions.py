@@ -22,7 +22,6 @@ from .errors import (CapExceeded, EngineMismatch, FixedPointFound,
                      SurplusViolated, WindowTooSmall)
 from .language import (is_proper, max_gap, proper_recode, recurrence_bound,
                        sft_engine)
-from .words import Word
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +57,7 @@ def sigma_U(closet):
 
 def cylinder(engine, anchor, letters):
     """The cylinder of the letter tokens `letters` placed from `anchor` on."""
-    return CloSet.cylinder(engine, Word(engine.alphabet.encode(letters), anchor))
+    return CloSet.cylinder(engine, anchor, engine.alphabet.encode(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ class MatuiSet(NamedTuple):
     engine: object
     recoding: object          # RecodingMap or None when already proper
     generators: tuple
-    cylinder_words: tuple     # anchored 3-words, one per generator
+    cylinder_words: tuple     # the window x[-1..1] of each generator's cylinder
 
 
 def matui_generators(engine):
@@ -354,14 +353,14 @@ def matui_generators(engine):
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
     proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
     words = proper_engine.allowed_words(3)
-    gens = tuple(sigma_U(CloSet.cylinder(proper_engine, Word(h, -1))) for h in words)
+    gens = tuple(sigma_U(CloSet.cylinder(proper_engine, -1, h)) for h in words)
     return MatuiSet(proper_engine, mapping, gens, tuple(words))
 
 
 def matui_cylinder_sigma(engine, h):
     """sigma_{Cyl(I_n, h)} built directly; h is the window at -n..n."""
     n = (len(h) - 1) // 2
-    return sigma_U(CloSet.cylinder(engine, Word(h, -n)))
+    return sigma_U(CloSet.cylinder(engine, -n, h))
 
 
 def matui_by_recursion(engine, h):
@@ -522,30 +521,29 @@ def van_douwen_involutions(q):
 
 
 def van_douwen_witness(engine, indices):
-    """An explicit point window w with w(j) = letter_{k_j}; applying the
-    reversed word of involutions walks it to phi^{-n} w, which differs from w.
-    Returns (word, expected_total_shift)."""
+    """The centered window x[-n-2..n+2] of an explicit point x with x(j) =
+    letter_{k_j} for j = 1..n; applying the reversed word of involutions walks
+    x to phi^{-n} x, which differs from x.  x[-n-2..-2] alternates two letters.
+    Returns (window, expected_total_shift)."""
     n = len(indices)
-    values = {j + 1: k for j, k in enumerate(indices)}
 
     def pick(*avoid):
         return next(c for c in range(len(engine.alphabet)) if c not in avoid)
 
-    values[0] = pick(values[1], indices[-1])
-    values[n + 1] = pick(values[n])
-    lo, hi = -1, n + 2
-    values[lo] = pick(values[0])
-    values[hi] = pick(values[hi - 1])
-    word = Word(bytes([values[p] for p in range(lo, hi + 1)]), lo)
-    return word, -n
+    here = pick(indices[0], indices[-1])
+    before, after = pick(here), pick(indices[-1])
+    near = pick(before)
+    left = (bytes((pick(near), near)) * (n // 2 + 1))[-n - 1:]
+    return left + bytes((before, here, *indices, after, pick(after))), -n
 
 
-def van_douwen_walk(sigmas, indices, word):
+def van_douwen_walk(sigmas, indices, window):
     """Apply sigma_{k_1}, ..., sigma_{k_n} in turn (the inverse of the reduced
-    word m = sigma_{k_1} ... sigma_{k_n}); returns the cumulative shift."""
+    word m = sigma_{k_1} ... sigma_{k_n}) to the point of the centered
+    `window`; returns the cumulative shift."""
     total = 0
     for k in indices:
-        total += sigmas[k].orbit_map(word, 0, total)[0]
+        total += sigmas[k].orbit_map(window, 0, total)[0]
     return total
 
 
@@ -559,11 +557,12 @@ def van_douwen_certify(engine, sigmas, indices):
     and n differ.  Returns (automaton_ok, witness_ok).
     """
     n = len(indices)
-    word, expected = van_douwen_witness(engine, indices)
-    if van_douwen_walk(sigmas, indices, word) != expected:
+    window, expected = van_douwen_witness(engine, indices)
+    if van_douwen_walk(sigmas, indices, window) != expected:
         return False, False
-    automaton_ok = engine.cylinder_nonperiodic_exists(word.letters, n)
-    witness_ok = word[0] != word[n]
+    # x[-1..n+2]: the span the walk reads and one letter more
+    automaton_ok = engine.cylinder_nonperiodic_exists(window[n + 1:], n)
+    witness_ok = window[n + 2] != window[2 * n + 2]
     return automaton_ok, witness_ok
 
 
@@ -609,7 +608,7 @@ def houghton_orbit_map(f, window):
     if 2 * radius + 1 > engine.caps.word_store:
         raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
                                 cap=engine.caps.word_store)
-    x0 = Word(bytes(radius + 1) + (tail * radius)[:radius], -radius)
+    x0 = bytes(radius + 1) + (tail * radius)[:radius]
     return f.orbit_map(x0, window)
 
 

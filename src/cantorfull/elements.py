@@ -10,8 +10,9 @@ arithmetic through the engine's restriction maps
 ``table`` is a read-only {window: value} view derived from ``values`` on
 first use, for readers that look windows up by word; a reader of many windows
 takes the view once.  ``orbit_map`` is the one reader along a point: it alone
-knows where the window of phi^m x sits in a point window.  It returns a list
-of images aligned with range(-window, window + 1).  A long read takes the
+knows where the window of phi^m x sits in a point window x[-R..R], centered
+(index R + n holds x[n]): at index R - m - r.  It returns a list of images
+aligned with range(-window, window + 1).  A long read takes the
 windows of _BLOCK consecutive n as one run of letters and reads each distinct
 run once per call: the canonical points have low complexity, so a window of
 10^5 positions on Fibonacci or a Sturmian point repeats some 80 distinct runs.
@@ -87,23 +88,23 @@ class Element:
 
     def orbit_map(self, point, window, shift=0):
         """[n + kappa(phi^(n+shift) x) for n in range(-window, window + 1)], x
-        read off the anchored Word `point`; IndexError when a read leaves it."""
-        letters, size = point.letters, 2 * self.radius + 1
+        read off the centered window `point`; IndexError when a read leaves it."""
+        size, reach = 2 * self.radius + 1, len(point) // 2
         # the window of phi^m x, m = n + shift, starts at index top - n
-        top = -shift - self.radius - point.anchor
-        if top - window < 0 or top + window + size > len(letters):
+        top = reach - shift - self.radius
+        if top - window < 0 or top + window + size > len(point):
             raise IndexError(f"orbit window {window} at shift {shift} leaves "
-                             f"[{point.start}, {point.end})")
+                             f"[{-reach}, {reach + 1})")
         kappa = self.table
         if 2 * window + 1 < _BLOCK:
-            return [n + kappa[letters[top - n:top - n + size]] for n in range(-window, window + 1)]
+            return [n + kappa[point[top - n:top - n + size]] for n in range(-window, window + 1)]
         # the window of n starts one letter left of that of n - 1, so a run
         # holds the windows of its block from the right end
         runs = {}
         values = []
         for n in range(-window, window + 1, _BLOCK):
             count = min(_BLOCK, window + 1 - n)
-            run = letters[top - n - count + 1:top - n + size]
+            run = point[top - n - count + 1:top - n + size]
             got = runs.get(run)
             if got is None:
                 got = runs[run] = [kappa[run[i:i + size]] for i in range(count - 1, -1, -1)]

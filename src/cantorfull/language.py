@@ -9,7 +9,8 @@ kind, the higher-block recoding of another engine, is produced by
 Words are ``bytes`` of letter indices (see :mod:`cantorfull.words`), so a
 level sorts natively in the alphabet's reference order.  Every engine answers
 ``allowed_words(L)`` (the length-L factors, sorted), ``is_allowed(word)``,
-``point_window(M)`` (the window x[-M..M] of a canonical point),
+``point_window(M)`` (the window x[-M..M] of a canonical point, centered as
+every window in the package is: 2M + 1 bytes, index M + n holding x[n]),
 ``local_period(word)`` (the lcm of the least periods of the points through
 the cylinder of an allowed word when all of them are periodic, else 0) and
 ``periodic_blocks(p)`` (the block x[0..p-1] of each point x with phi^p x = x,
@@ -39,11 +40,11 @@ greedy walk from the least essential vertex, the substitution point the fixed
 point of sigma^power at the seed pair, the Sturmian point the mechanical word
 and the recoded point the recoding of its source's point.  So
 ``point_window`` keeps the widest window computed so far and answers every
-narrower radius with a slice of it.  ``max_point_radius`` is the widest radius
-it answers: the word store bounds every kind, and a Sturmian point (and a
-recoding of one) is bounded by the convergent denominator too.  A recoding
-reads L - 1 letters of its source past the window asked for, so it reads the
-source's cached point without the word-store check.
+narrower radius with a slice around its middle.  ``max_point_radius`` is the
+widest radius it answers: the word store bounds every kind, and a Sturmian
+point (and a recoding of one) is bounded by the convergent denominator too.
+A recoding reads L - 1 letters of its source past the window asked for, so it
+reads the source's cached point without the word-store check.
 
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
@@ -58,7 +59,7 @@ from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
                      EmptySubshift, MemoryCapExceeded, NonPrimitiveSubstitution,
                      NotAperiodic, NotMinimal, SemanticError)
-from .words import Alphabet, Word, factors
+from .words import Alphabet, factors
 
 
 def periodic_window(block, radius):
@@ -86,7 +87,7 @@ class LanguageEngine:
         self._local_periods = {}    # length -> tuple of local periods
         self._periodic = {}         # period -> periodic_blocks(period)
         self._periodic_windows = {}  # (period, radius) -> frozenset of windows
-        self._point = None          # widest window of the canonical point so far
+        self._point = b""           # widest window of the canonical point so far
 
     # -- queries ----------------------------------------------------------
 
@@ -136,11 +137,11 @@ class LanguageEngine:
         return periods
 
     def is_allowed(self, word):
-        return self._is_allowed(word.letters if isinstance(word, Word) else word)
+        return not word or word in self.word_index(len(word))
 
     def point_window(self, radius):
-        """The window x[-radius..radius] of the engine's canonical point: a
-        slice of the widest window computed so far, which grows on demand.
+        """The centered window x[-radius..radius] of the engine's canonical
+        point: a slice of the widest window so far, which grows on demand.
         MemoryCapExceeded past the word store: the window would hold more
         than caps.word_store letters."""
         if 2 * radius + 1 > self.caps.word_store:
@@ -156,13 +157,10 @@ class LanguageEngine:
     def _cached_point(self, radius):
         """point_window without the word-store check: a recoding reads L - 1
         letters past the window its caller asked for."""
-        point = self._point
-        if point is None or point.anchor > -radius:
-            point = self._point = self._point_window(radius)
-        if point.anchor == -radius:
-            return point
-        lo = -radius - point.anchor
-        return Word(point.letters[lo:lo + 2 * radius + 1], -radius)
+        if len(self._point) < 2 * radius + 1:
+            self._point = self._point_window(radius)
+        lo = len(self._point) // 2 - radius
+        return self._point[lo:lo + 2 * radius + 1]
 
     # -- hooks -------------------------------------------------------------
 
@@ -179,9 +177,6 @@ class LanguageEngine:
         """The length-`length` factors: a tuple when already in reference
         order without repeats, else any iterable of distinct words."""
         raise NotImplementedError
-
-    def _is_allowed(self, word):
-        return not word or word in self.word_index(len(word))
 
     def local_period(self, word):
         """The lcm of the least periods of the points through the cylinder of
@@ -206,7 +201,7 @@ class LanguageEngine:
     def cylinder_nonperiodic_exists(self, word, period):
         """Is some point through the cylinder of `word` not |period|-periodic?
         Never for period 0: the identity fixes every point."""
-        if period == 0 or not self._is_allowed(word):
+        if period == 0 or not self.is_allowed(word):
             return False
         m = self.local_period(word)
         return m == 0 or period % m != 0
@@ -238,7 +233,7 @@ class LanguageEngine:
 
     def cylinder_periodic_exists(self, word, period):
         """Is some |period|-periodic point inside the cylinder of `word`
-        (anchored at minus its radius)?"""
+        (a centered window)?"""
         return word in self.periodic_windows(abs(period), (len(word) - 1) // 2)
 
     def __repr__(self):
@@ -338,7 +333,7 @@ class SFTEngine(LanguageEngine):
         # the extensions come out sorted and distinct
         return tuple(w + letter for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
 
-    def _is_allowed(self, word):
+    def is_allowed(self, word):
         if not word:
             return True
         k = self.k
@@ -362,7 +357,7 @@ class SFTEngine(LanguageEngine):
         for _ in range(radius):
             letter, vertex = self._pred[vertex][0]
             left.append(letter)
-        return Word(b"".join(left[::-1] + right)[:2 * radius + 1], -radius)
+        return b"".join(left[::-1] + right)[:2 * radius + 1]
 
     def _periodic_blocks(self, period):
         # a word w with w[period:] == w[:k-1] is a closed walk of `period`
@@ -486,7 +481,7 @@ class SubstitutionEngine(LanguageEngine):
         left = bytes((p,))
         while len(left) < radius:
             left = self.apply_power(left, power)
-        return Word(left[len(left) - radius:] + right[:radius + 1], -radius)
+        return left[len(left) - radius:] + right[:radius + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +541,7 @@ class SturmianEngine(LanguageEngine):
         # the letter at n is floor((n+1) p/q) - floor(n p/q)
         floors = [n * p // q for n in range(-radius, radius + 2)]
         bits = map(operator.sub, floors[1:], floors[:-1])
-        return Word(bytes(bits), -radius)
+        return bytes(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +586,7 @@ class RecodedEngine(LanguageEngine):
         return {self.encode_word(w)
                 for w in self.source.allowed_words(length + self.block_length - 1)}
 
-    def _is_allowed(self, word):
+    def is_allowed(self, word):
         span = self.decode_word(word)
         return span is not None and self.source.is_allowed(span)
 
@@ -610,8 +605,8 @@ class RecodedEngine(LanguageEngine):
     def _point_window(self, radius):
         # the block at n is x[n..n+L-1]; x[-radius] sits at index L - 1
         L = self.block_length
-        src = self.source._cached_point(radius + L - 1).letters
-        return Word(self.encode_word(src[L - 1:2 * radius + 2 * L - 1]), -radius)
+        src = self.source._cached_point(radius + L - 1)
+        return self.encode_word(src[L - 1:2 * radius + 2 * L - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +657,6 @@ def recurrence_bound(engine, word, cap=None):
     occurrences of `word` in any point are then at most R - |word| + 1."""
     if engine.minimal is not True:
         raise NotMinimal("recurrence bounds require a certified-minimal engine")
-    word = word.letters if isinstance(word, Word) else word
     if not engine.is_allowed(word):
         raise SemanticError(f"word {engine.alphabet.format_word(word)!r} is not allowed")
     if cap is None:

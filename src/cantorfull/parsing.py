@@ -35,7 +35,6 @@ from .constructions import first_return, sigma_U
 from .elements import compose, commutator, element_image, identity, inverse, shift
 from .errors import ParseError, SemanticError
 from .language import build_engine
-from .words import Word
 
 
 class Token(NamedTuple):
@@ -53,30 +52,27 @@ _DIGITS = frozenset("0123456789")    # str.isdigit also accepts "²" and "٣"
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0     # line `line` starts at text[line_start]
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        ch, col = text[i], i - line_start + 1
         if ch.isspace():
+            if ch == "\n":
+                line, line_start = line + 1, i + 1
             i += 1
-            col += 1
             continue
         if ch in _SYMBOLS:
             tokens.append(Token(_SYMBOLS[ch], ch, line, col))
             i += 1
-            col += 1
             continue
         if ch == '"':
             j = text.find('"', i + 1)
             if j < 0:
                 raise ParseError("unterminated string", line, col)
             tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line, line_start = line + newlines, text.rindex("\n", i, j) + 1
             i = j + 1
             continue
         if ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
@@ -84,7 +80,6 @@ def tokenize(text):
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -94,11 +89,10 @@ def tokenize(text):
             word = text[i:j]
             kind = word if word in _KEYWORDS else "name"
             tokens.append(Token(kind, word, line, col))
-            col += j - i
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -275,7 +269,7 @@ class Session:
 
     def _cylinder(self, anchor, text):
         letters = self.engine.alphabet.parse_word(text)
-        out = CloSet.cylinder(self.engine, Word(letters, anchor))
+        out = CloSet.cylinder(self.engine, anchor, letters)
         if out.is_empty() and letters:
             self.warnings.append(f'cyl({anchor},"{text}") is empty: word not allowed')
         return out

@@ -1,16 +1,16 @@
-"""Alphabets and anchored words.
+"""Alphabets, words and centered windows.
 
 A word is ``bytes``: byte i is the index of its i-th letter in the alphabet's
 reference order, so fixed-length words compare, sort and hash natively in
 that order.  Letter tokens appear only at the edge: :meth:`Alphabet.encode`,
 ``parse_word`` and ``format_word`` convert, and nothing else does.
-*Unanchored* words answer position-free language queries, while the
-:class:`Word` type carries an explicit anchor in Z (cocycle tables, cylinder
-definitions and point windows are position-aware).  Keeping the anchor in the
-type is deliberate; it removes a whole class of off-by-one mistakes.
+A word answers position-free language queries as it is.  A *window*
+x[-r..r] of a point is a word of length 2r + 1 centered at 0: index r + n
+holds x[n].  Cocycle tables, clopen-set members, restriction maps and point
+windows all follow that one rule, so a window's length says where it sits.
+A word placed elsewhere, as a cylinder's is, comes with its anchor as a
+separate argument (``CloSet.cylinder(engine, anchor, word)``).
 """
-
-from typing import NamedTuple
 
 from .errors import SemanticError
 
@@ -75,43 +75,8 @@ class Alphabet:
         return f"Alphabet({' '.join(self.letters)})"
 
 
-class Word(NamedTuple):
-    """A finite word anchored in Z: letters[i] sits at position anchor + i.
-
-    ``len`` and ``word[p]`` read letters by position, not the tuple's two
-    fields; the field names read the fields directly."""
-
-    letters: bytes
-    anchor: int = 0
-
-    def __len__(self):
-        return len(self.letters)
-
-    @property
-    def start(self):
-        return self.anchor
-
-    @property
-    def end(self):
-        """One past the last occupied position."""
-        return self.anchor + len(self.letters)
-
-    def __getitem__(self, position):
-        """Letter index at absolute position (not sequence index)."""
-        i = position - self.anchor
-        if not 0 <= i < len(self.letters):
-            raise IndexError(f"position {position} outside [{self.start}, {self.end})")
-        return self.letters[i]
-
-    def segment(self, lo, hi):
-        """Letters at absolute positions lo..hi inclusive."""
-        if lo < self.anchor or hi >= self.end:
-            raise IndexError(f"segment [{lo}, {hi}] outside [{self.start}, {self.end})")
-        return self.letters[lo - self.anchor: hi - self.anchor + 1]
-
-
 def factors(word, length):
-    """All length-`length` factors of an unanchored word, in occurrence order."""
+    """All length-`length` factors of a word, in occurrence order."""
     if length < 0 or length > len(word):
         return ()
     return tuple(word[i:i + length] for i in range(len(word) - length + 1))

@@ -14,7 +14,6 @@ from cantorfull.elements import Element, compose, shift
 from cantorfull.errors import NotInjective, NotSurjective
 from cantorfull.language import sft_engine, substitution_engine, sturmian_engine
 from cantorfull.constructions import cylinder, is_good, matui_generators, sigma_U
-from cantorfull.words import Word
 
 
 @pytest.fixture(scope="session")
@@ -62,9 +61,13 @@ def matui_set(fibonacci):
     return matui_generators(fibonacci)
 
 
-def word_cylinder(engine, anchor, word):
-    """The cylinder of an engine's word (bytes) placed from `anchor` on."""
-    return CloSet.cylinder(engine, Word(word, anchor))
+def segment(window, lo, hi):
+    """x[lo..hi] of the point whose centered window x[-R..R] is `window`
+    (index R + n holds x[n]); IndexError when it leaves the window."""
+    reach = len(window) // 2
+    if lo < -reach or hi > reach:
+        raise IndexError(f"segment [{lo}, {hi}] outside [{-reach}, {reach}]")
+    return window[reach + lo:reach + hi + 1]
 
 
 def enumerate_bijective(engine, radius, dmax):
@@ -93,9 +96,9 @@ def _enrich(pool, max_radius=2, max_dbound=3):
 def fib_pool(fibonacci):
     pool = enumerate_bijective(fibonacci, 1, 2)
     pool += [shift(fibonacci, k) for k in (-3, 3)]
-    pool += [sigma_U(word_cylinder(fibonacci, -1, w))
+    pool += [sigma_U(CloSet.cylinder(fibonacci, -1, w))
              for w in fibonacci.allowed_words(3)
-             if is_good(word_cylinder(fibonacci, -1, w))]
+             if is_good(CloSet.cylinder(fibonacci, -1, w))]
     return _enrich(pool)
 
 

@@ -27,7 +27,7 @@ from cantorfull.constructions import (cylinder, first_return, gw_transport,
 from cantorfull.jm import (correlation, decay_report, hn_lower_bound,
                            identity_view, translation_view,
                            transposition_view)
-from conftest import enumerate_bijective, sample_elements, _enrich, word_cylinder
+from conftest import enumerate_bijective, sample_elements, _enrich
 
 
 def report(number, message):
@@ -57,13 +57,13 @@ def test_02_qeqz_and_generation(matui_set):
     engine = matui_set.engine
     admissible = 0
     for h in engine.allowed_words(5):
-        assert qeqz_check(word_cylinder(engine, -1, h[2:]), word_cylinder(engine, -1, h[:-2]))
+        assert qeqz_check(CloSet.cylinder(engine, -1, h[2:]), CloSet.cylinder(engine, -1, h[:-2]))
         admissible += 1
     words3 = engine.allowed_words(3)
     for u, v in itertools.product(words3, words3):
         if admissible >= 60:
             break
-        U, V = word_cylinder(engine, -1, u), word_cylinder(engine, -1, v)
+        U, V = CloSet.cylinder(engine, -1, u), CloSet.cylinder(engine, -1, v)
         try:
             assert qeqz_check(U, V)
             admissible += 1
@@ -89,9 +89,9 @@ def test_03_mod_homomorphism(fibonacci, fib_pool):
     gs = sample_elements(fib_pool, 100, 304)
     for f, g in zip(fs, gs):
         assert index_mod(compose(f, g)) == index_mod(f) + index_mod(g)
-    torsion = [sigma_U(word_cylinder(fibonacci, -1, w))
+    torsion = [sigma_U(CloSet.cylinder(fibonacci, -1, w))
                for w in fibonacci.allowed_words(3)
-               if is_good(word_cylinder(fibonacci, -1, w))]
+               if is_good(CloSet.cylinder(fibonacci, -1, w))]
     emb = symmetric_embed([identity(fibonacci), shift(fibonacci)],
                           cylinder(fibonacci, -1, ("a", "a", "b")))
     torsion.append(emb.element((1, 0)))

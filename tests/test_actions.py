@@ -15,8 +15,7 @@ from cantorfull.actions import (_unrefuted, block_orbits, clopen_orbit, index_mo
                                 putnam_blocks, stabilizer_check)
 from cantorfull.constructions import cylinder, first_return, is_good, sigma_U
 from cantorfull.language import proper_recode, sft_engine, sturmian_engine, substitution_engine
-from cantorfull.words import Word
-from conftest import sample_elements, word_cylinder
+from conftest import sample_elements, segment
 from test_language import substitutions
 from test_sft_properties import closets, sft_engines, tables, widest_radius
 
@@ -100,7 +99,7 @@ def find_positive_sigma(engine, window=48):
     """A 3-cycle whose moved orbit positions stay inside the positives."""
     for anchor in range(2, window // 2):
         for w in engine.allowed_words(3):
-            U = word_cylinder(engine, anchor, w)
+            U = CloSet.cylinder(engine, anchor, w)
             from cantorfull.constructions import is_good
             if not is_good(U):
                 continue
@@ -188,7 +187,7 @@ def test_clopen_orbit_under_a_first_return(fibonacci):
     sizes = []
     for n in range(1, 5):
         for w in fibonacci.allowed_words(n):
-            V = word_cylinder(fibonacci, 0, w)
+            V = CloSet.cylinder(fibonacci, 0, w)
             sizes.append(clopen_orbit(V, 10, f=psi))
             assert sizes[-1] == seen_set_orbit(V, 10, lambda c: element_image(c, psi))
     # psi fixes the sets off U and moves those inside it along an infinite orbit
@@ -235,10 +234,10 @@ def orbit_steps(data, engine):
     kind = data.draw(st.sampled_from(["phi", "first_return", "sigma"]))
     if kind == "first_return":
         word = data.draw(st.sampled_from(engine.allowed_words(data.draw(st.integers(1, 2)))))
-        f = admitted(first_return, word_cylinder(engine, data.draw(st.integers(-1, 0)), word))
+        f = admitted(first_return, CloSet.cylinder(engine, data.draw(st.integers(-1, 0)), word))
         return f, lambda c: element_image(c, f)
     if kind == "sigma":
-        good = [c for c in (word_cylinder(engine, -1, w) for w in engine.allowed_words(3))
+        good = [c for c in (CloSet.cylinder(engine, -1, w) for w in engine.allowed_words(3))
                 if is_good(c)]
         if good:
             f = admitted(sigma_U, data.draw(st.sampled_from(good)))
@@ -305,7 +304,7 @@ def test_clopen_orbit_under_a_small_word_store(monkeypatch):
         agrees_with_the_plain_loop(closet, 64, psi)
     assert clopen_orbit(U, cap=300) is None
     for word in recoded.allowed_words(1):
-        agrees_with_the_plain_loop(word_cylinder(recoded, 0, word), 160)
+        agrees_with_the_plain_loop(CloSet.cylinder(recoded, 0, word), 160)
 
 
 def test_clopen_orbit_on_shallow_sturmian_engines():
@@ -313,7 +312,7 @@ def test_clopen_orbit_on_shallow_sturmian_engines():
     # certified levels up to lengths 1, 4 and 29
     for quotients in ([1, 1, 2], [1] * 6, [1] * 10):
         engine = sturmian_engine(quotients, len(quotients))
-        for closet in [CloSet.full(engine)] + [word_cylinder(engine, 0, w)
+        for closet in [CloSet.full(engine)] + [CloSet.cylinder(engine, 0, w)
                                                for w in engine.allowed_words(1)]:
             for cap in (1, 8, 64):
                 agrees_with_the_plain_loop(closet, cap)
@@ -376,7 +375,7 @@ def oracle_orbit_table(psi, window, base_shift=0, point=None):
     table = {}
     for n in range(-window, window + 1):
         m = n + base_shift
-        table[n] = n + kappa[point.segment(-m - r, -m + r)]
+        table[n] = n + kappa[segment(point, -m - r, -m + r)]
     return table
 
 
@@ -386,7 +385,7 @@ def oracle_index_mod(psi, shifts=5):
     values = []
     for s in range(shifts):
         point = psi.engine.point_window(d + r + shifts)
-        image = {n: n + kappa[point.segment(-(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
+        image = {n: n + kappa[segment(point, -(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
         left = sum(1 for n in range(-d, 0) if image[n] >= 0)
         right = sum(1 for n in range(0, d) if image[n] < 0)
         values.append(left - right)
@@ -434,9 +433,8 @@ def test_orbit_reads_match_segment_oracle(fibonacci, thue_morse):
 def test_orbit_map_reads_a_point_of_distinct_runs(full_shift):
     # a random point: almost every run of letters orbit_map reads is new
     radius = 5000 + 20
-    letters = bytes(random.Random(19).randrange(2) for _ in range(2 * radius + 1))
-    point = Word(letters, -radius)
-    sigma = sigma_U(word_cylinder(full_shift, -1, b"\0\0\1"))
+    point = bytes(random.Random(19).randrange(2) for _ in range(2 * radius + 1))
+    sigma = sigma_U(CloSet.cylinder(full_shift, -1, b"\0\0\1"))
     for f in (sigma, inverse(sigma), compose(sigma, shift(full_shift, 2)), shift(full_shift, -3)):
         for window, base_shift in LONG_READS:
             table = oracle_orbit_table(f, window, base_shift, point)

@@ -171,6 +171,13 @@ def test_cli_jm_report(capsys, fib_file):
     lines = out.strip().splitlines()
     assert lines[0] == "n\tC\tB\tone_minus_C\tratio"
     assert len(lines) == 4
+    code, loglog, err = run(capsys, "--subshift", fib_file, "jm", "report",
+                            "--g", "phi", "--n", "10,100,1000", "--loglog")
+    assert (code, err) == (0, "")
+    assert loglog == out + (
+        "n=10^ 1.0  1-C= 9.311e-02  ########\n"
+        "n=10^ 2.0  1-C= 1.317e-02  ###############\n"
+        "n=10^ 3.0  1-C= 1.679e-03  ######################\n")
 
 
 def test_cli_odometer(capsys, fib_file, tmp_path):
@@ -441,3 +448,65 @@ def test_cli_syntax_errors_come_before_evaluation(capsys, fib_file):
     assert code == 2 and "not-good" in err
     code, _, err = run(capsys, "--subshift", fib_file, "elem", "eval", "--expr", 'sigma(cyl(0,"a"))*')
     assert code == 1 and "syntax-error" in err
+
+
+def test_syntax_error_positions_count_newlines_in_strings(capsys, fib_file):
+    code, out, err = run(capsys, "--subshift", fib_file, "elem", "canon",
+                         "--expr", 'sigma(cyl(0,"a\nb")) *')
+    assert (code, out) == (1, "")
+    assert err == ("error: syntax-error: line 2, column 7: unexpected 'end of input' "
+                   "(expected id, phi, sigma, ret, inv, comm, name, ()\n")
+    code, out, err = run(capsys, "--subshift", fib_file, "elem", "canon",
+                         "--expr", 'let s = sigma(cyl(-1,"aab"));\ns * )')
+    assert (code, out) == (1, "")
+    assert err == ("error: syntax-error: line 2, column 5: unexpected ')' "
+                   "(expected id, phi, sigma, ret, inv, comm, name, ()\n")
+
+
+def test_cli_warnings_precede_the_error_line(capsys, fib_file):
+    code, out, err = run(capsys, "--subshift", fib_file, "construct", "towers",
+                         "--closet", 'cyl(0,"bb")')
+    assert (code, out) == (2, "")
+    assert err == ('warning: cyl(0,"bb") is empty: word not allowed\n'
+                   "error: not-omniscient: the empty set has no towers\n")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("alphabet: a b\nkind: substitution\nrule: a ab\nrule: b -> a\n", 1,
+     "error: syntax-error: line 3, column 1: rule wants 'letter -> word'"),
+    ("alphabet: a b\nkind: sturmian\ncf: 1 x 1\n", 1,
+     "error: syntax-error: line 3, column 1: cf wants integers"),
+    ("alphabet: a b\nkind: sturmian\ncf: 1 1\ndepth: many\n", 1,
+     "error: syntax-error: line 4, column 1: depth wants an integer"),
+    ("alphabet: a b\nkind: sft\ncolour: red\n", 1,
+     "error: syntax-error: line 3, column 1: unknown key 'colour'"),
+    ("kind: sft\nforbidden: aa\n", 2, "error: semantic-error: missing alphabet"),
+    ("alphabet: a b\nkind: substitution\nrule: a -> ab\n", 2,
+     "error: semantic-error: substitution needs one rule per letter"),
+    ("alphabet: a b\nkind: odometer\n", 2, "error: semantic-error: unknown engine kind 'odometer'"),
+], ids=["rule", "cf", "depth", "key", "alphabet", "rules", "kind"])
+def test_cli_subshift_file_errors(capsys, tmp_path, text, code, message):
+    path = tmp_path / "bad.subshift"
+    path.write_text(text)
+    assert run(capsys, "--subshift", str(path), "lang", "words", "--length", "2") == \
+        (code, "", message + "\n")
+
+
+def test_cli_recur_stops_at_its_cap(capsys, tmp_path):
+    path = tmp_path / "sturm.subshift"
+    path.write_text(STURM)
+    assert run(capsys, "--subshift", str(path), "lang", "recur", "--word", "abb", "--cap", "3") == \
+        (2, "", "error: cap-exceeded: no recurrence bound found (cap=3)\n")
+
+
+def test_cli_exit_codes_through_a_process(fib_file):
+    """`python -m cantorfull.cli` passes main's return value to the shell."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cantorfull.__file__).parent.parent))
+    env.pop("CANTORFULL_CAPS", None)
+    for argv, code in ((["--subshift", fib_file, "elem", "mod", "--expr", "phi"], 0),
+                       (["elem", "eval", "--expr", "phi"], 1),
+                       (["--subshift", fib_file, "lang", "recur", "--word", "bb"], 2)):
+        done = subprocess.run([sys.executable, "-m", "cantorfull.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == code
+    assert done.stderr == "error: semantic-error: word 'bb' is not allowed\n"

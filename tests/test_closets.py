@@ -8,13 +8,12 @@ from cantorfull.closets import CloSet, is_partition, least_meet
 from cantorfull.elements import compose, element_image, shift
 from cantorfull.errors import EngineMismatch
 from cantorfull.language import RecodedEngine, substitution_engine
-from cantorfull.words import Word
 from conftest import sample_elements
 from test_sft_properties import closets, sft_engines, tables, widest_radius
 
 
-def text_word(engine, text, anchor):
-    return Word(engine.alphabet.parse_word(text), anchor)
+def text_cylinder(engine, text, anchor):
+    return CloSet.cylinder(engine, anchor, engine.alphabet.parse_word(text))
 
 
 def random_closets(engine, count, seed):
@@ -36,13 +35,13 @@ def test_empty_and_full(fibonacci):
 
 
 def test_cylinder_reexpression(fibonacci):
-    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
+    U = text_cylinder(fibonacci, "a", 0)
     assert U.at_radius(4) == U
     assert U.at_radius(4).reduced().radius == 0
 
 
 def test_unallowed_cylinder_is_empty(fibonacci):
-    assert CloSet.cylinder(fibonacci, text_word(fibonacci, "bb", 0)).is_empty()
+    assert text_cylinder(fibonacci, "bb", 0).is_empty()
 
 
 def test_boolean_algebra_identities(fibonacci, golden_mean):
@@ -66,24 +65,24 @@ def test_boolean_algebra_identities(fibonacci, golden_mean):
 
 
 def test_subset_via_complement(fibonacci):
-    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "aa", 0))
-    V = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
+    U = text_cylinder(fibonacci, "aa", 0)
+    V = text_cylinder(fibonacci, "a", 0)
     assert U.is_subset(V)
     assert U.intersect(V.complement()).is_empty()
     assert not V.is_subset(U)
 
 
 def test_shift_image_examples(fibonacci):
-    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
-    assert U.shift_image(1) == CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 1))
+    U = text_cylinder(fibonacci, "a", 0)
+    assert U.shift_image(1) == text_cylinder(fibonacci, "a", 1)
     assert U.shift_image(2).shift_image(-2) == U
-    meet = U.intersect(CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 1)))
-    assert meet == CloSet.cylinder(fibonacci, text_word(fibonacci, "aa", 0))
+    meet = U.intersect(text_cylinder(fibonacci, "a", 1))
+    assert meet == text_cylinder(fibonacci, "aa", 0)
     assert not meet.is_empty()
 
 
 def test_element_image_of_shift(fibonacci):
-    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "ab", 0))
+    U = text_cylinder(fibonacci, "ab", 0)
     phi = shift(fibonacci)
     assert element_image(U, phi) == U.shift_image(1)
 
@@ -101,7 +100,7 @@ def test_engine_mismatch(fibonacci, golden_mean):
 
 
 def test_mask_is_aligned_with_the_level(fibonacci):
-    U = CloSet.cylinder(fibonacci, text_word(fibonacci, "b", 0))
+    U = text_cylinder(fibonacci, "b", 0)
     words, b = fibonacci.allowed_words(5), fibonacci.alphabet.index("b")
     assert U.mask(2) == [w[2] == b for w in words]
     assert U.mask(2, 1) == [w[3] == b for w in words]
@@ -205,7 +204,7 @@ def test_clopen_reads_against_slicing_oracles_on_sfts(data):
 def check_cylinder_reads(data, engine):
     word = data.draw(st.integers(1, 5).flatmap(
         lambda n: st.sampled_from(engine.allowed_words(n))))
-    closet = CloSet.cylinder(engine, Word(word, data.draw(st.integers(-3, 3))))
+    closet = CloSet.cylinder(engine, data.draw(st.integers(-3, 3)), word)
     check_reads(data, engine, closet, -2, 2)
 
 
@@ -252,7 +251,7 @@ def test_reduced_across_a_large_drop_builds_no_level():
     assert reduced.members == {w[768 - 65:768 + 66] for w in p7.members}
     assert oracle_reduced(reduced) is reduced and reduced.at_radius(768) == p7
     assert clopen_orbit(p7, cap=300) == 128
-    aba = CloSet.cylinder(engine, text_word(engine, "aba", -1))
+    aba = text_cylinder(engine, "aba", -1)
     wide = aba.at_radius(300)
     levels = set(engine._words)
     assert_same_set(wide.reduced(), aba)
@@ -337,7 +336,7 @@ def test_family_query_against_pairwise_loops_on_sfts(data):
 def test_family_query_against_pairwise_loops_on_cylinders(request, name, data):
     engine = request.getfixturevalue(name)
     words = st.integers(1, 4).flatmap(lambda n: st.sampled_from(engine.allowed_words(n)))
-    family = [(CloSet.cylinder(engine, Word(data.draw(words), data.draw(st.integers(-3, 0)))),
+    family = [(CloSet.cylinder(engine, data.draw(st.integers(-3, 0)), data.draw(words)),
                data.draw(st.integers(-3, 3)))
               for _ in range(data.draw(st.integers(2, 5)))]
     check_family(data, family)
@@ -345,8 +344,8 @@ def test_family_query_against_pairwise_loops_on_cylinders(request, name, data):
 
 
 def test_family_query_examples(fibonacci, golden_mean):
-    a = CloSet.cylinder(fibonacci, text_word(fibonacci, "a", 0))
-    b = CloSet.cylinder(fibonacci, text_word(fibonacci, "b", 0))
+    a = text_cylinder(fibonacci, "a", 0)
+    b = text_cylinder(fibonacci, "b", 0)
     # bb does not occur, so b misses phi^-1(b); bab does, so phi^-1(b) meets phi(b)
     assert least_meet([(b, -1), (b, 0)]) is None
     assert least_meet([(b, -1), (b, 0), (b, 1)]) == (0, 2, fibonacci.alphabet.parse_word("bab"))

@@ -12,7 +12,7 @@ from cantorfull.errors import (CapExceeded, EngineMismatch, FixedPointFound, Not
                                PreconditionViolated, SurplusViolated,
                                WindowTooSmall)
 from cantorfull.language import sft_engine, SFTEngine
-from cantorfull.words import Alphabet, Word, factors
+from cantorfull.words import Alphabet, factors
 from cantorfull.constructions import (HoughtonProfile, TowerPartition,
                                       _swap_element, cylinder, first_return,
                                       gw_transport, houghton_engine_y,
@@ -26,7 +26,7 @@ from cantorfull.constructions import (HoughtonProfile, TowerPartition,
                                       van_douwen_involutions,
                                       van_douwen_walk, van_douwen_witness)
 from cantorfull.language import max_gap
-from conftest import enumerate_bijective, sample_elements, word_cylinder
+from conftest import enumerate_bijective, sample_elements, segment
 
 
 # -- good sets and sigma --------------------------------------------------
@@ -99,7 +99,7 @@ def test_first_return_gaps_match_point_window(fibonacci):
         fr = first_return(U)
         times = set(fr.table.values()) - {0}
         bound = max_gap(fibonacci, letters)
-        window = fibonacci.point_window(5 * bound).letters
+        window = fibonacci.point_window(5 * bound)
         hits = [i for i in range(len(window) - len(letters) + 1)
                 if window[i:i + len(letters)] == letters]
         gaps = {b - a for a, b in zip(hits, hits[1:])}
@@ -190,7 +190,7 @@ def oracle_qeqz_violation(U, V):
 @pytest.mark.parametrize("name", ["fibonacci", "thue_morse", "golden_mean"])
 def test_good_decision_against_pairwise_oracle(request, name):
     engine = request.getfixturevalue(name)
-    for U in small_cylinders(engine) + [word_cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
+    for U in small_cylinders(engine) + [CloSet.cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
         witness = oracle_good_witness(U)
         assert is_good(U) == (witness is None)
         if witness is not None:
@@ -203,7 +203,7 @@ def test_qeqz_decision_against_pairwise_oracle(matui_set):
     """Cylinders of 3-words at -1 on the proper engine: phi U meets phi^-1 V
     for some pairs (allowed), other translates for others (refused)."""
     engine = matui_set.engine
-    sets = [word_cylinder(engine, -1, w) for w in engine.allowed_words(3)]
+    sets = [CloSet.cylinder(engine, -1, w) for w in engine.allowed_words(3)]
     outcomes = set()
     for U, V in itertools.product(sets, repeat=2):
         violation = oracle_qeqz_violation(U, V)
@@ -319,7 +319,7 @@ def test_120_generators_on_full_proper_shift():
     assert is_proper(engine, 4)
     words3 = engine.allowed_words(3)
     assert len(words3) == 120 == 6 * 5 * 4
-    s = sigma_U(word_cylinder(engine, -1, words3[0]))
+    s = sigma_U(CloSet.cylinder(engine, -1, words3[0]))
     assert order(s) == 3
 
 
@@ -335,8 +335,8 @@ def test_qeqz_on_recursion_pairs(matui_set):
     engine = matui_set.engine
     count = 0
     for h in engine.allowed_words(5):
-        U = word_cylinder(engine, -1, h[2:])   # right part: qeqz's U
-        V = word_cylinder(engine, -1, h[:-2])  # left part: qeqz's V
+        U = CloSet.cylinder(engine, -1, h[2:])   # right part: qeqz's U
+        V = CloSet.cylinder(engine, -1, h[:-2])  # left part: qeqz's V
         assert qeqz_check(U, V)
         count += 1
     assert count == len(engine.allowed_words(5))
@@ -408,9 +408,11 @@ def test_van_douwen_involutions_against_hand_offsets(q):
 
 def test_van_douwen_walk_matches_paper():
     engine, sigmas = van_douwen_involutions(3)
-    word, expected = van_douwen_witness(engine, (0, 1, 2))
-    assert engine.is_allowed(word.letters)
-    assert van_douwen_walk(sigmas, (0, 1, 2), word) == expected == -3
+    window, expected = van_douwen_witness(engine, (0, 1, 2))
+    # x[-5..5]: x[1..3] spells the indices, x[0] differs from x[3]
+    assert len(window) == 11 and engine.is_allowed(window)
+    assert segment(window, 1, 3) == bytes((0, 1, 2)) and window[5 + 0] != window[5 + 3]
+    assert van_douwen_walk(sigmas, (0, 1, 2), window) == expected == -3
 
 
 def test_van_douwen_certificates_short_words():
@@ -635,7 +637,7 @@ def oracle_gw_transport(engine, base, A, B):
 
 
 def small_cylinders(engine):
-    return [word_cylinder(engine, anchor, w) for n in (1, 2, 3)
+    return [CloSet.cylinder(engine, anchor, w) for n in (1, 2, 3)
             for w in engine.allowed_words(n) for anchor in range(-n + 1, 1)]
 
 
@@ -643,7 +645,7 @@ def small_cylinders(engine):
 def test_sigma_and_swap_against_slicing_oracles(request, name):
     engine = request.getfixturevalue(name)
     checked = 0
-    for U in small_cylinders(engine) + [word_cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
+    for U in small_cylinders(engine) + [CloSet.cylinder(engine, -2, w) for w in engine.allowed_words(5)]:
         if is_good(U):
             assert canonical_dump(sigma_U(U)) == canonical_dump(oracle_sigma_U(U))
             checked += 1
@@ -757,15 +759,13 @@ def test_houghton_orbit_map_against_window_oracle(build):
             assert houghton_orbit_map(f, window) == [table[n] for n in range(-window, window + 1)]
 
 
-def oracle_van_douwen_walk(sigmas, indices, word):
-    """Each step reads the central window and re-anchors the word by it."""
+def oracle_van_douwen_walk(sigmas, indices, window):
+    """Each step reads the central window of phi^total x, x[-total-r..-total+r],
+    and adds what it reads to total."""
     total = 0
-    current = word
     for k in indices:
         r = sigmas[k].radius
-        step = sigmas[k].table[current.segment(-r, r)]
-        current = Word(current.letters, current.anchor + step)
-        total += step
+        total += sigmas[k].table[segment(window, -total - r, -total + r)]
     return total
 
 

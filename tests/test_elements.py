@@ -14,7 +14,6 @@ from cantorfull.errors import (CapExceeded, EngineMismatch, NotBijective, NotInj
                                NotSurjective, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
-from cantorfull.words import Word
 from conftest import sample_elements
 from test_sft_properties import check_descent, raw_tables
 

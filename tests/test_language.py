@@ -18,7 +18,7 @@ from cantorfull.language import (RecodedEngine, build_engine, is_irreducible,
                                  recurrence_bound, sft_approximation,
                                  sft_engine, substitution_engine,
                                  sturmian_engine)
-from cantorfull.words import Word, factors
+from cantorfull.words import factors
 
 
 def brute_force_factors(engine_rules, length, power=12):
@@ -191,7 +191,7 @@ def test_recurrence_bound_bounds_gaps(fibonacci):
     for text in ("a", "b", "aab"):
         letters = fibonacci.alphabet.parse_word(text)
         bound = recurrence_bound(fibonacci, letters)
-        window = fibonacci.point_window(5 * bound).letters
+        window = fibonacci.point_window(5 * bound)
         hits = [i for i in range(len(window) - len(letters) + 1)
                 if window[i:i + len(letters)] == letters]
         assert hits
@@ -200,11 +200,13 @@ def test_recurrence_bound_bounds_gaps(fibonacci):
 
 def test_point_window_fibonacci_seed(fibonacci):
     window = fibonacci.point_window(2)
-    assert window.anchor == -2 and len(window) == 5
-    assert fibonacci.is_allowed(window.letters)
-    # seed (a|a): the letters at -1 and 0 both read 'a'
-    a = fibonacci.alphabet.index("a")
-    assert window[-1] == a and window[0] == a
+    assert type(window) is bytes and len(window) == 5
+    assert fibonacci.is_allowed(window)
+    # seed (a|a): the letters at -1 and 0, indices 2 - 1 and 2 + 0, read 'a'
+    a, b = fibonacci.alphabet.index("a"), fibonacci.alphabet.index("b")
+    assert window[2 - 1] == a and window[2 + 0] == a
+    # x[1] = b (sigma(a) = ab) tells the centre from its neighbours
+    assert window[2 + 1] == b
 
 
 def test_point_window_seed_past_power_twelve():
@@ -213,9 +215,9 @@ def test_point_window_seed_past_power_twelve():
     engine = substitution_engine({"a": "b", "b": "dec", "c": "ed", "d": "ce", "e": "acc"})
     assert len(engine.allowed_words(2)) == 17
     window = engine.point_window(5)
-    assert len(window) == 11 and engine.is_allowed(window.letters)
+    assert len(window) == 11 and engine.is_allowed(window)
     a, c = engine.alphabet.index("a"), engine.alphabet.index("c")
-    assert window[-1] == c and window[0] == a
+    assert window[5 - 1] == c and window[5 + 0] == a
     assert engine.apply_power(bytes([c]), 15)[-1] == c
     assert engine.apply_power(bytes([a]), 15)[0] == a
 
@@ -223,8 +225,8 @@ def test_point_window_seed_past_power_twelve():
 def test_point_window_prefix_property(fibonacci, golden_mean, sturmian_fib):
     for engine in (fibonacci, golden_mean, sturmian_fib):
         small, big = engine.point_window(3), engine.point_window(7)
-        assert big.segment(-3, 3) == small.letters
-        assert engine.is_allowed(big.letters)
+        assert big[7 - 3:7 + 3 + 1] == small
+        assert engine.is_allowed(big)
         assert len(engine.point_window(0)) == 1
 
 
@@ -245,7 +247,8 @@ def test_point_window_cache_matches_fresh_engine(kind):
         engine = fresh()
         for m in order:
             window = engine.point_window(m)
-            assert window == Word(big.segment(-m, m), -m)
+            assert type(window) is bytes and len(window) == 2 * m + 1
+            assert window == big[40 - m:40 + m + 1]
         assert engine.point_window(40) == big
 
 
@@ -266,7 +269,7 @@ def test_sturmian_language_matches_fibonacci_up_to_renaming(fibonacci, sturmian_
         renamed = set(map(swap, sturmian_fib.allowed_words(l)))
         assert renamed == set(fibonacci.allowed_words(l))
     window = sturmian_fib.point_window(3)
-    assert fibonacci.is_allowed(swap(window.letters))
+    assert fibonacci.is_allowed(swap(window))
 
 
 def test_sturmian_mechanical_word_against_float_oracle(sturmian_fib):
@@ -275,7 +278,7 @@ def test_sturmian_mechanical_word_against_float_oracle(sturmian_fib):
     import math
     for n in range(-20, 21):
         bit = math.floor((n + 1) * alpha) - math.floor(n * alpha)
-        assert window[n] == bit
+        assert window[20 + n] == bit
 
 
 def test_sturmian_depth_cap(sturmian_fib):
@@ -318,9 +321,11 @@ def test_proper_recode_decode_roundtrip(fibonacci):
     recoded, mapping = proper_recode(fibonacci, 4)
     L = mapping.block_length
     window = recoded.point_window(4)
-    span = recoded.decode_word(window.letters)
-    source = fibonacci.point_window(4 + L - 1)
-    assert span == source.segment(-4, 4 + L - 1)
+    span = recoded.decode_word(window)
+    R = 4 + L - 1
+    source = fibonacci.point_window(R)
+    # x[-4 .. 4 + L - 1]
+    assert span == source[R - 4:R + 4 + L]
 
 
 def test_proper_recode_over_a_separated_alphabet():

@@ -14,7 +14,6 @@ from cantorfull.elements import (canonical_dump, commutator, compose, element_im
 from cantorfull.errors import ParseError, SemanticError
 from cantorfull.language import sft_engine, substitution_engine
 from cantorfull.parsing import Session, parse_closet_text, parse_element_text, tokenize
-from cantorfull.words import Word
 from test_cli_robustness import _closets, _expressions, _mostly
 
 
@@ -215,7 +214,7 @@ class OracleSession:
             return CloSet.empty(self.engine)
         if kind == "cyl":
             letters = self.engine.alphabet.parse_word(tree[2])
-            out = CloSet.cylinder(self.engine, Word(letters, tree[1]))
+            out = CloSet.cylinder(self.engine, tree[1], letters)
             if out.is_empty() and letters:
                 self.warnings.append(
                     f'cyl({tree[1]},"{tree[2]}") is empty: word not allowed')

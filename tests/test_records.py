@@ -1,5 +1,4 @@
-"""The package's records: field names, order and defaults, immutability, and
-the position-based reads of ``Word``."""
+"""The package's records: field names, order and defaults, and immutability."""
 
 import pytest
 
@@ -10,14 +9,12 @@ from cantorfull.constructions import (GWTransport, HoughtonProfile, LamplighterP
 from cantorfull.jm import CorrelationReport
 from cantorfull.language import RecodingMap
 from cantorfull.parsing import Token
-from cantorfull.words import Word
 
 CAPS_DEFAULTS = {"dbound": 64, "order": 4096, "orbit": 64, "lef_n": 8, "lef_p": 12,
                  "word_store": 500_000, "radius_search": 64}
 
 # record -> (field names in order, defaults)
 RECORDS = {
-    Word: (("letters", "anchor"), {"anchor": 0}),
     Caps: (tuple(CAPS_DEFAULTS), CAPS_DEFAULTS),
     RecodingMap: (("block_length", "letter_decode"), {}),
     Token: (("kind", "text", "line", "col"), {}),
@@ -68,16 +65,3 @@ def test_negative_caps_are_refused(text, message):
         parse_caps(text)
     assert str(err.value) == message
 
-
-def test_word_equality_hash_and_positions():
-    word = Word(b"\0\1\1", -1)
-    assert Word(b"\0\1") == Word(b"\0\1", 0) and Word(b"\0\1").anchor == 0
-    assert word == Word(b"\0\1\1", -1) and hash(word) == hash(Word(b"\0\1\1", -1))
-    assert word != Word(b"\0\1\1", 0) and word != Word(b"\0\1\0", -1)
-    assert len(word) == 3 and (word.start, word.end) == (-1, 2)
-    assert [word[p] for p in range(-1, 2)] == [0, 1, 1]
-    for outside in (-2, 2):
-        with pytest.raises(IndexError):
-            word[outside]
-    assert word.segment(0, 1) == b"\1\1"
-    assert not Word(b"") and repr(word) == r"Word(letters=b'\x00\x01\x01', anchor=-1)"
