@@ -23,7 +23,14 @@ construction by that count being exactly 1 (the witness k, the displacement of
 the unique preimage, is what inversion uses), and ``element_image`` keeps the
 windows whose count is nonzero with the values off the set blanked.
 
-Composition follows compose(f, g) = f o g, apply g first.
+Composition follows compose(f, g) = f o g, apply g first.  Every window of
+radius R = max(r_g, r_f + D_g) holds the window of f it reads, but the product
+is often a function of smaller windows: compose counts up from max(r_f, r_g)
+and builds the table at the first radius where every window determines its
+value, reading f at a window that sticks out of w off the part inside w
+(``_part_values``, None where the completions of that part disagree).  So a
+product builds no level above the radius it finds.  A minimal engine's
+levels grow by a word or two per radius, so there it composes at R alone.
 
 Every Element is canonical from construction: ``__init__`` takes the values
 down by ``_least_radius``, one radius at a time through the restriction maps,
@@ -55,7 +62,8 @@ _BLOCK = 64
 
 
 class Element:
-    __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness", "_table")
+    __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness", "_table",
+                 "_parts")
 
     def __init__(self, engine, radius, values, bijective):
         """`values` is a tuple aligned with engine.allowed_words(2 radius + 1);
@@ -66,6 +74,7 @@ class Element:
         self._bijective = bijective      # True / False / None (not yet certified)
         self._witness = None
         self._table = None
+        self._parts = None               # (start, size) -> _part_values(self, start, size)
 
     # -- basic views ---------------------------------------------------------
 
@@ -272,20 +281,61 @@ def shift(engine, power=1):
 
 
 def compose(f, g):
-    """x -> f(g(x)).  Radius max(r_g, r_f + D_g); displacements add, and
+    """x -> f(g(x)), built at the least radius t in [max(r_f, r_g), R],
+    R = max(r_g, r_f + D_g), at which every window determines the product,
+    and then taken down to its least radius.  A minimal engine builds it at
+    R: its levels grow by a word or two per radius, so a search below R
+    would cost more than the levels it saves.  Displacements add, and
     CapExceeded is raised past the engine's dbound cap."""
     _check_same_engine(f, g)
-    engine = f.engine
-    rf, rg = f.radius, g.radius
-    radius = max(rg, rf + g.dbound)
-    size = 2 * radius + 1
-    kg = list(map(g.values.__getitem__, engine.restriction(size, radius - rg, 2 * rg + 1)))
-    # the window of phi^{kg} x sits at position -kg
-    f_at = {k: engine.restriction(size, radius - k - rf, 2 * rf + 1) for k in set(kg)}
-    fv = f.values
-    values = tuple([k + fv[f_at[k][i]] for i, k in enumerate(kg)])
+    engine, rf = f.engine, f.radius
+    fsize = 2 * rf + 1
+    top = max(g.radius, rf + g.dbound)
+    for radius in range(top if engine.minimal is True else max(rf, g.radius), top + 1):
+        size = 2 * radius + 1
+        kg = list(map(g.values.__getitem__, engine.restriction(size, radius - g.radius, 2 * g.radius + 1)))
+        ks = set(kg)
+        # the window of phi^k x starts at index radius - k - r_f of the window;
+        # where it sticks out, f is read off the part inside, whose table goes
+        # after f's values so that one table serves every k.  At R no window
+        # sticks out, so the loop ends there.
+        table, f_at = f.values, {}
+        for k in ks:
+            lo = radius - k - rf
+            if lo < 0 or lo + fsize > size:
+                start = min(max(lo, 0), size)
+                part_size = max(min(lo + fsize, size) - start, 0)
+                part = _part_values(f, start - lo if part_size else 0, part_size)
+                f_at[k] = list(map(len(table).__add__, engine.restriction(size, start, part_size)))
+                table += part
+        if None in table and any(table[f_at[k][i]] is None for i, k in enumerate(kg) if k in f_at):
+            continue
+        for k in ks - f_at.keys():
+            f_at[k] = engine.restriction(size, radius - k - rf, fsize)
+        values = tuple([k + table[f_at[k][i]] for i, k in enumerate(kg)])
+        break
     bij = True if (f._bijective and g._bijective) else None
     return _capped(Element(engine, radius, values, bij))
+
+
+def _part_values(f, start, size):
+    """f's values as a function of the factor w[start:start + size] of its
+    windows w: a tuple aligned with allowed_words(size), None where two
+    windows with that factor disagree.  Kept on f for later products."""
+    if f._parts is None:
+        f._parts = {}
+    part = f._parts.get((start, size))
+    if part is None:
+        positions = f.engine.restriction(2 * f.radius + 1, start, size)
+        part = [None] * len(f.engine.allowed_words(size))
+        for j, v in zip(positions, f.values):
+            part[j] = v
+        # a factor whose windows disagree keeps None once it has it
+        for j, v in zip(positions, f.values):
+            if part[j] != v:
+                part[j] = None
+        part = f._parts[(start, size)] = tuple(part)
+    return part
 
 
 def inverse(f):

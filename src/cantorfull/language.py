@@ -371,6 +371,12 @@ class SFTEngine(LanguageEngine):
         return all(len(_reachable(edges, start)) == len(self.essential)
                    for edges in (self._succ, self._pred))
 
+    def local_periods(self, length):
+        # without an isolated cycle no cylinder holds only periodic points
+        if not self._cycles:
+            return (0,) * len(self.allowed_words(length))
+        return super().local_periods(length)
+
     def local_period(self, word):
         # a cylinder of periodic points holds one point, on an isolated cycle
         # through each of its (k-1)-windows; a shorter word is the union of

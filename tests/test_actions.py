@@ -17,7 +17,8 @@ from cantorfull.constructions import cylinder, first_return, is_good, sigma_U
 from cantorfull.language import proper_recode, sft_engine, sturmian_engine, substitution_engine
 from conftest import sample_elements, segment
 from test_language import substitutions
-from test_sft_properties import closets, sft_engines, tables, widest_radius
+from test_sft_properties import (as_pair, closets, oracle_compose, sft_engines, tables,
+                                 widest_radius)
 
 
 def test_orbit_permutation_shift_and_identity(fibonacci):
@@ -265,6 +266,19 @@ def test_clopen_orbit_against_the_seen_set_loop_on_minimal_engines(data):
         if n not in left:
             assert current.key() != start.key()
     assert clopen_orbit(closet, cap, f=f) == seen_set_orbit(closet, cap, step)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_compose_on_minimal_engines_is_the_top_radius_table(data):
+    """On a minimal engine the product is the oracle's table at
+    R = max(r_g, r_f + D_g), taken down to its least radius."""
+    engine = data.draw(minimal_engines())
+    f = orbit_steps(data, engine)[0] or shift(engine)
+    g = orbit_steps(data, engine)[0] or shift(engine, -1)
+    for first, second in ((f, g), (g, f), (f, inverse(f))):
+        product = admitted(lambda pair: compose(*pair), (first, second))
+        assert as_pair(product) == oracle_compose(engine, as_pair(first), as_pair(second))
 
 
 def test_clopen_orbit_refutes_without_building_levels():

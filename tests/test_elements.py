@@ -10,8 +10,8 @@ from cantorfull.elements import (Element, ball_sizes, canonical_dump,
                                  inverse, is_identity, make_element,
                                  make_semigroup_element, order, parse_dump,
                                  power, shift, support, element_image)
-from cantorfull.errors import (CapExceeded, EngineMismatch, NotBijective, NotInjective,
-                               NotSurjective, PartialTable)
+from cantorfull.errors import (CapExceeded, EngineMismatch, MemoryCapExceeded, NotBijective,
+                               NotInjective, NotSurjective, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
 from conftest import sample_elements
@@ -268,6 +268,32 @@ def test_compose_keeps_the_displacement_cap(monkeypatch):
     assert order(shift(engine), cap=4) is None
     with pytest.raises(CapExceeded):
         order(shift(engine), cap=5)
+
+
+def test_full_shift_ball_builds_no_level_above_13():
+    """The two products of this ball whose R = max(r_g, r_f + D_g) is 7 are
+    determined by their windows at a smaller radius, so level 15 is never built."""
+    engine = sft_engine("01", [])
+    s = sigma_U(cylinder(engine, -1, "001"))
+    assert ball_sizes([shift(engine), s], 4) == [5, 15, 41, 107]
+    assert max(engine._words) <= 13
+
+
+def test_compose_below_the_top_radius_stays_inside_the_word_store(monkeypatch):
+    def product():
+        engine = sft_engine("01", [])
+        s = sigma_U(cylinder(engine, -1, "001"))
+        g = compose(compose(s, inverse(shift(engine))), s)
+        assert (s.radius, g.radius, g.dbound) == (2, 5, 5)
+        return engine, compose(s, g)          # R = 7, least radius 5
+
+    expected = canonical_dump(product()[1])
+    monkeypatch.setenv("CANTORFULL_CAPS", "word_store=20000")
+    engine, fg = product()
+    assert canonical_dump(fg) == expected
+    # the level at R is past this store: 2^14 words of length 14, two letters each
+    with pytest.raises(MemoryCapExceeded, match="32768 candidate words at length 15"):
+        engine.allowed_words(15)
 
 
 def test_order_invariants(fib_pool):

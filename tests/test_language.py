@@ -580,3 +580,24 @@ def test_position_maps(golden_mean, fibonacci):
                     assert [engine.allowed_words(size)[j] for j in positions] == \
                         [w[start:start + size] for w in words]
             assert engine.local_periods(length) == tuple(map(engine.local_period, words))
+
+
+@pytest.mark.parametrize("letters, forbidden, zeros", [
+    ("ab", ["bb"], True),                  # golden mean
+    ("01", [], True),                      # full 2-shift
+    ("abc", ["aa", "bb", "cc"], True),     # proper 3-shift
+    ("ab", ["aa", "bb"], False),           # one 2-cycle
+    ("abc", ["ac", "ca", "bc", "cb"], False),  # a 2-shift and a fixed point
+])
+def test_sft_local_periods_without_isolated_cycles_read_no_word(monkeypatch, letters,
+                                                                 forbidden, zeros):
+    """Without an isolated cycle no cylinder holds only periodic points, so
+    every local period is 0 and none is read word by word."""
+    engine = sft_engine(letters, forbidden)
+    expected = {n: tuple(map(engine.local_period, engine.allowed_words(n))) for n in range(1, 8)}
+    assert (not engine._cycles) == zeros
+    if zeros:
+        monkeypatch.setattr(engine, "local_period", None)
+    for n, periods in expected.items():
+        assert engine.local_periods(n) == periods
+        assert (not any(periods)) == zeros

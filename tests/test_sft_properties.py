@@ -15,10 +15,11 @@ import random
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.closets import CloSet
+from cantorfull.constructions import sigma_U
 from cantorfull.elements import (Element, _crt, ball_sizes, canonical_dump, compose,
                                  equal, identity, inverse, is_identity,
-                                 make_semigroup_element, order, parse_dump, support)
-from cantorfull.errors import EmptySubshift
+                                 make_semigroup_element, order, parse_dump, shift, support)
+from cantorfull.errors import EmptySubshift, NotGood
 from cantorfull.language import RecodedEngine, sft_engine
 
 
@@ -395,6 +396,37 @@ def test_element_layer_against_dict_oracle(data):
     if witness is not None:
         assert f.witness() == tuple(witness.values())
         assert as_pair(inverse(f)) == oracle_inverse(engine, of)
+
+
+def test_compose_below_the_top_radius_against_dict_oracle():
+    """Words in phi^(+-1) and sigma_U^(+-1): products such as phi^-1 phi or
+    sigma_U sigma_U^-1 are functions of their windows below R = max(r_g,
+    r_f + D_g), the radius the oracle composes at, and such draws occur."""
+    below = []
+
+    @settings(deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        engine = data.draw(sft_engines())
+        gens = [shift(engine), shift(engine, -1)]
+        word = data.draw(st.sampled_from(engine.allowed_words(data.draw(st.integers(2, 3)))))
+        try:
+            s = sigma_U(CloSet.cylinder(engine, -1, word))
+            gens += [s, inverse(s)]
+        except NotGood:
+            pass
+        f = data.draw(st.sampled_from(gens))
+        for g in data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3)):
+            top = max(g.radius, f.radius + g.dbound)
+            if widest_radius(engine, 0, top) < top:
+                break      # the oracle would slice a level of more than 2500 windows
+            fg = compose(f, g)
+            assert as_pair(fg) == oracle_compose(engine, as_pair(f), as_pair(g))
+            below.append(fg.radius < top)
+            f = fg
+
+    check()
+    assert any(below)
 
 
 def widest_radius(engine, low, high, max_windows=2500):
