@@ -24,7 +24,8 @@ from .constructions import (is_good, sigma_U, cylinder, symmetric_embed,
                             SymmetricEmbedding, first_return, TowerPartition,
                             kr_towers, rokhlin_base, GWTransport, gw_transport,
                             MatuiSet, matui_generators, matui_cylinder_sigma,
-                            matui_by_recursion, qeqz_check, is_proper,
+                            matui_by_recursion, matui_recursion_word,
+                            qeqz_check, is_proper,
                             LamplighterPair, lamplighter_pair,
                             van_douwen_involutions, van_douwen_witness,
                             van_douwen_walk, HoughtonProfile,

@@ -137,15 +137,18 @@ def putnam_blocks(elements, window):
     for f in family:
         if f.radius + f.dbound > window:
             raise WindowTooSmall("window too small for the family's displacements")
-        crossings = _crossings(f, f.engine.point_window(window + f.radius))
-        if crossings:
-            raise StabilizerViolated(*crossings[0])
-        perms.append(orbit_permutation(f, window))
+        perm = orbit_permutation(f, window)
+        crossing = next(((n, j) for n, j in zip(perm.defined_range(), perm.images)
+                         if (n < 0) != (j < 0)), None)
+        if crossing is not None:
+            raise StabilizerViolated(*crossing)
+        perms.append(perm)
     m = max((f.dbound for f in family), default=0)
     # tau[i] is the displacement at n = i - window
     tau = [list(map(operator.sub, p.images, p.defined_range())) for p in perms]
     recurrence = []
-    for n in range(-window, window - m + 2):
+    # n and the run of m displacements from it lie in the window, also for m = 0
+    for n in range(-window, window - max(m, 1) + 2):
         if all(t[n + window:n + window + m] == t[window:window + m] for t in tau):
             recurrence.append(n)
     if len(recurrence) < 2:

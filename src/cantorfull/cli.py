@@ -3,11 +3,12 @@
 Every element command needs a session engine (``--subshift FILE``); elements
 are not portable across engines.  All outputs are deterministic: words print
 in the alphabet's reference order and floats print via repr.  Exit codes:
-0 success; 1 for a bad argument (a missing or out-of-range option, an
-unreadable file, an unparsable expression); 2 for a domain error (a
-well-formed request the subshift refuses, such as a word outside its
-language), with a stable code from the error hierarchy.  Errors print to
-stderr.
+0 success; 1 for a bad argument (a missing option, a number outside the
+range the option parser checks, an unreadable file, an unparsable
+expression); 2 for a domain error (a well-formed request the subshift or
+the construction refuses, such as a word outside its language or a van
+Douwen shift on more letters than it names), with a stable code from the
+error hierarchy.  Errors print to stderr.
 """
 
 import argparse

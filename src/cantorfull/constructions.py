@@ -4,6 +4,8 @@ Everything here is exact: the resulting elements carry bijectivity
 certificates, and hypotheses and postconditions are verified rather than
 assumed.  Those about a family of clopen sets (disjoint translates, tower
 partitions) go through the family query of :mod:`cantorfull.closets`.
+A Rokhlin base is read off one level of windows, each window's cell against
+the cells of its images: the greedy cell-by-cell subcover, with no set per cell.
 """
 
 import json
@@ -648,55 +650,53 @@ def houghton_profile(f, window):
 
 def rokhlin_base(f, n):
     """A clopen U with f^i(U), 0 <= i < n, pairwise disjoint and whose full
-    f-orbit covers the space; greedy subcover construction from per-word
-    neighborhoods, requiring f^i fixed-point-free for 1 <= i <= n-1."""
+    f-orbit covers the space; requires f^i fixed-point-free for 0 < i < n.
+
+    Read off one level.  R is the least radius, from the powers' radii up, at
+    which no window y of radius R + D has g(y) in its own R-cell, for every
+    g = f^i, 0 < |i| < n, and D their largest displacement.  U is the windows
+    whose cell comes before that of every g(y): the greedy union of each cell,
+    in word order, minus the images of the cells before it, as a point lies
+    in such an image exactly when some g takes it to an earlier cell.
+    """
     engine = f.engine
-    caps = engine.caps
     if n < 1:
         raise SemanticError("n must be >= 1")
     if n == 1:
         return CloSet.full(engine)
-    powers = {}
+    powers = []
     for i in range(1, n):
-        powers[i] = power(f, i)
-        for w, v in powers[i].table.items():
+        g = compose(powers[-1], f) if powers else f
+        for w, v in zip(engine.allowed_words(2 * g.radius + 1), g.values):
             if v == 0 or engine.cylinder_periodic_exists(w, v):
                 raise FixedPointFound(i, engine.alphabet.format_word(w))
-    for i in range(1, n):
-        powers[-i] = inverse(powers[i])
+        powers.append(g)
+    powers += [inverse(g) for g in powers]      # powers[n - 1] is f^-1
 
-    start = max(g.radius for g in powers.values())
-    chosen = None
-    for radius in range(start, caps.radius_search + 1):
-        words = engine.allowed_words(2 * radius + 1)
-        cells = [CloSet(engine, radius, {w}) for w in words]
-        if all(cell.is_disjoint(element_image(cell, powers[i]))
-               for cell in cells for i in range(1, n)):
-            chosen = cells
+    d = max(g.dbound for g in powers)
+    for radius in range(max(g.radius for g in powers), engine.caps.radius_search + 1):
+        size = 2 * (radius + d) + 1
+        # the cell of phi^k y starts at index d - k of y
+        cells = {k: engine.restriction(size, d - k, 2 * radius + 1)
+                 for k in {0}.union(*(g.values for g in powers))}
+        kappas = [g.values_at(radius + d) for g in powers]
+        rows = [(cells[0][j], [cells[k][j] for k in ks]) for j, ks in enumerate(zip(*kappas))]
+        if not any(here in images for here, images in rows):
+            keep = [here < min(images) for here, images in rows]
+            base = CloSet(engine, radius + d, compress(engine.allowed_words(size), keep))
             break
-    if chosen is None:
-        raise CapExceeded("no small enough neighborhoods found", cap=caps.radius_search)
+    else:
+        raise CapExceeded("no small enough neighborhoods found", cap=engine.caps.radius_search)
 
-    base = CloSet.empty(engine)
-    shadow = CloSet.empty(engine)
-    for cell in chosen:
-        base = base.union(cell.minus(shadow))
-        for i in range(-(n - 1), n):
-            img = element_image(cell, powers[i]) if i else cell
-            shadow = shadow.union(img)
-
-    translates = [base if i == 0 else element_image(base, powers[i]) for i in range(n)]
-    if least_meet([(t, 0) for t in translates]) is not None:
+    if least_meet([(base, 0)] + [(element_image(base, g), 0) for g in powers[:n - 1]]) is not None:
         raise AssertionError("Rokhlin translates are not disjoint")
-    acc = base
-    fwd = bwd = base
-    for _ in range(caps.orbit):
+    acc = fwd = bwd = base
+    for _ in range(engine.caps.orbit):
         if acc == CloSet.full(engine):
             return base
-        fwd = element_image(fwd, f)
-        bwd = element_image(bwd, inverse(f))
+        fwd, bwd = element_image(fwd, f), element_image(bwd, powers[n - 1])
         grown = acc.union(fwd).union(bwd)
         if grown == acc:
             raise AssertionError("f-orbit of the base does not cover the space")
         acc = grown.reduced()
-    raise CapExceeded("cover verification did not terminate", cap=caps.orbit)
+    raise CapExceeded("cover verification did not terminate", cap=engine.caps.orbit)

@@ -280,9 +280,10 @@ class Session:
 
 
 def parse_subshift(text):
-    """Parse the line-based subshift format into a description dict."""
+    """Parse the line-based subshift format into a description dict.  Each
+    key but `forbidden`, which adds words, comes at most once, and `rule` at
+    most once per letter."""
     description = {"forbidden": [], "rules": {}}
-    kind = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -292,18 +293,21 @@ def parse_subshift(text):
             raise ParseError("expected 'key: value'", lineno, 1)
         key = key.strip()
         value = value.strip()
+        if key in ("alphabet", "kind", "cf", "depth") and key in description:
+            raise ParseError(f"repeated key {key!r}", lineno, 1)
         if key == "alphabet":
             description["alphabet"] = tuple(value.split())
         elif key == "kind":
-            kind = value
             description["kind"] = value
         elif key == "forbidden":
             description["forbidden"].extend(value.split())
         elif key == "rule":
-            src, arrow, image = value.partition("->")
+            letter, arrow, image = (part.strip() for part in value.partition("->"))
             if not arrow:
                 raise ParseError("rule wants 'letter -> word'", lineno, 1)
-            description["rules"][src.strip()] = image.strip()
+            if letter in description["rules"]:
+                raise ParseError(f"second rule for {letter!r}", lineno, 1)
+            description["rules"][letter] = image
         elif key == "cf":
             try:
                 description["cf"] = tuple(int(v) for v in value.split())
@@ -316,7 +320,7 @@ def parse_subshift(text):
                 raise ParseError("depth wants an integer", lineno, 1) from None
         else:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
-    if kind is None:
+    if "kind" not in description:
         raise ParseError("missing 'kind:' line", 1, 1)
     return description
 

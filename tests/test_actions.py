@@ -125,6 +125,13 @@ def test_putnam_blocks_identity(fibonacci):
     assert result.blocks
 
 
+def test_putnam_recurrence_set_stays_in_the_window(fibonacci):
+    # every n matches when no element moves a point: n runs to the window's end
+    result = putnam_blocks([identity(fibonacci)], 10)
+    assert result.recurrence_set == tuple(range(-10, 11))
+    assert result.blocks == tuple((n, n + 1) for n in range(-10, 10))
+
+
 def test_putnam_blocks_shift_violates(fibonacci):
     with pytest.raises(StabilizerViolated):
         putnam_blocks([shift(fibonacci)], 16)

@@ -48,6 +48,11 @@ depth: 12
 """
 
 
+# the Fibonacci file of the benchmark's command mix, read only
+PERFBENCH_FIB = str(pathlib.Path(__file__).resolve().parent.parent
+                    / "perfbench" / "subshifts" / "fibonacci.subshift")
+
+
 @pytest.fixture()
 def fib_file(tmp_path):
     path = tmp_path / "fib.subshift"
@@ -463,6 +468,32 @@ def test_syntax_error_positions_count_newlines_in_strings(capsys, fib_file):
                    "(expected id, phi, sigma, ret, inv, comm, name, ()\n")
 
 
+def test_cli_unterminated_string(capsys, fib_file):
+    assert run(capsys, "--subshift", fib_file, "elem", "eval", "--expr", 'sigma(cyl(0,"a))') == \
+        (1, "", "error: syntax-error: line 1, column 13: unterminated string\n")
+
+
+def test_cli_forbidden_lines_add_words(capsys, tmp_path):
+    path = tmp_path / "proper.subshift"
+    path.write_text("alphabet: a b c\nkind: sft\nforbidden: aa bb\nforbidden: cc\n")
+    code, out, _ = run(capsys, "--subshift", str(path), "lang", "words", "--length", "2")
+    assert (code, out.split()) == (0, ["ab", "ac", "ba", "bc", "ca", "cb"])
+
+
+def test_cli_putnam_blocks(capsys):
+    code, out, err = run(capsys, "--subshift", PERFBENCH_FIB, "act", "putnam",
+                         "--expr", 'sigma(cyl(0,"aab"))', "--window", "40")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:4] == ["start\tend\tinvariant", "-37\t-32\ttrue",
+                                    "-32\t-29\ttrue", "-29\t-24\ttrue"]
+    assert out.splitlines()[-1] == "31\t34\ttrue"
+
+
+def test_cli_lamplighter(capsys):
+    assert run(capsys, "--subshift", PERFBENCH_FIB, "construct", "lamplighter",
+               "--closet", 'cyl(0,"b")') == (0, "relations_checked=32\nV=aabaa\n", "")
+
+
 def test_cli_warnings_precede_the_error_line(capsys, fib_file):
     code, out, err = run(capsys, "--subshift", fib_file, "construct", "towers",
                          "--closet", 'cyl(0,"bb")')
@@ -484,7 +515,20 @@ def test_cli_warnings_precede_the_error_line(capsys, fib_file):
     ("alphabet: a b\nkind: substitution\nrule: a -> ab\n", 2,
      "error: semantic-error: substitution needs one rule per letter"),
     ("alphabet: a b\nkind: odometer\n", 2, "error: semantic-error: unknown engine kind 'odometer'"),
-], ids=["rule", "cf", "depth", "key", "alphabet", "rules", "kind"])
+    ("alphabet: a b\nkind: substitution\nrule: a -> ab\nrule: b -> a\nrule: a -> b\n", 1,
+     "error: syntax-error: line 5, column 1: second rule for 'a'"),
+    ("alphabet: a b\nkind: sft\nkind: substitution\nrule: a -> ab\nrule: b -> a\n", 1,
+     "error: syntax-error: line 3, column 1: repeated key 'kind'"),
+    ("alphabet: a b\nkind: sft\nalphabet: a b c\n", 1,
+     "error: syntax-error: line 3, column 1: repeated key 'alphabet'"),
+    ("alphabet: a b\nkind: sturmian\ncf: 1 1\ncf: 1 2\n", 1,
+     "error: syntax-error: line 4, column 1: repeated key 'cf'"),
+    ("alphabet: a b\nkind: sturmian\ncf: 1 1\ndepth: 2\ndepth: 3\n", 1,
+     "error: syntax-error: line 5, column 1: repeated key 'depth'"),
+    ("# the golden mean\nalphabet: a b\n\n# no two b\nkind: sft\nforbidden bb\n", 1,
+     "error: syntax-error: line 6, column 1: expected 'key: value'"),
+], ids=["rule", "cf", "depth", "key", "alphabet", "rules", "kind", "rule-twice", "kind-twice",
+        "alphabet-twice", "cf-twice", "depth-twice", "comments"])
 def test_cli_subshift_file_errors(capsys, tmp_path, text, code, message):
     path = tmp_path / "bad.subshift"
     path.write_text(text)

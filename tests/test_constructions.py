@@ -1,17 +1,21 @@
+import collections
 import itertools
 import json
+import re
 
 import pytest
 
-from cantorfull.closets import CloSet
+from cantorfull.closets import CloSet, least_meet
 from cantorfull.elements import (canonical_dump, compose, equal, identity,
                                  inverse, is_identity, make_element, order,
                                  power, shift, support, element_image)
-from cantorfull.errors import (CapExceeded, EngineMismatch, FixedPointFound, NotGood,
+from cantorfull.errors import (CantorfullError, CapExceeded, DepthCapExceeded,
+                               EngineMismatch, FixedPointFound, NotGood,
                                NotOmniscient, OdometerLike, OverlapError,
-                               PreconditionViolated, SurplusViolated,
-                               WindowTooSmall)
-from cantorfull.language import sft_engine, SFTEngine
+                               PreconditionViolated, SemanticError,
+                               SurplusViolated, WindowTooSmall)
+from cantorfull.language import (sft_engine, SFTEngine, sturmian_engine,
+                                 substitution_engine)
 from cantorfull.words import Alphabet, factors
 from cantorfull.constructions import (HoughtonProfile, TowerPartition,
                                       _swap_element, cylinder, first_return,
@@ -255,6 +259,119 @@ def test_rokhlin_on_free_cyclic_action(period_two):
     base = rokhlin_base(shift(period_two), 2)
     assert base.is_disjoint(base.shift_image(1))
     assert base.union(base.shift_image(1)) == CloSet.full(period_two)
+
+
+def oracle_rokhlin_base(f, n):
+    """The greedy subcover, cell by cell: at the least radius whose cells are
+    each disjoint from their f^i-images, 0 < i < n, take each cell in word
+    order minus the f^i-images, 0 < |i| < n, of the cells before it."""
+    engine = f.engine
+    caps = engine.caps
+    if n < 1:
+        raise SemanticError("n must be >= 1")
+    if n == 1:
+        return CloSet.full(engine)
+    powers = {}
+    for i in range(1, n):
+        powers[i] = power(f, i)
+        for w, v in powers[i].table.items():
+            if v == 0 or engine.cylinder_periodic_exists(w, v):
+                raise FixedPointFound(i, engine.alphabet.format_word(w))
+    for i in range(1, n):
+        powers[-i] = inverse(powers[i])
+
+    start = max(g.radius for g in powers.values())
+    chosen = None
+    for radius in range(start, caps.radius_search + 1):
+        words = engine.allowed_words(2 * radius + 1)
+        cells = [CloSet(engine, radius, {w}) for w in words]
+        if all(cell.is_disjoint(element_image(cell, powers[i]))
+               for cell in cells for i in range(1, n)):
+            chosen = cells
+            break
+    if chosen is None:
+        raise CapExceeded("no small enough neighborhoods found", cap=caps.radius_search)
+
+    base = CloSet.empty(engine)
+    shadow = CloSet.empty(engine)
+    for cell in chosen:
+        base = base.union(cell.minus(shadow))
+        for i in range(-(n - 1), n):
+            img = element_image(cell, powers[i]) if i else cell
+            shadow = shadow.union(img)
+
+    translates = [base if i == 0 else element_image(base, powers[i]) for i in range(n)]
+    if least_meet([(t, 0) for t in translates]) is not None:
+        raise AssertionError("Rokhlin translates are not disjoint")
+    acc = base
+    fwd = bwd = base
+    for _ in range(caps.orbit):
+        if acc == CloSet.full(engine):
+            return base
+        fwd = element_image(fwd, f)
+        bwd = element_image(bwd, inverse(f))
+        grown = acc.union(fwd).union(bwd)
+        if grown == acc:
+            raise AssertionError("f-orbit of the base does not cover the space")
+        acc = grown.reduced()
+    raise CapExceeded("cover verification did not terminate", cap=caps.orbit)
+
+
+def rokhlin_grid(engine):
+    """Products of two of phi, phi^-1 and phi^2 and those three alone, the
+    first returns to the letter cylinders (on a minimal engine) and each
+    composed with phi, and sigma_U of the good centered cylinders of length
+    <= 3: those with r + D <= 6."""
+    phi = shift(engine)
+    moves = [phi, inverse(phi), shift(engine, 2)]
+    grid = moves + [compose(g, h) for g, h in itertools.product(moves, repeat=2)]
+    if engine.minimal is True:
+        returns = [first_return(CloSet(engine, 0, {w})) for w in engine.allowed_words(1)]
+        grid += returns + [compose(g, phi) for g in returns]
+    cylinders = [CloSet.cylinder(engine, -(length // 2), w)
+                 for length in (1, 2, 3) for w in engine.allowed_words(length)]
+    grid += [sigma_U(c) for c in cylinders if is_good(c)]
+    return [g for g in grid if g.radius + g.dbound <= 6]
+
+
+def rokhlin_outcome(construct, f, n):
+    """The base's key, or the type and message of the error raised."""
+    try:
+        return construct(f, n).key()
+    except CantorfullError as err:
+        return type(err), str(err)
+
+
+def test_rokhlin_base_is_the_greedy_subcover(fibonacci, thue_morse, period_two, golden_mean,
+                                             monkeypatch):
+    engines = [fibonacci, thue_morse, substitution_engine({"a": "aab", "b": "ba"}),
+               sturmian_engine([2, 1, 3, 1, 2, 1, 1], 7), period_two,
+               sft_engine("abc", ["aa", "bb", "cc"]), golden_mean]
+    # engines read their caps when built: these stop the radius search at 2
+    monkeypatch.setenv("CANTORFULL_CAPS", "radius_search=2")
+    engines += [substitution_engine({"a": "ab", "b": "a"}),
+                substitution_engine({"a": "ab", "b": "ba"})]
+    kinds = collections.Counter()
+    for engine in engines:
+        for f in rokhlin_grid(engine):
+            for n in (2, 3, 4):
+                expected = rokhlin_outcome(oracle_rokhlin_base, f, n)
+                got = rokhlin_outcome(rokhlin_base, f, n)
+                if expected[0] is DepthCapExceeded and got != expected:
+                    # the greedy reads level R + d_i only up to its first
+                    # failing cell, the rule reads R + D at every R: the word
+                    # that runs past the depth cap can come at a smaller R
+                    assert got[0] is DepthCapExceeded
+                    assert depth_cap_length(got[1]) < depth_cap_length(expected[1])
+                else:
+                    assert got == expected, (engine, f, n)
+                kinds[expected[0] if isinstance(expected[0], type) else CloSet] += 1
+    assert set(kinds) == {CloSet, FixedPointFound, DepthCapExceeded, CapExceeded}, kinds
+
+
+def depth_cap_length(message):
+    """The word length a DepthCapExceeded message says the engine cannot reach."""
+    return int(re.search(r"length >= (\d+)", message).group(1))
 
 
 # -- Glasner-Weiss transport --------------------------------------------------

@@ -105,6 +105,31 @@ def test_no_function_local_imports():
     assert sorted(local) == []
 
 
+def test_no_unreferenced_helpers():
+    """Every module-level function, class and constant of the package is
+    named somewhere in it besides its own definition; an export from
+    __init__ counts as a use."""
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                own = []
+            # a recursive call or a reference from its own body is no use
+            used |= names - set(own)
+            defined += [(path.name, name) for name in own if not name.startswith("__")]
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
 def test_every_cap_is_read():
     source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
     unread = [name for name in Caps._fields
