@@ -1,10 +1,11 @@
 """Exact computation in topological full groups of one-dimensional subshifts.
 
-Language engines (SFT / primitive substitution / Sturmian), clopen-set
-algebra, locally constant cocycle elements with certified bijectivity, the
-classical constructions (first returns, towers, transport, finite generating
-sets, lamplighters), orbit actions with the index homomorphism and LEF
-certificates, and the numerical almost-invariance reports.
+Language engines (SFT / primitive substitution / Sturmian, and the
+higher-block recoding of any of them), clopen-set algebra, locally constant
+cocycle elements with certified bijectivity, the classical constructions
+(first returns, towers, transport, finite generating sets, lamplighters),
+orbit actions with the index homomorphism and LEF certificates, and the
+numerical almost-invariance reports.
 """
 
 from .words import Alphabet

@@ -89,7 +89,7 @@ def index_mod(psi, shifts=5):
     """
     if shifts < 1:
         raise ValueError(f"index_mod needs shifts >= 1, got {shifts}")
-    if psi.engine.aperiodic is not True:
+    if not psi.engine.aperiodic:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
     point = psi.engine.point_window(psi.dbound + psi.radius + shifts)
     values = [sum(1 if n < 0 else -1 for n, _ in _crossings(psi, point, s))
@@ -313,7 +313,7 @@ def lef_certificate(elements, n_cap=None, p_cap=None):
     engine = elements[0].engine
     n_cap = n_cap if n_cap is not None else engine.caps.lef_n
     p_cap = p_cap if p_cap is not None else engine.caps.lef_p
-    if engine.minimal is not True and not (isinstance(engine, SFTEngine) and engine.is_irreducible()):
+    if not engine.minimal and not (isinstance(engine, SFTEngine) and engine.is_irreducible()):
         raise SemanticError("certificates need a minimal engine or an irreducible SFT")
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):

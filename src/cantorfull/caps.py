@@ -6,11 +6,28 @@ variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
 approximation takes the caps of the engine it comes from.  The variable
 overrides defaults with a comma-separated list of key=value pairs, e.g.
 ``CANTORFULL_CAPS=dbound=32,orbit=128``.  Keys: dbound, order, orbit, lef_n,
-lef_p, word_store, radius_search; each value is an integer >= 0.
+lef_p, word_store, radius_search; each value is an integer >= 0, written in
+the one integer syntax of the text interface (`INTEGER`): ASCII digits after
+an optional '-', with spaces around it but no sign '+', no '_' and no other
+digits (``int`` would read ``1_0`` as 10 and ``٣`` as 3).
 """
 
 import os
+import re
 from typing import NamedTuple
+
+# Integers wherever the package reads text: the expression tokenizer, the
+# subshift file, CANTORFULL_CAPS and the CLI's integer options.  A string,
+# which `re` compiles on first use rather than on every import.
+INTEGER = r"-?[0-9]+"
+
+
+def parse_int(text):
+    """The integer `text` spells in the syntax of `INTEGER`, the whole of it;
+    ValueError otherwise."""
+    if not re.fullmatch(INTEGER, text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class Caps(NamedTuple):
@@ -34,7 +51,7 @@ def parse_caps(text):
         if key not in Caps._fields:
             raise ValueError(f"unknown cap {key!r}")
         try:
-            updates[key] = int(value)
+            updates[key] = parse_int(value.strip())
         except ValueError:
             raise ValueError(f"cap {key!r} needs an integer, got {value.strip()!r}") from None
         if updates[key] < 0:

@@ -9,6 +9,13 @@ expression); 2 for a domain error (a well-formed request the subshift or
 the construction refuses, such as a word outside its language or a van
 Douwen shift on more letters than it names), with a stable code from the
 error hierarchy.  Errors print to stderr.
+
+Each command is one row of `COMMANDS`: its group, its name, its handler and
+its options, each with its keywords for ``add_argument``.  `_build_parser`
+makes the groups and commands in the order of the rows, and `_run` calls the
+handler with a session over the --subshift engine.  To add a command, write
+a handler ``(session, args)`` that prints the command's output, and add its
+row; tests/test_cli_robustness.py then asks for a strategy for its argv.
 """
 
 import argparse
@@ -16,7 +23,7 @@ import sys
 
 from .actions import (clopen_orbit, lef_certificate, orbit_permutation,
                       putnam_blocks, index_mod)
-from .caps import caps_from_env
+from .caps import caps_from_env, parse_int
 from .constructions import (gw_transport, houghton_profile, kr_towers,
                             lamplighter_pair, matui_generators, sigma_U,
                             van_douwen_certify, van_douwen_involutions)
@@ -39,10 +46,18 @@ class _Parser(argparse.ArgumentParser):
 def _int_from(low):
     """argparse type: an integer >= low (argparse names it in its messages)."""
     def integer(text):
-        if int(text) < low:
+        value = parse_int(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
-        return int(text)
+        return value
     return integer
+
+
+def _int(text):
+    return parse_int(text)
+
+
+_int.__name__ = "int"       # argparse names it: "invalid int value"
 
 
 def increasing_list(text):
@@ -51,84 +66,6 @@ def increasing_list(text):
     if not values or any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError(f"expected an increasing list, got {text}")
     return values
-
-
-def _build_parser():
-    parser = _Parser(prog="cantorfull", description=__doc__)
-    parser.add_argument("--subshift", help="subshift definition file")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    lang = sub.add_parser("lang").add_subparsers(dest="command", required=True)
-    words = lang.add_parser("words")
-    words.add_argument("--length", type=_int_from(0), required=True)
-    recur = lang.add_parser("recur")
-    recur.add_argument("--word", required=True)
-    recur.add_argument("--cap", type=_int_from(1))
-    recode = lang.add_parser("recode")
-    recode.add_argument("--d", type=_int_from(1), required=True)
-
-    elem = sub.add_parser("elem").add_subparsers(dest="command", required=True)
-    for name in ("eval", "canon"):
-        cmd = elem.add_parser(name)
-        cmd.add_argument("--expr", required=True)
-    cmd = elem.add_parser("order")
-    cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--cap", type=_int_from(1))
-    cmd = elem.add_parser("mod")
-    cmd.add_argument("--expr", required=True)
-    cmd = elem.add_parser("equal")
-    cmd.add_argument("--left", required=True)
-    cmd.add_argument("--right", required=True)
-
-    cons = sub.add_parser("construct").add_subparsers(dest="command", required=True)
-    cmd = cons.add_parser("sigma")
-    cmd.add_argument("--closet", required=True)
-    cmd = cons.add_parser("towers")
-    cmd.add_argument("--closet", required=True)
-    cmd.add_argument("--dot", help="also write a DOT diagram to this path")
-    cmd = cons.add_parser("gw")
-    cmd.add_argument("--A", required=True)
-    cmd.add_argument("--B", required=True)
-    cons.add_parser("matui")
-    cmd = cons.add_parser("lamplighter")
-    cmd.add_argument("--closet", required=True)
-    cmd = cons.add_parser("vandouwen")
-    cmd.add_argument("--q", type=int, default=3)
-    cmd.add_argument("--max-len", type=_int_from(1), default=4)
-    cmd = cons.add_parser("houghton")
-    cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--window", type=_int_from(0), default=64)
-
-    act = sub.add_parser("act").add_subparsers(dest="command", required=True)
-    cmd = act.add_parser("orbit")
-    cmd.add_argument("--expr", required=True)
-    cmd.add_argument("--window", type=_int_from(0), required=True)
-    cmd = act.add_parser("putnam")
-    cmd.add_argument("--expr", action="append", required=True)
-    cmd.add_argument("--window", type=_int_from(0), required=True)
-    cmd = act.add_parser("lef")
-    cmd.add_argument("--expr", action="append", required=True)
-    cmd.add_argument("--n-cap", type=_int_from(1))
-    cmd.add_argument("--p-cap", type=_int_from(1))
-    cmd = act.add_parser("odometer")
-    cmd.add_argument("--closet", required=True)
-    cmd.add_argument("--cap", type=_int_from(1))
-
-    jm = sub.add_parser("jm").add_subparsers(dest="command", required=True)
-    cmd = jm.add_parser("corr")
-    cmd.add_argument("--g", required=True)
-    cmd.add_argument("--n", type=_int_from(1), required=True)
-    cmd = jm.add_parser("report")
-    cmd.add_argument("--g", required=True)
-    cmd.add_argument("--n", type=increasing_list, required=True,
-                     help="comma-separated increasing list")
-    cmd.add_argument("--loglog", action="store_true")
-
-    group = sub.add_parser("group").add_subparsers(dest="command", required=True)
-    cmd = group.add_parser("ball")
-    cmd.add_argument("--gen", action="append", required=True)
-    cmd.add_argument("--radius", type=_int_from(0), required=True)
-    return parser
 
 
 def _session(args):
@@ -148,7 +85,84 @@ def _orbit_view(session, expr, span):
     return orbit_permutation(element, span + element.radius + element.dbound)
 
 
-def _van_douwen(args):
+# -- handlers: (session, parsed arguments) -> None, printing to stdout -------
+
+
+def _words(session, args):
+    engine = session.engine
+    for w in engine.allowed_words(args.length):
+        print(engine.alphabet.format_word(w))
+
+
+def _recur(session, args):
+    word = session.engine.alphabet.parse_word(args.word)
+    print(recurrence_bound(session.engine, word, cap=args.cap))
+
+
+def _recode(session, args):
+    engine = session.engine
+    recoded, mapping = proper_recode(engine, args.d)
+    print(f"block_length={mapping.block_length}")
+    for name, block in zip(recoded.alphabet.letters, mapping.letter_decode):
+        print(f"{name} -> {engine.alphabet.format_word(block)}")
+
+
+def _canon(session, args):
+    sys.stdout.write(canonical_dump(session.eval_program(args.expr)))
+
+
+def _order(session, args):
+    n = order(session.eval_program(args.expr), cap=args.cap)
+    cap = args.cap if args.cap is not None else session.engine.caps.order
+    print(n if n is not None else f"exceeds-cap {cap}")
+
+
+def _mod(session, args):
+    print(index_mod(session.eval_program(args.expr)))
+
+
+def _equal(session, args):
+    left = session.eval_program(args.left)
+    right = session.eval_program(args.right)
+    print("true" if equal(left, right) else "false")
+
+
+def _sigma(session, args):
+    sys.stdout.write(canonical_dump(sigma_U(session.eval_closet_text(args.closet))))
+
+
+def _towers(session, args):
+    partition = kr_towers(session.eval_closet_text(args.closet))
+    try:
+        dot = open(args.dot, "w", encoding="utf-8") if args.dot else None
+    except OSError as err:
+        raise UsageError(f"cannot write --dot {args.dot}: {err.strerror}") from None
+    sys.stdout.write(partition.tsv())
+    if dot:
+        with dot:
+            dot.write(partition.dot())
+
+
+def _gw(session, args):
+    result = gw_transport(session.eval_closet_text(args.A), session.eval_closet_text(args.B))
+    sys.stdout.write(result.to_json())
+
+
+def _matui(session, args):
+    ms = matui_generators(session.engine)
+    print(f"count={len(ms.generators)} alphabet={len(ms.engine.alphabet)}")
+    for word in ms.cylinder_words:
+        print(ms.engine.alphabet.format_word(word))
+
+
+def _lamplighter(session, args):
+    pair = lamplighter_pair(session.eval_closet_text(args.closet))
+    print(f"relations_checked={pair.checked_shifts}")
+    print(f"V={pair.engine.alphabet.format_word(min(pair.V.reduced().members))}")
+
+
+def _van_douwen(session, args):
+    """Needs no session: the construction builds its own engine."""
     engine, sigmas = van_douwen_involutions(args.q)
     # q (q-1)^(L-1) reduced words of each length L, counted before listing
     total, level = 0, args.q
@@ -167,113 +181,122 @@ def _van_douwen(args):
     print(f"checked={len(words)} all_nonidentity={str(agree).lower()}")
 
 
+def _houghton(session, args):
+    profile = houghton_profile(session.eval_program(args.expr), args.window)
+    print(f"ends={','.join(map(str, profile.end_translations))}")
+    print(f"exceptional={','.join(map(str, profile.exceptional_set)) or '-'}")
+
+
+def _orbit(session, args):
+    sys.stdout.write(orbit_permutation(session.eval_program(args.expr), args.window).tsv())
+
+
+def _putnam(session, args):
+    elements = [session.eval_program(e) for e in args.expr]
+    sys.stdout.write(putnam_blocks(elements, args.window).tsv())
+
+
+def _lef(session, args):
+    elements = [session.eval_program(e) for e in args.expr]
+    sys.stdout.write(lef_certificate(elements, n_cap=args.n_cap, p_cap=args.p_cap).to_json())
+
+
+def _odometer(session, args):
+    size = clopen_orbit(session.eval_closet_text(args.closet), cap=args.cap)
+    cap = args.cap if args.cap is not None else session.engine.caps.orbit
+    print(f"finite {size}" if size is not None else f"exceeds-cap {cap}")
+
+
+def _corr(session, args):
+    print(repr(correlation(_orbit_view(session, args.g, args.n), args.n)))
+
+
+def _report(session, args):
+    report = decay_report(_orbit_view(session, args.g, args.n[-1]), args.n)
+    sys.stdout.write(report.tsv())
+    if args.loglog:
+        sys.stdout.write(report.loglog_table())
+
+
+def _ball(session, args):
+    sizes = ball_sizes([session.eval_program(e) for e in args.gen], args.radius)
+    print("radius\tsize")
+    for i, size in enumerate(sizes, start=1):
+        print(f"{i}\t{size}")
+
+
+# -- the commands: (group, command, handler, {option: add_argument keywords}) --
+
+_TEXT = {"required": True}                      # a text option
+_TEXTS = {"action": "append", "required": True}  # a text option that may repeat
+
+
+def _number(low, **keywords):
+    return dict(keywords, type=_int_from(low))
+
+
+COMMANDS = (
+    ("lang", "words", _words, {"--length": _number(0, required=True)}),
+    ("lang", "recur", _recur, {"--word": _TEXT, "--cap": _number(1)}),
+    ("lang", "recode", _recode, {"--d": _number(1, required=True)}),
+    ("elem", "eval", _canon, {"--expr": _TEXT}),
+    ("elem", "canon", _canon, {"--expr": _TEXT}),
+    ("elem", "order", _order, {"--expr": _TEXT, "--cap": _number(1)}),
+    ("elem", "mod", _mod, {"--expr": _TEXT}),
+    ("elem", "equal", _equal, {"--left": _TEXT, "--right": _TEXT}),
+    ("construct", "sigma", _sigma, {"--closet": _TEXT}),
+    ("construct", "towers", _towers,
+     {"--closet": _TEXT, "--dot": {"help": "also write a DOT diagram to this path"}}),
+    ("construct", "gw", _gw, {"--A": _TEXT, "--B": _TEXT}),
+    ("construct", "matui", _matui, {}),
+    ("construct", "lamplighter", _lamplighter, {"--closet": _TEXT}),
+    ("construct", "vandouwen", _van_douwen,
+     {"--q": {"type": _int, "default": 3}, "--max-len": _number(1, default=4)}),
+    ("construct", "houghton", _houghton, {"--expr": _TEXT, "--window": _number(0, default=64)}),
+    ("act", "orbit", _orbit, {"--expr": _TEXT, "--window": _number(0, required=True)}),
+    ("act", "putnam", _putnam, {"--expr": _TEXTS, "--window": _number(0, required=True)}),
+    ("act", "lef", _lef, {"--expr": _TEXTS, "--n-cap": _number(1), "--p-cap": _number(1)}),
+    ("act", "odometer", _odometer, {"--closet": _TEXT, "--cap": _number(1)}),
+    ("jm", "corr", _corr, {"--g": _TEXT, "--n": _number(1, required=True)}),
+    ("jm", "report", _report,
+     {"--g": _TEXT, "--n": {"type": increasing_list, "required": True,
+                            "help": "comma-separated increasing list"},
+      "--loglog": {"action": "store_true"}}),
+    ("group", "ball", _ball, {"--gen": _TEXTS, "--radius": _number(0, required=True)}),
+)
+
+
+def _build_parser():
+    # --help shows the module doc up to its last paragraph, which is for developers
+    parser = _Parser(prog="cantorfull", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--subshift", help="subshift definition file")
+    sub = parser.add_subparsers(dest="group", required=True)
+    groups = {}
+    for group, command, handler, options in COMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="command", required=True)
+        cmd = groups[group].add_parser(command)
+        cmd.set_defaults(handler=handler)
+        for flag, keywords in options.items():
+            cmd.add_argument(flag, **keywords)
+    return parser
+
+
 def _run(args):
-    """Run one command; every command but ``construct vandouwen`` works in a
-    session over the --subshift engine, whose warnings follow the output, or
-    precede the error line when the command fails."""
-    if (args.group, args.command) == ("construct", "vandouwen"):
-        _van_douwen(args)
+    """Run the command's handler in a session over the --subshift engine,
+    whose warnings follow the output, or precede the error line when the
+    command fails; the van Douwen handler builds its own engine and gets no
+    session."""
+    if args.handler is _van_douwen:
+        _van_douwen(None, args)
         return 0
     session = _session(args)
     try:
-        _session_command(session, args)
+        args.handler(session, args)
     finally:
         for message in session.warnings:
             print(f"warning: {message}", file=sys.stderr)
     return 0
-
-
-def _session_command(session, args):
-    group, command = args.group, args.command
-    engine = session.engine
-    if group == "lang":
-        if command == "words":
-            for w in engine.allowed_words(args.length):
-                print(engine.alphabet.format_word(w))
-        elif command == "recur":
-            word = engine.alphabet.parse_word(args.word)
-            print(recurrence_bound(engine, word, cap=args.cap))
-        elif command == "recode":
-            recoded, mapping = proper_recode(engine, args.d)
-            print(f"block_length={mapping.block_length}")
-            for name, block in zip(recoded.alphabet.letters, mapping.letter_decode):
-                print(f"{name} -> {engine.alphabet.format_word(block)}")
-    elif group == "elem":
-        if command in ("eval", "canon"):
-            sys.stdout.write(canonical_dump(session.eval_program(args.expr)))
-        elif command == "order":
-            n = order(session.eval_program(args.expr), cap=args.cap)
-            cap = args.cap if args.cap is not None else engine.caps.order
-            print(n if n is not None else f"exceeds-cap {cap}")
-        elif command == "mod":
-            print(index_mod(session.eval_program(args.expr)))
-        elif command == "equal":
-            left = session.eval_program(args.left)
-            right = session.eval_program(args.right)
-            print("true" if equal(left, right) else "false")
-    elif group == "construct":
-        if command == "sigma":
-            sys.stdout.write(canonical_dump(sigma_U(session.eval_closet_text(args.closet))))
-        elif command == "towers":
-            partition = kr_towers(session.eval_closet_text(args.closet))
-            try:
-                dot = open(args.dot, "w", encoding="utf-8") if args.dot else None
-            except OSError as err:
-                raise UsageError(f"cannot write --dot {args.dot}: {err.strerror}") from None
-            sys.stdout.write(partition.tsv())
-            if dot:
-                with dot:
-                    dot.write(partition.dot())
-        elif command == "gw":
-            result = gw_transport(session.eval_closet_text(args.A),
-                                  session.eval_closet_text(args.B))
-            sys.stdout.write(result.to_json())
-        elif command == "matui":
-            ms = matui_generators(engine)
-            print(f"count={len(ms.generators)} alphabet={len(ms.engine.alphabet)}")
-            for word in ms.cylinder_words:
-                print(ms.engine.alphabet.format_word(word))
-        elif command == "lamplighter":
-            pair = lamplighter_pair(session.eval_closet_text(args.closet))
-            print(f"relations_checked={pair.checked_shifts}")
-            print(f"V={pair.engine.alphabet.format_word(min(pair.V.reduced().members))}")
-        elif command == "houghton":
-            profile = houghton_profile(session.eval_program(args.expr), args.window)
-            print(f"ends={','.join(map(str, profile.end_translations))}")
-            print(f"exceptional={','.join(map(str, profile.exceptional_set)) or '-'}")
-    elif group == "act":
-        if command == "orbit":
-            perm = orbit_permutation(session.eval_program(args.expr), args.window)
-            sys.stdout.write(perm.tsv())
-        elif command == "putnam":
-            elements = [session.eval_program(e) for e in args.expr]
-            sys.stdout.write(putnam_blocks(elements, args.window).tsv())
-        elif command == "lef":
-            elements = [session.eval_program(e) for e in args.expr]
-            cert = lef_certificate(elements, n_cap=args.n_cap, p_cap=args.p_cap)
-            sys.stdout.write(cert.to_json())
-        elif command == "odometer":
-            size = clopen_orbit(session.eval_closet_text(args.closet), cap=args.cap)
-            cap = args.cap if args.cap is not None else engine.caps.orbit
-            print(f"finite {size}" if size is not None else f"exceeds-cap {cap}")
-    elif group == "jm":
-        if command == "corr":
-            view = _orbit_view(session, args.g, args.n)
-            print(repr(correlation(view, args.n)))
-        elif command == "report":
-            view = _orbit_view(session, args.g, args.n[-1])
-            report = decay_report(view, args.n)
-            sys.stdout.write(report.tsv())
-            if args.loglog:
-                sys.stdout.write(report.loglog_table())
-    elif group == "group":
-        gens = [session.eval_program(e) for e in args.gen]
-        sizes = ball_sizes(gens, args.radius)
-        print("radius\tsize")
-        for i, size in enumerate(sizes, start=1):
-            print(f"{i}\t{size}")
-    else:
-        raise UsageError(f"unknown command {group} {command}")
 
 
 def main(argv=None):

@@ -130,7 +130,7 @@ def symmetric_embed(moves, closet):
 def first_return(closet):
     """phi_A: x in A -> phi^k x for the least k >= 1 with phi^k x in A."""
     engine = closet.engine
-    if engine.minimal is not True:
+    if not engine.minimal:
         raise NotOmniscient("first return needs a certified-minimal engine")
     if closet.is_empty():
         raise NotOmniscient("the empty set is not omniscient")
@@ -188,7 +188,7 @@ def kr_towers(closet, refine_by=()):
     engine = closet.engine
     if any(s.engine is not engine for s in refine_by):
         raise EngineMismatch("CloSets live on different engines")
-    if engine.minimal is not True:
+    if not engine.minimal:
         raise NotOmniscient("towers need a certified-minimal engine")
     if closet.is_empty():
         raise NotOmniscient("the empty set has no towers")
@@ -265,7 +265,7 @@ def gw_transport(A, B):
     permutations of Kakutani-Rokhlin towers; requires #A-levels >= #B-levels
     in every tower (the clopen shadow of mu(B) < mu(A))."""
     engine = A.engine
-    if engine.minimal is not True:
+    if not engine.minimal:
         raise NotMinimal("transport needs a certified-minimal engine")
     if B.engine is not engine:
         raise EngineMismatch("CloSets live on different engines")
@@ -351,7 +351,7 @@ def matui_generators(engine):
     """sigma over every cylinder Cyl({-1,0,1}, f) of the 4-proper recoding.
     X infinite is read off ``engine.aperiodic``: on a substitution, no period
     <= 2 caps.dbound (see :mod:`cantorfull.language`)."""
-    if engine.minimal is not True or engine.aperiodic is not True:
+    if not engine.minimal or not engine.aperiodic:
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
     proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
     words = proper_engine.allowed_words(3)

@@ -47,12 +47,14 @@ answers are exact for every element the caps admit.
 
 import math
 import operator
+import re
 from itertools import compress
 from types import MappingProxyType
 
+from .caps import parse_int
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
-                     NotBijective, NotInjective, NotSurjective, PartialTable)
+                     NotBijective, NotInjective, NotSurjective, ParseError, PartialTable)
 
 # the n read together by Element.orbit_map: long enough that most reads of a
 # canonical point are a hit on a run already read, short enough that those
@@ -291,7 +293,7 @@ def compose(f, g):
     engine, rf = f.engine, f.radius
     fsize = 2 * rf + 1
     top = max(g.radius, rf + g.dbound)
-    for radius in range(top if engine.minimal is True else max(rf, g.radius), top + 1):
+    for radius in range(top if engine.minimal else max(rf, g.radius), top + 1):
         size = 2 * radius + 1
         kg = list(map(g.values.__getitem__, engine.restriction(size, radius - g.radius, 2 * g.radius + 1)))
         ks = set(kg)
@@ -466,14 +468,29 @@ def canonical_dump(f):
     return "\n".join(lines) + "\n"
 
 
+_DUMP_HEADER = r"radius=([0-9]+)(?: dbound=[0-9]+)?"
+
+
 def parse_dump(engine, text):
-    """Inverse of canonical_dump."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    radius = int(head[0].split("=", 1)[1])
+    """Inverse of canonical_dump, whose header may leave out the dbound the
+    table determines.  Blank lines are skipped; a ParseError names the line,
+    at column 1, of a bad header, of a line without '->', of a value that is
+    not an integer and of a window given twice."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    n, head = lines[0] if lines else (1, "")
+    header = re.fullmatch(_DUMP_HEADER, head)
+    if not header:
+        raise ParseError("dump wants a header 'radius=R dbound=D'", n, 1)
     table = {}
-    for ln in lines[1:]:
-        wtext, _, vtext = ln.partition("->")
-        word = engine.alphabet.parse_word(wtext.strip())
-        table[word] = int(vtext.strip())
-    return make_semigroup_element(engine, radius, table)
+    for n, ln in lines[1:]:
+        wtext, arrow, vtext = (part.strip() for part in ln.partition("->"))
+        if not arrow:
+            raise ParseError("dump wants 'window -> value'", n, 1)
+        word = engine.alphabet.parse_word(wtext)
+        if word in table:
+            raise ParseError(f"second value for window {wtext!r}", n, 1)
+        try:
+            table[word] = parse_int(vtext)
+        except ValueError:
+            raise ParseError("value wants an integer", n, 1) from None
+    return make_semigroup_element(engine, int(header[1]), table)

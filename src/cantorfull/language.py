@@ -75,10 +75,10 @@ class LanguageEngine:
 
     kind = "abstract"
 
-    def __init__(self, alphabet, minimal=None, aperiodic=None):
+    def __init__(self, alphabet, minimal=False, aperiodic=None):
         self.alphabet = alphabet
-        self.minimal = minimal      # tri-state: True / False / None (unknown)
-        self._aperiodic = aperiodic  # as the constructor can say
+        self.minimal = minimal      # True when every orbit is dense
+        self._aperiodic = aperiodic  # None: read off the language on first use
         self._period = None         # local_period of a minimal engine
         self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
@@ -93,8 +93,8 @@ class LanguageEngine:
 
     @property
     def aperiodic(self):
-        """True / False / None (unknown); see the module doc."""
-        if self._aperiodic is None and self.minimal is True:
+        """True when no point is periodic; see the module doc."""
+        if self._aperiodic is None and self.minimal:
             return self.local_period(b"") == 0
         return self._aperiodic
 
@@ -661,7 +661,7 @@ def build_engine(description):
 def recurrence_bound(engine, word, cap=None):
     """Least R with every allowed (R-1)-word containing `word`; gaps between
     occurrences of `word` in any point are then at most R - |word| + 1."""
-    if engine.minimal is not True:
+    if not engine.minimal:
         raise NotMinimal("recurrence bounds require a certified-minimal engine")
     if not engine.is_allowed(word):
         raise SemanticError(f"word {engine.alphabet.format_word(word)!r} is not allowed")
@@ -694,7 +694,7 @@ def proper_recode(engine, d):
     The block length is the least L such that no allowed (L+d)-word has a
     period <= d; the output is checked exhaustively on its (d+1)-words.
     """
-    if engine.aperiodic is not True:
+    if not engine.aperiodic:
         raise NotAperiodic("proper recoding requires a certified-aperiodic engine")
     if d < 1:
         raise ValueError("d must be >= 1")

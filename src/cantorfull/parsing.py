@@ -25,11 +25,20 @@ the set c before the element e; that order fixes the order of the session's
 warnings and which error is raised first.  `let` bindings are stored in the
 session, so later programs on it see them.
 
+The pattern `_TOKEN` defines the lexical syntax.  Whitespace separates
+tokens; a STRING is any text between double quotes, newlines included; an
+INT is ASCII digits after an optional '-' (`caps.INTEGER`, the syntax of
+every integer the package reads from text); a word of letters, digits and
+'_' that starts with a letter or '_' is a keyword or a NAME; any other
+character must be a symbol.
+
 Errors carry line/column and the expected-token set.
 """
 
+import re
 from typing import NamedTuple
 
+from .caps import INTEGER, parse_int
 from .closets import CloSet
 from .constructions import first_return, sigma_U
 from .elements import compose, commutator, element_image, identity, inverse, shift
@@ -47,52 +56,31 @@ class Token(NamedTuple):
 _SYMBOLS = {"*": "star", "(": "lparen", ")": "rparen", ",": "comma", ";": "semi",
             "=": "equals", "!": "bang", "&": "amp", "|": "pipe", "^": "caret"}
 _KEYWORDS = {"id", "phi", "sigma", "ret", "inv", "comm", "let", "all", "empty", "img"}
-_DIGITS = frozenset("0123456789")    # str.isdigit also accepts "²" and "٣"
+# The lexical syntax: at each position the first alternative that matches.
+# Every position matches one, and the empty match at the end is the eof token.
+_TOKEN = re.compile(rf'\s+|"(?P<string>[^"]*)"|(?P<int>{INTEGER})|(?P<word>\w+)'
+                    r"|(?P<eof>\Z)|(?P<char>.)")
 
 
 def tokenize(text):
     tokens = []
-    line, line_start = 1, 0     # line `line` starts at text[line_start]
-    i = 0
-    while i < len(text):
-        ch, col = text[i], i - line_start + 1
-        if ch.isspace():
-            if ch == "\n":
-                line, line_start = line + 1, i + 1
-            i += 1
+    line, line_start, last = 1, 0, 0    # line `line` starts at text[line_start]; last: previous token
+    for match in _TOKEN.finditer(text):
+        kind, start = match.lastgroup, match.start()
+        if kind is None:                # whitespace
             continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            newlines = text.count("\n", i, j)
-            if newlines:
-                line, line_start = line + newlines, text.rindex("\n", i, j) + 1
-            i = j + 1
-            continue
-        if ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "name"
-            tokens.append(Token(kind, word, line, col))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line, line_start = line + newlines, text.rindex("\n", last, start) + 1
+        last, col, value = start, start - line_start + 1, match[kind]
+        if kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            kind = value if value in _KEYWORDS else "name"
+        elif kind in ("word", "char"):  # a symbol, as no symbol is a word character
+            kind = _SYMBOLS.get(value)
+            if kind is None:
+                raise ParseError("unterminated string" if value == '"' else
+                                 f"unexpected character {value[0]!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
     return tokens
 
 
@@ -310,12 +298,12 @@ def parse_subshift(text):
             description["rules"][letter] = image
         elif key == "cf":
             try:
-                description["cf"] = tuple(int(v) for v in value.split())
+                description["cf"] = tuple(parse_int(v) for v in value.split())
             except ValueError:
                 raise ParseError("cf wants integers", lineno, 1) from None
         elif key == "depth":
             try:
-                description["depth"] = int(value)
+                description["depth"] = parse_int(value)
             except ValueError:
                 raise ParseError("depth wants an integer", lineno, 1) from None
         else:

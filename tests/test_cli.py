@@ -161,6 +161,18 @@ def test_cli_exponents_take_ascii_digits_only(capsys, fib_file, expr):
     assert err == f"error: syntax-error: line 1, column 5: unexpected character {expr[-1]!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lang", "words", "--length", "٣"], "argument --length: invalid integer value: '٣'"),
+    (["lang", "words", "--length", "1_0"], "argument --length: invalid integer value: '1_0'"),
+    (["jm", "report", "--g", "phi", "--n", "2,1_0"],
+     "argument --n: invalid increasing_list value: '2,1_0'"),
+    (["construct", "vandouwen", "--q", "٣"], "argument --q: invalid int value: '٣'"),
+], ids=["digit", "underscore", "list", "q"])
+def test_cli_integer_options_take_ascii_digits_only(capsys, fib_file, argv, message):
+    # int() reads "٣" as 3 and "1_0" as 10; the token syntax reads neither
+    assert run(capsys, "--subshift", fib_file, *argv) == (1, "", f"usage error: {message}\n")
+
+
 def test_cli_gw_json(capsys, fib_file):
     code, out, _ = run(capsys, "--subshift", fib_file, "construct", "gw",
                        "--A", 'cyl(0,"a")', "--B", 'cyl(0,"b")')
@@ -292,6 +304,7 @@ def test_cli_out_of_range_numbers_are_usage_errors(capsys, fib_file, argv):
     ("bogus=1", "unknown cap 'bogus'"),
     ("period_scan=0", "unknown cap 'period_scan'"),
     ("dbound=32,orbit=x", "cap 'orbit' needs an integer, got 'x'"),
+    ("dbound=٣", "cap 'dbound' needs an integer, got '٣'"),
     ("dbound=-1", "cap 'dbound' must be >= 0, got -1"),
     ("lef_p=-2", "cap 'lef_p' must be >= 0, got -2"),
     ("order=3,radius_search=-1", "cap 'radius_search' must be >= 0, got -1"),
@@ -527,8 +540,12 @@ def test_cli_warnings_precede_the_error_line(capsys, fib_file):
      "error: syntax-error: line 5, column 1: repeated key 'depth'"),
     ("# the golden mean\nalphabet: a b\n\n# no two b\nkind: sft\nforbidden bb\n", 1,
      "error: syntax-error: line 6, column 1: expected 'key: value'"),
+    ("alphabet: a b\nkind: sturmian\ncf: ١ 1_0 1\n", 1,
+     "error: syntax-error: line 3, column 1: cf wants integers"),
+    ("alphabet: a b\nkind: sturmian\ncf: 1 1\ndepth: +3\n", 1,
+     "error: syntax-error: line 4, column 1: depth wants an integer"),
 ], ids=["rule", "cf", "depth", "key", "alphabet", "rules", "kind", "rule-twice", "kind-twice",
-        "alphabet-twice", "cf-twice", "depth-twice", "comments"])
+        "alphabet-twice", "cf-twice", "depth-twice", "comments", "cf-digits", "depth-sign"])
 def test_cli_subshift_file_errors(capsys, tmp_path, text, code, message):
     path = tmp_path / "bad.subshift"
     path.write_text(text)

@@ -10,6 +10,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorfull import cli
 from cantorfull.cli import main
 
 SUBSHIFTS = sorted(str(p) for p in
@@ -64,12 +65,14 @@ def _option(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [name, v]))
 
 
-def _command(*words, **options):
-    """argv for one subcommand; each option is a (name, strategy, required)."""
-    parts = [st.just(list(words))]
-    for name, values, required in options.values():
-        parts.append(values.map(lambda v, n=name: [n, v]) if required else _option(name, values))
+def _flat(*parts):
     return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _command(**options):
+    """argv for the options of one command; each is a (name, strategy, required)."""
+    return _flat(*(values.map(lambda v, n=name: [n, v]) if required else _option(name, values)
+                   for name, values, required in options.values()))
 
 
 def _repeated(name, values):
@@ -77,35 +80,42 @@ def _repeated(name, values):
         lambda vs: [a for v in vs for a in (name, v)])
 
 
-COMMANDS = st.one_of(
-    _command("lang", "words", length=("--length", ints, True)),
-    _command("lang", "recur", word=("--word", words, True), cap=("--cap", ints, False)),
-    _command("lang", "recode", d=("--d", ints, True)),
-    _command("elem", "eval", expr=("--expr", exprs, True)),
-    _command("elem", "canon", expr=("--expr", exprs, True)),
-    _command("elem", "order", expr=("--expr", exprs, True), cap=("--cap", ints, False)),
-    _command("elem", "mod", expr=("--expr", exprs, True)),
-    _command("elem", "equal", left=("--left", exprs, True), right=("--right", exprs, True)),
-    _command("construct", "sigma", closet=("--closet", closets, True)),
-    _command("construct", "towers", closet=("--closet", closets, True)),
-    _command("construct", "gw", A=("--A", closets, True), B=("--B", closets, True)),
-    _command("construct", "matui"),
-    _command("construct", "lamplighter", closet=("--closet", closets, True)),
-    _command("construct", "vandouwen", q=("--q", ints, False), max_len=("--max-len", ints, False)),
-    _command("construct", "houghton", expr=("--expr", exprs, True),
-             window=("--window", ints, False)),
-    _command("act", "orbit", expr=("--expr", exprs, True), window=("--window", ints, True)),
-    st.tuples(st.just(["act", "putnam"]), _repeated("--expr", exprs),
-              st.tuples(st.just("--window"), ints).map(list)).map(lambda ps: sum(ps, [])),
-    st.tuples(st.just(["act", "lef"]), _repeated("--expr", exprs),
-              _option("--n-cap", ints), _option("--p-cap", ints)).map(lambda ps: sum(ps, [])),
-    _command("act", "odometer", closet=("--closet", closets, True), cap=("--cap", ints, False)),
-    _command("jm", "corr", g=("--g", exprs, True), n=("--n", ints, True)),
-    st.tuples(_command("jm", "report", g=("--g", exprs, True), n=("--n", lists, True)),
-              st.sampled_from([[], ["--loglog"]])).map(lambda ps: sum(ps, [])),
-    st.tuples(st.just(["group", "ball"]), _repeated("--gen", exprs),
-              st.tuples(st.just("--radius"), ints).map(list)).map(lambda ps: sum(ps, [])),
-)
+# argv after the command's two words, keyed by (group, command)
+STRATEGIES = {
+    ("lang", "words"): _command(length=("--length", ints, True)),
+    ("lang", "recur"): _command(word=("--word", words, True), cap=("--cap", ints, False)),
+    ("lang", "recode"): _command(d=("--d", ints, True)),
+    ("elem", "eval"): _command(expr=("--expr", exprs, True)),
+    ("elem", "canon"): _command(expr=("--expr", exprs, True)),
+    ("elem", "order"): _command(expr=("--expr", exprs, True), cap=("--cap", ints, False)),
+    ("elem", "mod"): _command(expr=("--expr", exprs, True)),
+    ("elem", "equal"): _command(left=("--left", exprs, True), right=("--right", exprs, True)),
+    ("construct", "sigma"): _command(closet=("--closet", closets, True)),
+    ("construct", "towers"): _command(closet=("--closet", closets, True)),
+    ("construct", "gw"): _command(A=("--A", closets, True), B=("--B", closets, True)),
+    ("construct", "matui"): _command(),
+    ("construct", "lamplighter"): _command(closet=("--closet", closets, True)),
+    ("construct", "vandouwen"): _command(q=("--q", ints, False), max_len=("--max-len", ints, False)),
+    ("construct", "houghton"): _command(expr=("--expr", exprs, True),
+                                        window=("--window", ints, False)),
+    ("act", "orbit"): _command(expr=("--expr", exprs, True), window=("--window", ints, True)),
+    ("act", "putnam"): _flat(_repeated("--expr", exprs),
+                             st.tuples(st.just("--window"), ints).map(list)),
+    ("act", "lef"): _flat(_repeated("--expr", exprs), _option("--n-cap", ints),
+                          _option("--p-cap", ints)),
+    ("act", "odometer"): _command(closet=("--closet", closets, True), cap=("--cap", ints, False)),
+    ("jm", "corr"): _command(g=("--g", exprs, True), n=("--n", ints, True)),
+    ("jm", "report"): _flat(_command(g=("--g", exprs, True), n=("--n", lists, True)),
+                            st.sampled_from([[], ["--loglog"]])),
+    ("group", "ball"): _flat(_repeated("--gen", exprs),
+                             st.tuples(st.just("--radius"), ints).map(list)),
+}
+COMMANDS = st.one_of([_flat(st.just(list(key)), argv) for key, argv in STRATEGIES.items()])
+
+
+def test_every_command_has_a_strategy():
+    assert list(STRATEGIES) == [(group, command) for group, command, *_ in cli.COMMANDS]
+
 
 SESSIONS = _mostly(st.sampled_from(SUBSHIFTS).map(lambda path: ["--subshift", path]),
                    [], ["--subshift", "missing.subshift"])

@@ -11,7 +11,7 @@ from cantorfull.elements import (Element, ball_sizes, canonical_dump,
                                  make_semigroup_element, order, parse_dump,
                                  power, shift, support, element_image)
 from cantorfull.errors import (CapExceeded, EngineMismatch, MemoryCapExceeded, NotBijective,
-                               NotInjective, NotSurjective, PartialTable)
+                               NotInjective, NotSurjective, ParseError, PartialTable)
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
 from conftest import sample_elements
@@ -328,6 +328,21 @@ def test_dump_roundtrip(fib_pool):
         again = parse_dump(f.engine, dump)
         assert equal(f, again)
         assert canonical_dump(again) == dump
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "dump wants a header 'radius=R dbound=D'"),
+    ("radius=x", 1, "dump wants a header 'radius=R dbound=D'"),
+    ("\n\nradius=-1 dbound=0\n", 3, "dump wants a header 'radius=R dbound=D'"),
+    ("radius=0 dbound=1\na -> 1\nb 1\n", 3, "dump wants 'window -> value'"),
+    ("radius=0\na -> ", 2, "value wants an integer"),
+    ("radius=0 dbound=1\na -> 1\n\nb -> ١\n", 4, "value wants an integer"),
+    ("radius=0 dbound=0\na -> 0\nb -> 0\na -> 1\n", 4, "second value for window 'a'"),
+], ids=["empty", "radius", "negative", "arrow", "no-value", "digit", "repeated"])
+def test_parse_dump_errors_name_the_line(fibonacci, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_dump(fibonacci, text)
+    assert str(err.value) == f"line {line}, column 1: {message}"
 
 
 def test_engine_mismatch(fibonacci, golden_mean):

@@ -569,6 +569,15 @@ def test_sft_minimal_only_on_one_cycle(period_two):
     assert sft_engine("abc", ["ab", "ac", "ba", "ca", "bb", "cc"]).minimal is False
 
 
+def test_minimal_and_aperiodic_are_booleans(period_two, golden_mean, fibonacci, sturmian_fib):
+    finite = substitution_engine({"a": "ab", "b": "ab"})
+    engines = (period_two, golden_mean, fibonacci, sturmian_fib, finite,
+               proper_recode(fibonacci, 2)[0], sft_approximation(fibonacci, 3))
+    assert [(e.minimal, e.aperiodic) for e in engines] == [
+        (True, False), (False, False), (True, True), (True, True), (True, False),
+        (True, True), (False, False)]
+
+
 def test_position_maps(golden_mean, fibonacci):
     for engine in (golden_mean, fibonacci):
         for length in range(1, 7):

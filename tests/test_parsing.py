@@ -356,3 +356,74 @@ def test_parsed_text_compiles_to_a_function_of_the_session(fibonacci, golden_mea
         assert equal(program(session), shift(engine, -2))
         assert equal(session.bindings["v"], shift(engine, 2))
         assert closet(session).is_empty() == (len(session.warnings) == 1)
+
+
+# -- the tokenizer against the character loop it replaced -----------------------
+
+_SYMBOLS, _KEYWORDS = parsing._SYMBOLS, parsing._KEYWORDS
+_DIGITS = frozenset("0123456789")
+
+
+def oracle_tokenize(text):
+    tokens = []
+    line, line_start = 1, 0
+    i = 0
+    while i < len(text):
+        ch, col = text[i], i - line_start + 1
+        if ch.isspace():
+            if ch == "\n":
+                line, line_start = line + 1, i + 1
+            i += 1
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(parsing.Token(_SYMBOLS[ch], ch, line, col))
+            i += 1
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ParseError("unterminated string", line, col)
+            tokens.append(parsing.Token("string", text[i + 1:j], line, col))
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line, line_start = line + newlines, text.rindex("\n", i, j) + 1
+            i = j + 1
+            continue
+        if ch in _DIGITS or (ch == "-" and text[i + 1:i + 2] in _DIGITS):
+            j = i + 1
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(parsing.Token("int", text[i:j], line, col))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(parsing.Token(word if word in _KEYWORDS else "name", word, line, col))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(parsing.Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return str(err)
+
+
+# the grammar's own characters, its keywords, and characters next to them
+# that str methods and int() treat specially
+_PIECES = st.one_of(st.sampled_from(list('*(),;=!&|^"-_ \t\n\r\x0b\x1c\x85 ') +
+                                    sorted(_KEYWORDS) + ["cyl", "0", "12", "x1", "é"]),
+                    st.sampled_from(["²", "٣", "Ⅷ", "ǅ", " ", "　", "a_b", "+", "."]))
+
+
+@settings(deadline=None, database=None, max_examples=500)
+@given(st.one_of(st.text(), st.lists(_PIECES, max_size=12).map("".join)))
+def test_tokenize_against_the_character_loop(text):
+    assert tokens_or_error(tokenize, text) == tokens_or_error(oracle_tokenize, text)
