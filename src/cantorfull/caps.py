@@ -1,6 +1,8 @@
 """Configurable computation caps.
 
-All open-ended searches in the package are bounded by a cap from this module.
+Every open-ended search in the package is bounded by a cap from this module
+but ``language.recurrence_bound``, whose default cap is computed from its arguments.
+
 Each engine owns one :class:`Caps`, ``engine.caps``, read from the environment
 variable CANTORFULL_CAPS when the engine is built; a recoded engine or an SFT
 approximation takes the caps of the engine it comes from.  The variable
@@ -15,6 +17,8 @@ digits (``int`` would read ``1_0`` as 10 and ``٣`` as 3).
 import os
 import re
 from typing import NamedTuple
+
+from .errors import MemoryCapExceeded
 
 # Integers wherever the package reads text: the expression tokenizer, the
 # subshift file, CANTORFULL_CAPS and the CLI's integer options.  A string,
@@ -38,6 +42,11 @@ class Caps(NamedTuple):
     lef_p: int = 12           # lef_certificate period cap
     word_store: int = 500_000  # enumeration guard (words, ball elements, point-window letters)
     radius_search: int = 64   # cover-refinement radius guard
+
+    def check_store(self, size, what):
+        """MemoryCapExceeded(`what`) past the word store: its one comparison."""
+        if size > self.word_store:
+            raise MemoryCapExceeded(what, cap=self.word_store)
 
 
 def parse_caps(text):

@@ -28,7 +28,7 @@ from .constructions import (gw_transport, houghton_profile, kr_towers,
                             lamplighter_pair, matui_generators, sigma_U,
                             van_douwen_certify, van_douwen_involutions)
 from .elements import ball_sizes, canonical_dump, equal, order
-from .errors import CantorfullError, MemoryCapExceeded, ParseError
+from .errors import CantorfullError, ParseError
 from .jm import decay_report, correlation
 from .language import proper_recode, recurrence_bound
 from .parsing import Session, load_engine
@@ -168,9 +168,8 @@ def _van_douwen(session, args):
     total, level = 0, args.q
     for _ in range(args.max_len):
         total, level = total + level, level * (args.q - 1)
-        if total > engine.caps.word_store:
-            raise MemoryCapExceeded(f"reduced words up to length {args.max_len} "
-                                    "exceed the word store", cap=engine.caps.word_store)
+        engine.caps.check_store(total, f"reduced words up to length {args.max_len} "
+                                "exceed the word store")
     words = []
     frontier = [()]
     for _ in range(args.max_len):

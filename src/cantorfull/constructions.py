@@ -18,8 +18,8 @@ from .elements import (Element, commutator, compose, element_image, equal,
                        identity, inverse, is_identity, make_element, power,
                        shift)
 from .errors import (CapExceeded, EngineMismatch, FixedPointFound,
-                     MemoryCapExceeded, NotBijective, NotGood, NotMinimal,
-                     NotOmniscient, OdometerLike, OverlapError,
+                     NotBijective, NotGood, NotMinimal, NotOmniscient,
+                     OdometerLike, OverlapError,
                      PreconditionViolated, SearchExhausted, SemanticError,
                      SurplusViolated, WindowTooSmall)
 from .language import (is_proper, max_gap, proper_recode, recurrence_bound,
@@ -349,9 +349,10 @@ class MatuiSet(NamedTuple):
 
 def matui_generators(engine):
     """sigma over every cylinder Cyl({-1,0,1}, f) of the 4-proper recoding.
-    X infinite is read off ``engine.aperiodic``: on a substitution, no period
-    <= 2 caps.dbound (see :mod:`cantorfull.language`)."""
-    if not engine.minimal or not engine.aperiodic:
+    X minimal and infinite is read off ``engine.aperiodic`` alone, since it
+    implies minimal: on a substitution, no period <= 2 caps.dbound (see
+    :mod:`cantorfull.language`)."""
+    if not engine.aperiodic:
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
     proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
     words = proper_engine.allowed_words(3)
@@ -418,19 +419,31 @@ class LamplighterPair(NamedTuple):
 
     def lamp_set(self, F):
         """A_F: symmetric difference of psi^n(V) over n in F."""
-        out = CloSet.empty(self.engine)
-        for n in sorted(F):
-            out = out.symmetric_difference(psi_power_image(self.psi, self.V, n))
-        return out
+        return _lamp_set(_psi_orbit(self.psi, self.V, min(F, default=0), max(F, default=0)), F)
 
     def sigma(self, F):
         """Involution exchanging A_F and phi(A_F) by phi^{+-1}."""
         return _swap_element(self.lamp_set(F))
 
 
-def psi_power_image(psi, closet, n):
-    g = power(psi, n) if n else None
-    return element_image(closet, g) if g is not None else closet
+def _psi_orbit(psi, closet, lo, hi):
+    """{n: psi^n(closet)} for n from min(lo, 0) to max(hi, 0), each image
+    built from its neighbour by one element_image."""
+    images = {0: closet}
+    for n in range(1, hi + 1):
+        images[n] = element_image(images[n - 1], psi)
+    psi_inv = inverse(psi) if lo < 0 else None
+    for n in range(-1, lo - 1, -1):
+        images[n] = element_image(images[n + 1], psi_inv)
+    return images
+
+
+def _lamp_set(images, F):
+    """A_F read off {n: psi^n(V)}."""
+    out = CloSet.empty(images[0].engine)
+    for n in sorted(F):
+        out = out.symmetric_difference(images[n])
+    return out
 
 
 def _swap_element(closet):
@@ -468,12 +481,8 @@ def lamplighter_pair(U):
     base = U.reduced()
     candidate_words = [(base.radius + ext, w) for ext in range(9)
                        for w in sorted(base.at_radius(base.radius + ext).members)]
-    V = None
-    for rho, w in candidate_words:
-        cand = CloSet(engine, rho, {w})
-        if clopen_orbit(cand, f=psi) is None:
-            V = cand
-            break
+    candidates = (CloSet(engine, rho, {w}) for rho, w in candidate_words)
+    V = next((cand for cand in candidates if clopen_orbit(cand, f=psi) is None), None)
     if V is None:
         raise SearchExhausted("no refining cylinder with an infinite return orbit")
 
@@ -482,27 +491,21 @@ def lamplighter_pair(U):
 
 
 def _verify_lamplighter(pair):
-    e = identity(pair.engine)
-    if not equal(compose(pair.sigma0, pair.sigma0), e):
+    if not equal(compose(pair.sigma0, pair.sigma0), identity(pair.engine)):
         raise AssertionError("sigma_{0} is not an involution")
-    images = {n: psi_power_image(pair.psi, pair.V, n)
-              for n in range(-3, 4)}
-    keys = [images[n].key() for n in sorted(images)]
-    if len(set(keys)) != len(keys):
+    images = _psi_orbit(pair.psi, pair.V, -3, 3)
+    if len({image.key() for image in images.values()}) != len(images):
         raise AssertionError("psi^n(V) are not pairwise distinct")
-    window = range(-2, 3)
     subsets = [()]
-    for n in window:
+    for n in range(-2, 3):
         subsets += [s + (n,) for s in subsets]
-    checked = 0
     Psi_inv = inverse(pair.Psi)
     for F in subsets:
-        lhs = compose(pair.Psi, compose(pair.sigma(F), Psi_inv))
-        rhs = pair.sigma(tuple(n + 1 for n in F))
+        lhs = compose(pair.Psi, compose(_swap_element(_lamp_set(images, F)), Psi_inv))
+        rhs = _swap_element(_lamp_set(images, [n + 1 for n in F]))
         if not equal(lhs, rhs):
             raise AssertionError(f"conjugation relation fails for F={F}")
-        checked += 1
-    return checked
+    return len(subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +610,7 @@ def houghton_orbit_map(f, window):
     engine = f.engine
     tail = _houghton_tail(engine)
     radius = window + f.radius
-    if 2 * radius + 1 > engine.caps.word_store:
-        raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
-                                cap=engine.caps.word_store)
+    engine.caps.check_store(2 * radius + 1, f"point window of {2 * radius + 1} letters")
     x0 = bytes(radius + 1) + (tail * radius)[:radius]
     return f.orbit_map(x0, window)
 

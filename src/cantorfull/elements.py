@@ -53,8 +53,8 @@ from types import MappingProxyType
 
 from .caps import parse_int
 from .closets import CloSet
-from .errors import (CapExceeded, EngineMismatch, MemoryCapExceeded,
-                     NotBijective, NotInjective, NotSurjective, ParseError, PartialTable)
+from .errors import (CapExceeded, EngineMismatch, NotBijective, NotInjective,
+                     NotSurjective, ParseError, PartialTable)
 
 # the n read together by Element.orbit_map: long enough that most reads of a
 # canonical point are a hit on a run already read, short enough that those
@@ -451,9 +451,7 @@ def ball_sizes(generators, radius):
                     store[key] = e
                     fresh.append(e)
                     fresh_skips.append(undoes[i])
-                    if len(store) > engine.caps.word_store:
-                        raise MemoryCapExceeded("ball grew past the element store",
-                                                cap=engine.caps.word_store)
+                    engine.caps.check_store(len(store), "ball grew past the element store")
         frontier, skips = fresh, fresh_skips
         sizes.append(len(store))
     return sizes

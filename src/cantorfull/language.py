@@ -1,10 +1,9 @@
 """Subshift language engines.
 
-Three presentations of a one-dimensional subshift are supported: finite type
-(forbidden words), primitive substitution (factors of the fixed points), and
-Sturmian via a continued-fraction expansion of the slope.  A fourth internal
-kind, the higher-block recoding of another engine, is produced by
-:func:`proper_recode`.
+Four kinds of engine present a one-dimensional subshift: finite type
+(forbidden words), primitive substitution (factors of the fixed points),
+Sturmian via a continued-fraction expansion of the slope, and the higher-block
+recoding of another engine, which :func:`proper_recode` produces.
 
 Words are ``bytes`` of letter indices (see :mod:`cantorfull.words`), so a
 level sorts natively in the alphabet's reference order.  Every engine answers
@@ -20,12 +19,18 @@ An SFT reads periods off its transfer graph, a recoding off its source, and a
 minimal engine off its language (Morse-Hedlund): it has a point of period
 <= p iff level p + 1 holds at most p words, and is then one orbit of that many
 points.  So ``periodic_blocks(p)`` is ``allowed_words(p)`` when that count
-divides p, else (), for every p.  A substitution reads ``local_period`` and
-``aperiodic`` off level 2 caps.dbound + 1 on first use: two displacements an
-element may hold at one point differ by at most 2 caps.dbound, so answers on
-elements are exact, but ``aperiodic`` certifies only that no period is that
-short, and so does the infinite X that ``matui_generators`` asks for.
+divides p, else (), for every p.
 ``periodic_windows(p, r)`` holds the blocks' radius-r windows (:func:`periodic_window`).
+
+``aperiodic`` is one rule for every kind: minimal, with ``local_period(b"")``
+0.  It is exact for each: a nonempty SFT has periodic points (a minimal one
+is one cycle); substitution and Sturmian engines are minimal, and a Sturmian
+slope is irrational, so its orbit is infinite with no level read; a recoding
+is conjugate to its source.  A substitution reads ``local_period`` off level
+2 caps.dbound + 1 on first use: two displacements an element may hold at one
+point differ by at most 2 caps.dbound, so answers on elements are exact, but
+``aperiodic`` certifies only that no period is that short, and so does the
+infinite X that ``matui_generators`` asks for.
 
 Positions in ``allowed_words(L)`` name words wherever a table is aligned with
 a level, as element tables are.  Three computed-once maps work on positions:
@@ -57,8 +62,8 @@ from typing import NamedTuple
 
 from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
-                     EmptySubshift, MemoryCapExceeded, NonPrimitiveSubstitution,
-                     NotAperiodic, NotMinimal, SemanticError)
+                     EmptySubshift, NonPrimitiveSubstitution, NotAperiodic,
+                     NotMinimal, SemanticError)
 from .words import Alphabet, factors
 
 
@@ -71,14 +76,13 @@ def periodic_window(block, radius):
 
 
 class LanguageEngine:
-    """Common interface; see subclasses for the three presentations."""
+    """Common interface; see subclasses for the four kinds."""
 
     kind = "abstract"
 
-    def __init__(self, alphabet, minimal=False, aperiodic=None):
+    def __init__(self, alphabet, minimal=False):
         self.alphabet = alphabet
         self.minimal = minimal      # True when every orbit is dense
-        self._aperiodic = aperiodic  # None: read off the language on first use
         self._period = None         # local_period of a minimal engine
         self.caps = caps_from_env()
         self._words = {}            # length -> sorted tuple of words
@@ -94,9 +98,7 @@ class LanguageEngine:
     @property
     def aperiodic(self):
         """True when no point is periodic; see the module doc."""
-        if self._aperiodic is None and self.minimal:
-            return self.local_period(b"") == 0
-        return self._aperiodic
+        return self.minimal and self.local_period(b"") == 0
 
     def allowed_words(self, length):
         if length < 0:
@@ -144,9 +146,7 @@ class LanguageEngine:
         point: a slice of the widest window so far, which grows on demand.
         MemoryCapExceeded past the word store: the window would hold more
         than caps.word_store letters."""
-        if 2 * radius + 1 > self.caps.word_store:
-            raise MemoryCapExceeded(f"point window of {2 * radius + 1} letters",
-                                    cap=self.caps.word_store)
+        self.caps.check_store(2 * radius + 1, f"point window of {2 * radius + 1} letters")
         return self._cached_point(radius)
 
     def max_point_radius(self):
@@ -193,8 +193,6 @@ class LanguageEngine:
 
     def _orbit_size(self, period):
         """A minimal engine's number of points if at most `period`, else 0."""
-        if self._aperiodic:
-            return 0
         count = len(self.allowed_words(period + 1))
         return count if count <= period else 0
 
@@ -258,9 +256,8 @@ class SFTEngine(LanguageEngine):
         if any(len(w) == 0 for w in forbidden):
             raise EmptySubshift("the empty word is forbidden")
         k = max([2] + [len(w) for w in forbidden])
-        if len(alphabet) ** k > self.caps.word_store:
-            raise MemoryCapExceeded(f"normalizing forbidden words needs {len(alphabet)}^{k} windows",
-                                    cap=self.caps.word_store)
+        self.caps.check_store(len(alphabet) ** k,
+                              f"normalizing forbidden words needs {len(alphabet)}^{k} windows")
         bad = set(forbidden)
         self._init_graph(k, frozenset(
             w for w in map(bytes, itertools.product(range(len(alphabet)), repeat=k))
@@ -298,7 +295,6 @@ class SFTEngine(LanguageEngine):
         # so greedy walks are deterministic
         self._succ = {v: sorted((u[-1:], u) for u in succ[v] if u in live) for v in live}
         self._pred = {v: sorted((u[:1], u) for u in pred[v] if u in live) for v in live}
-        self._aperiodic = False   # a nonempty SFT always has periodic points
         # {vertex: cycle length} on the cycles whose vertices all have one
         # successor and one predecessor.  Only such a cycle carries a cylinder
         # of periodic points: a second successor or predecessor anywhere on
@@ -326,9 +322,8 @@ class SFTEngine(LanguageEngine):
         if length < k - 1:
             return {v[i:i + length] for v in self.essential for i in range(k - length)}
         shorter = self.allowed_words(length - 1)
-        if len(shorter) * len(self.alphabet) > self.caps.word_store:
-            raise MemoryCapExceeded(f"{len(shorter) * len(self.alphabet)} candidate words at length "
-                                    f"{length}", cap=self.caps.word_store)
+        candidates = len(shorter) * len(self.alphabet)
+        self.caps.check_store(candidates, f"{candidates} candidate words at length {length}")
         # the shorter words are sorted and each extends in letter order, so
         # the extensions come out sorted and distinct
         return tuple(w + letter for w in shorter for letter, _ in self._succ[w[-(k - 1):]])
@@ -512,7 +507,7 @@ class SturmianEngine(LanguageEngine):
             raise BadContinuedFraction("partial quotients must be a nonempty list of integers >= 1")
         if depth_cap < 1:
             raise BadContinuedFraction("depth cap must be >= 1")
-        super().__init__(alphabet, minimal=True, aperiodic=True)
+        super().__init__(alphabet, minimal=True)
         self.quotients = quotients
         self.depth_cap = depth_cap
         self._depth = min(len(quotients), depth_cap)
@@ -536,6 +531,10 @@ class SturmianEngine(LanguageEngine):
         if len(found) != length + 1:
             raise DepthCapExceeded(f"cannot certify the length-{length} language at this depth")
         return found
+
+    def _orbit_size(self, period):
+        # the slope is irrational: the orbit is infinite, with no level read
+        return 0
 
     def _point_reach(self):
         return self.convergent[1] - 2
@@ -570,7 +569,7 @@ class RecodedEngine(LanguageEngine):
             tokens = [a.replace("~", "~~").replace("_", "~_") for a in tokens]
         sep = "" if source.alphabet.joined else "."
         names = (sep.join(map(tokens.__getitem__, w)).replace(".", "_") for w in self.decode)
-        super().__init__(Alphabet(names), minimal=source.minimal, aperiodic=source.aperiodic)
+        super().__init__(Alphabet(names), minimal=source.minimal)
         self.caps = source.caps
         self.source = source
         self.block_length = block_length
@@ -660,7 +659,8 @@ def build_engine(description):
 
 def recurrence_bound(engine, word, cap=None):
     """Least R with every allowed (R-1)-word containing `word`; gaps between
-    occurrences of `word` in any point are then at most R - |word| + 1."""
+    occurrences of `word` in any point are then at most R - |word| + 1.  The
+    default `cap` comes from the word and the alphabet, not from the caps."""
     if not engine.minimal:
         raise NotMinimal("recurrence bounds require a certified-minimal engine")
     if not engine.is_allowed(word):

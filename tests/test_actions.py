@@ -288,6 +288,17 @@ def test_compose_on_minimal_engines_is_the_top_radius_table(data):
         assert as_pair(product) == oracle_compose(engine, as_pair(first), as_pair(second))
 
 
+@settings(deadline=None, database=None)
+@given(st.one_of(sft_engines(), minimal_engines()))
+def test_aperiodic_is_one_rule_on_every_engine_kind(engine):
+    assert engine.aperiodic is (engine.minimal and engine.local_period(b"") == 0)
+    if engine.aperiodic:
+        assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
+    if engine.kind == "sft":
+        # a nonempty SFT has a cycle, and so a periodic point
+        assert any(engine.periodic_blocks(p) for p in range(1, 13))
+
+
 def test_clopen_orbit_refutes_without_building_levels():
     engine = substitution_engine({"a": "ab", "b": "a"})
     closet = cylinder(engine, 0, ("a",))

@@ -240,6 +240,18 @@ def test_cli_vandouwen_counts_words_against_the_store(capsys, monkeypatch):
     assert err.startswith("error: memory-cap-exceeded: ") and err.endswith("(cap=100)\n")
 
 
+def test_cli_vandouwen_stops_at_the_first_length_past_the_store():
+    # the count is checked at each length, so a billion lengths stop at the
+    # 18th (3 * (2^18 - 1) words), long before the loop would end
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cantorfull.__file__).parent.parent))
+    env.pop("CANTORFULL_CAPS", None)
+    done = subprocess.run([sys.executable, "-m", "cantorfull.cli", "construct", "vandouwen",
+                           "--q", "3", "--max-len", "1000000000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: memory-cap-exceeded: ")
+
+
 def test_cli_orbit_window_is_capped_by_the_word_store(capsys, monkeypatch, fib_file):
     monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
     code, out, err = run(capsys, "--subshift", fib_file, "act", "orbit", "--expr", "phi",

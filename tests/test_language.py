@@ -436,7 +436,7 @@ def test_aperiodic_substitution_shift_has_no_finite_order(monkeypatch):
 @st.composite
 def uniform_periodic_substitutions(draw):
     letters = draw(st.sampled_from(["ab", "abc", "abcd"]))
-    v = draw(st.text(alphabet=letters, min_size=len(letters), max_size=12))
+    v = draw(st.text(alphabet=letters, min_size=len(letters), max_size=20))
     assume(set(v) == set(letters))
     assume(v not in (v + v)[1:-1])      # v is not a proper power
     return {c: v for c in letters}, len(v)
@@ -557,6 +557,22 @@ def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmi
     for engine in (period_two, golden_mean, fibonacci, sturmian_fib, finite, recoded):
         for w in engine.allowed_words(3):
             assert not engine.cylinder_nonperiodic_exists(w, 0)
+
+
+def test_a_recoding_reads_its_source_period_on_first_use():
+    fib = substitution_engine({"a": "ab", "b": "a"})
+    recoded = RecodedEngine(fib, 2)
+    assert max(fib._words) <= 2
+    assert recoded.aperiodic is True
+    assert 2 * fib.caps.dbound + 1 in fib._words     # level 129 at the default caps
+    assert fib.aperiodic is True
+
+
+def test_sturmian_periodicity_reads_no_level():
+    engine = sturmian_engine([1] * 30, 30)
+    assert engine.aperiodic is True and engine.local_period(b"") == 0
+    assert all(engine.periodic_blocks(p) == () for p in range(1, 13))
+    assert engine._words == {}
 
 
 def test_thue_morse_is_aperiodic():

@@ -130,6 +130,21 @@ def test_no_unreferenced_helpers():
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
 
 
+def test_word_store_is_compared_only_in_caps():
+    """Caps.check_store is the one comparison with the word store; reads that
+    compute a reach, like max_point_radius, are not comparisons."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "caps.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(inner, ast.Attribute) and inner.attr == "word_store"
+                    for inner in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_cap_is_read():
     source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py")))
     unread = [name for name in Caps._fields
