@@ -40,7 +40,9 @@ class Caps(NamedTuple):
     orbit: int = 64           # clopen_orbit iteration cap
     lef_n: int = 8            # lef_certificate approximation-order cap
     lef_p: int = 12           # lef_certificate period cap
-    word_store: int = 500_000  # enumeration guard (words, ball elements, point-window letters)
+    # enumeration guard: words, ball elements and point-window letters, the
+    # windows Sturmian levels are read off included
+    word_store: int = 500_000
     radius_search: int = 64   # cover-refinement radius guard
 
     def check_store(self, size, what):

@@ -54,7 +54,7 @@ from types import MappingProxyType
 from .caps import parse_int
 from .closets import CloSet
 from .errors import (CapExceeded, EngineMismatch, NotBijective, NotInjective,
-                     NotSurjective, ParseError, PartialTable)
+                     NotSurjective, ParseError, PartialTable, SemanticError)
 
 # the n read together by Element.orbit_map: long enough that most reads of a
 # canonical point are a hit on a run already read, short enough that those
@@ -256,13 +256,23 @@ def make_semigroup_element(engine, radius, values):
     """Semigroup element; bijectivity is attempted but failure is not an error.
 
     `values` is a tuple aligned with engine.allowed_words(2 radius + 1), or a
-    {window: value} dict that must cover every one of those windows."""
+    {window: value} dict whose keys are exactly those windows.  PartialTable
+    names the windows left without a value; SemanticError refuses a value
+    with no window."""
+    words = engine.allowed_words(2 * radius + 1)
     if isinstance(values, dict):
-        words = engine.allowed_words(2 * radius + 1)
         missing = [engine.alphabet.format_word(w) for w in words if w not in values]
         if missing:
             raise PartialTable(missing)
+        if len(values) > len(words):
+            extra = next(w for w in values if w not in engine.word_index(2 * radius + 1))
+            raise SemanticError(f"window {engine.alphabet.format_word(extra)!r} is not an "
+                                f"allowed window of radius {radius}")
         values = tuple(int(values[w]) for w in words)
+    elif len(values) < len(words):
+        raise PartialTable(map(engine.alphabet.format_word, words[len(values):]))
+    elif len(values) > len(words):
+        raise SemanticError(f"table has {len(values)} values for {len(words)} windows")
     return _capped(Element(engine, radius, values, None))
 
 
@@ -472,23 +482,26 @@ _DUMP_HEADER = r"radius=([0-9]+)(?: dbound=[0-9]+)?"
 def parse_dump(engine, text):
     """Inverse of canonical_dump, whose header may leave out the dbound the
     table determines.  Blank lines are skipped; a ParseError names the line,
-    at column 1, of a bad header, of a line without '->', of a value that is
-    not an integer and of a window given twice."""
+    at column 1, of a bad header, of a line without '->', of a window outside
+    the level, of a value that is not an integer and of a window given twice."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     n, head = lines[0] if lines else (1, "")
     header = re.fullmatch(_DUMP_HEADER, head)
     if not header:
         raise ParseError("dump wants a header 'radius=R dbound=D'", n, 1)
-    table = {}
+    radius = int(header[1])
+    level, table = engine.word_index(2 * radius + 1), {}
     for n, ln in lines[1:]:
         wtext, arrow, vtext = (part.strip() for part in ln.partition("->"))
         if not arrow:
             raise ParseError("dump wants 'window -> value'", n, 1)
         word = engine.alphabet.parse_word(wtext)
+        if word not in level:
+            raise ParseError(f"window {wtext!r} is not an allowed window of radius {radius}", n, 1)
         if word in table:
             raise ParseError(f"second value for window {wtext!r}", n, 1)
         try:
             table[word] = parse_int(vtext)
         except ValueError:
             raise ParseError("value wants an integer", n, 1) from None
-    return make_semigroup_element(engine, int(header[1]), table)
+    return make_semigroup_element(engine, radius, table)

@@ -43,13 +43,13 @@ The canonical point is cached the same way.  Each kind computes windows of
 one point that does not depend on the radius asked for: the SFT point is the
 greedy walk from the least essential vertex, the substitution point the fixed
 point of sigma^power at the seed pair, the Sturmian point the mechanical word
-and the recoded point the recoding of its source's point.  So
-``point_window`` keeps the widest window computed so far and answers every
-narrower radius with a slice around its middle.  ``max_point_radius`` is the
-widest radius it answers: the word store bounds every kind, and a Sturmian
-point (and a recoding of one) is bounded by the convergent denominator too.
-A recoding reads L - 1 letters of its source past the window asked for, so it
-reads the source's cached point without the word-store check.
+of the convergent of the quotients within the depth cap (the only ones read),
+whose windows hold its levels, each certified by its count L + 1, and the
+recoded point the recoding of its source's point.  ``point_window`` keeps the
+widest window so far and slices narrower ones out of its middle.  The word
+store bounds every window, a Sturmian level's included, and the convergent
+denominator a Sturmian point and its recodings (``max_point_radius``).  A
+recoding reads L - 1 source letters past its window, without that check.
 
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
@@ -146,6 +146,8 @@ class LanguageEngine:
         point: a slice of the widest window so far, which grows on demand.
         MemoryCapExceeded past the word store: the window would hold more
         than caps.word_store letters."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
         self.caps.check_store(2 * radius + 1, f"point window of {2 * radius + 1} letters")
         return self._cached_point(radius)
 
@@ -490,12 +492,12 @@ class SubstitutionEngine(LanguageEngine):
 
 
 class SturmianEngine(LanguageEngine):
-    """Factors of the mechanical word of slope [0; a1, a2, ...].
-
-    All queries are certified by finite standard words s_{k+1} = s_k^{a_{k+1}} s_{k-1};
-    the complexity count L+1 is checked on every enumeration, and anything the
-    truncated expansion cannot certify raises DepthCapExceeded.
-    """
+    """Factors of the mechanical word of slope [0; a1, a2, ...], read off its
+    point, of the convergent p/q of the quotients within the depth cap: level
+    L is the factors of the window of radius min(N, q - 2), N = (2 + max a) L,
+    which caps.word_store bounds.  Below q the recurrence function is
+    R(L) < (max a + 3) L (Morse-Hedlund), so that window holds the level; the
+    count L + 1 certifies it, and N > q raises DepthCapExceeded."""
 
     kind = "sturmian"
 
@@ -508,26 +510,20 @@ class SturmianEngine(LanguageEngine):
         if depth_cap < 1:
             raise BadContinuedFraction("depth cap must be >= 1")
         super().__init__(alphabet, minimal=True)
-        self.quotients = quotients
-        self.depth_cap = depth_cap
-        self._depth = min(len(quotients), depth_cap)
-        # s_0, s_1, ...: extended by _enumerate only as deep as it needs
-        self._standard = [b"\0", bytes(quotients[0] - 1) + b"\1"]
-        p, q = [0, 1], [1, quotients[0]]
-        for k in range(1, self._depth):
-            p.append(quotients[k] * p[-1] + p[-2])
-            q.append(quotients[k] * q[-1] + q[-2])
-        self.convergent = (p[-1], q[-1])
+        self.quotients = quotients[:depth_cap]
+        p, q = 0, 1                 # [0; a1, ..., ak], folded from the last quotient
+        for a in reversed(self.quotients):
+            p, q = q, a * q + p
+        self.convergent = (p, q)
 
     def _enumerate(self, length):
-        need = (2 + max(self.quotients)) * length
-        s = self._standard
-        while len(s[-1]) < need and len(s) <= self._depth:
-            s.append(s[-1] * self.quotients[len(s) - 1] + s[-2])
-        word = next((w for w in s if len(w) >= need), None)
-        if word is None:
-            raise DepthCapExceeded(f"no standard word of length >= {need} within depth cap")
-        found = set(factors(word, length))
+        need, q = (2 + max(self.quotients)) * length, self.convergent[1]
+        if need > q:
+            raise DepthCapExceeded(f"level {length} needs a period of length >= {need} "
+                                   "within depth cap")
+        size = 2 * min(need, q - 2) + 1
+        self.caps.check_store(size, f"level {length} reads a point window of {size} letters")
+        found = set(factors(self._cached_point(size // 2), length))
         if len(found) != length + 1:
             raise DepthCapExceeded(f"cannot certify the length-{length} language at this depth")
         return found

@@ -209,7 +209,7 @@ def minimal_engines(draw):
     an aperiodic one; the expansions are deep enough for the levels drawn."""
     kind = draw(st.sampled_from(["substitution", "sturmian", "recoded"]))
     if kind == "sturmian" or (kind == "recoded" and draw(st.booleans())):
-        # quotients up to a denominator of 5000 at least: standard words
+        # quotients up to a denominator of 5000 at least: point windows
         # of some 10^4 letters, however large the quotients
         quotients, q, q_prev = [], 1, 0
         while q < 5000:

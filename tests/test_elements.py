@@ -11,7 +11,8 @@ from cantorfull.elements import (Element, ball_sizes, canonical_dump,
                                  make_semigroup_element, order, parse_dump,
                                  power, shift, support, element_image)
 from cantorfull.errors import (CapExceeded, EngineMismatch, MemoryCapExceeded, NotBijective,
-                               NotInjective, NotSurjective, ParseError, PartialTable)
+                               NotInjective, NotSurjective, ParseError, PartialTable,
+                               SemanticError)
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.language import sft_engine, substitution_engine
 from conftest import sample_elements
@@ -338,11 +339,37 @@ def test_dump_roundtrip(fib_pool):
     ("radius=0\na -> ", 2, "value wants an integer"),
     ("radius=0 dbound=1\na -> 1\n\nb -> ١\n", 4, "value wants an integer"),
     ("radius=0 dbound=0\na -> 0\nb -> 0\na -> 1\n", 4, "second value for window 'a'"),
-], ids=["empty", "radius", "negative", "arrow", "no-value", "digit", "repeated"])
+    ("radius=0 dbound=1\na -> 1\nb -> 1\nbb -> 5\n", 4,
+     "window 'bb' is not an allowed window of radius 0"),
+    ("radius=0 dbound=1\na -> 1\nb -> 1\naaa -> 2\n", 4,
+     "window 'aaa' is not an allowed window of radius 0"),
+], ids=["empty", "radius", "negative", "arrow", "no-value", "digit", "repeated",
+        "outside-bb", "outside-aaa"])
 def test_parse_dump_errors_name_the_line(fibonacci, text, line, message):
     with pytest.raises(ParseError) as err:
         parse_dump(fibonacci, text)
     assert str(err.value) == f"line {line}, column 1: {message}"
+
+
+def test_short_table_names_the_windows_left_without_a_value(fibonacci):
+    # radius 1 has 4 windows: aab, aba, baa, bab
+    with pytest.raises(PartialTable) as err:
+        make_element(fibonacci, 1, (1, 1, 1))
+    assert err.value.missing == ("bab",)
+    with pytest.raises(PartialTable) as err:
+        make_element(fibonacci, 1, (0,))
+    assert err.value.missing == ("aba", "baa", "bab")
+
+
+def test_long_table_is_refused(fibonacci):
+    with pytest.raises(SemanticError, match="table has 5 values for 4 windows"):
+        make_element(fibonacci, 1, (0, 0, 0, 0, 0))
+
+
+def test_dict_table_refuses_a_window_outside_the_level(fibonacci):
+    table = by_text(fibonacci, {"a": 1, "b": 1, "bb": 5})
+    with pytest.raises(SemanticError, match="window 'bb' is not an allowed window of radius 0"):
+        make_semigroup_element(fibonacci, 0, table)
 
 
 def test_engine_mismatch(fibonacci, golden_mean):

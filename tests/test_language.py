@@ -288,9 +288,10 @@ def test_sturmian_depth_cap(sturmian_fib):
         sturmian_fib.allowed_words(200)
 
 
-def test_sturmian_standard_words_are_built_as_deep_as_a_level_needs():
-    # 16 quotients of 8 give standard words of some 10^14 letters; a level
-    # of length 20 needs one of 200, in a child limited to 400 MB
+def test_sturmian_level_of_length_20_reads_a_window_of_401_letters():
+    # 16 quotients of 8 give a convergent denominator of some 10^14; a level
+    # of length 20 reads a point window of radius 200, in a child limited to
+    # 400 MB
     code = ("import resource; limit = 400 * 2 ** 20; "
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
             "from cantorfull.language import sturmian_engine; "
@@ -298,6 +299,73 @@ def test_sturmian_standard_words_are_built_as_deep_as_a_level_needs():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cantorfull.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "21\n", "")
+
+
+def oracle_sturmian_level(quotients, depth_cap, length):
+    """The level as the factors of the first standard word s_k of at least
+    (2 + max a) length letters, s_{k+1} = s_k^{a_{k+1}} s_{k-1}, over the
+    quotients within the depth cap; DepthCapExceeded when none is, or when
+    the count length + 1 fails."""
+    quotients = quotients[:depth_cap]
+    need = (2 + max(quotients)) * length
+    s = [b"\0", bytes(quotients[0] - 1) + b"\1"]
+    while len(s[-1]) < need and len(s) <= len(quotients):
+        s.append(s[-1] * quotients[len(s) - 1] + s[-2])
+    if len(s[-1]) < need:
+        raise DepthCapExceeded(f"no standard word of length >= {need}")
+    found = set(factors(s[-1], length))
+    if len(found) != length + 1:
+        raise DepthCapExceeded(f"cannot certify the length-{length} language")
+    return tuple(sorted(found))
+
+
+def sturmian_outcome(level, *args):
+    try:
+        return level(*args)
+    except DepthCapExceeded:
+        return DepthCapExceeded
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_sturmian_levels_are_the_standard_word_levels(data):
+    quotients = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=10))
+    depth_cap = data.draw(st.integers(1, len(quotients)))
+    engine = sturmian_engine(quotients, depth_cap)
+    for length in sorted(data.draw(st.sets(st.integers(1, 60), min_size=1, max_size=8))):
+        assert (sturmian_outcome(engine.allowed_words, length)
+                == sturmian_outcome(oracle_sturmian_level, quotients, depth_cap, length))
+
+
+def test_sturmian_levels_read_only_the_quotients_within_the_depth_cap():
+    # the 100 past the cap would ask level 1 for 102 letters
+    engine = sturmian_engine([1] * 8 + [100], 8)
+    assert (len(engine.allowed_words(1)), len(engine.allowed_words(5))) == (2, 6)
+    assert engine.allowed_words(5) == sturmian_engine([1] * 8, 8).allowed_words(5)
+
+
+def test_sturmian_level_past_the_word_store_names_the_level():
+    # level 100000 would hold some 10^10 letters; its window alone passes the
+    # word store, in a child limited to 1 GB
+    code = ("import resource; limit = 2 ** 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+            "from cantorfull.language import sturmian_engine\n"
+            "try:\n"
+            "    sturmian_engine([1] * 30, 30).allowed_words(100000)\n"
+            "except Exception as err:\n"
+            "    print(type(err).__name__, err)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cantorfull.__file__).parent.parent))
+    env.pop("CANTORFULL_CAPS", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("MemoryCapExceeded level 100000 reads a point window of "
+                           "600001 letters (cap=500000)\n")
+
+
+@pytest.mark.parametrize("kind", sorted(POINT_ENGINES))
+def test_point_window_refuses_a_negative_radius(kind):
+    with pytest.raises(ValueError):
+        POINT_ENGINES[kind]().point_window(-1)
 
 
 def test_proper_recode_d1(fibonacci):
