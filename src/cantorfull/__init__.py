@@ -11,18 +11,18 @@ numerical almost-invariance reports.
 from .words import Alphabet
 from .caps import Caps
 from .language import (LanguageEngine, SFTEngine, SubstitutionEngine,
-                       SturmianEngine, RecodedEngine, RecodingMap,
+                       SturmianEngine, RecodedEngine,
                        build_engine, sft_engine, substitution_engine,
                        sturmian_engine, recurrence_bound, max_gap,
-                       proper_recode, sft_approximation, is_irreducible)
+                       proper_recode, sft_approximation)
 from .closets import CloSet
 from .elements import (Element, make_element,
                        make_semigroup_element, identity, shift, compose,
                        inverse, power, commutator, is_identity, equal, order,
                        support, element_image, ball_sizes,
                        canonical_dump, parse_dump)
-from .constructions import (is_good, sigma_U, cylinder, symmetric_embed,
-                            SymmetricEmbedding, first_return, TowerPartition,
+from .constructions import (is_good, sigma_U, cylinder, SymmetricEmbedding,
+                            first_return, TowerPartition,
                             kr_towers, rokhlin_base, GWTransport, gw_transport,
                             MatuiSet, matui_generators, matui_cylinder_sigma,
                             matui_by_recursion, matui_recursion_word,

@@ -60,13 +60,14 @@ class WindowedPermutation(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def orbit_permutation(psi, window, base_shift=0):
-    """The permutation n -> n + kappa(phi^{n+base_shift} x) on [-window, window]."""
+def orbit_permutation(psi, window):
+    """The permutation n -> n + kappa(phi^n x) on [-window, window], x the
+    canonical basepoint; ``Element.orbit_map`` reads shifted basepoints."""
     r, d = psi.radius, psi.dbound
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
-    point = psi.engine.point_window(window + r + abs(base_shift))
-    images = psi.orbit_map(point, window, base_shift)
+    point = psi.engine.point_window(window + r)
+    images = psi.orbit_map(point, window)
     if len(set(images)) != len(images):
         raise AssertionError("orbit restriction is not injective")
     return WindowedPermutation(window, images, d)
@@ -80,20 +81,22 @@ def _crossings(psi, point, shift=0):
     return [(n, m) for n, m in zip(range(-d, d + 1), images) if (n < 0) != (m < 0)]
 
 
-def index_mod(psi, shifts=5):
+# the basepoints phi^s x, 0 <= s < _INDEX_BASEPOINTS, that index_mod reads
+_INDEX_BASEPOINTS = 5
+
+
+def index_mod(psi):
     """Net transfer of the orbit across the origin; the abelianization onto Z.
 
     mod(psi) = #{n < 0 : j(n) >= 0} - #{n >= 0 : j(n) < 0}, the signed count
-    of crossings, cross-checked at `shifts` >= 1 shifted basepoints.  Needs
-    ``engine.aperiodic``: on a substitution, no period <= 2 caps.dbound.
+    of crossings, cross-checked at the basepoints x, phi x, ..., phi^4 x.
+    Needs ``engine.aperiodic``: on a substitution, no period <= 2 caps.dbound.
     """
-    if shifts < 1:
-        raise ValueError(f"index_mod needs shifts >= 1, got {shifts}")
     if not psi.engine.aperiodic:
         raise NotAperiodic("the index needs an infinite orbit at the basepoint")
-    point = psi.engine.point_window(psi.dbound + psi.radius + shifts)
+    point = psi.engine.point_window(psi.dbound + psi.radius + _INDEX_BASEPOINTS)
     values = [sum(1 if n < 0 else -1 for n, _ in _crossings(psi, point, s))
-              for s in range(shifts)]
+              for s in range(_INDEX_BASEPOINTS)]
     if len(set(values)) != 1:
         raise AssertionError("index is not basepoint-independent")
     return values[0]
@@ -125,6 +128,8 @@ def putnam_blocks(elements, window):
     m the maximal displacement; blocks are the gaps between consecutive
     points of I, verified to be permuted within themselves.
     """
+    if not elements:
+        raise SemanticError("need at least one element")
     family = []
     seen = set()
     for f in elements:
@@ -170,6 +175,8 @@ def putnam_blocks(elements, window):
 
 def block_orbits(elements, block):
     """Orbits of a block of integers under the induced permutations."""
+    if not elements:
+        raise SemanticError("need at least one element")
     start, end = block
     window = max(abs(start), abs(end)) + max(f.radius + f.dbound for f in elements)
     perms = [orbit_permutation(f, window) for f in elements]

@@ -101,9 +101,9 @@ def _recur(session, args):
 
 def _recode(session, args):
     engine = session.engine
-    recoded, mapping = proper_recode(engine, args.d)
-    print(f"block_length={mapping.block_length}")
-    for name, block in zip(recoded.alphabet.letters, mapping.letter_decode):
+    recoded = proper_recode(engine, args.d)
+    print(f"block_length={recoded.block_length}")
+    for name, block in zip(recoded.alphabet.letters, recoded.decode):
         print(f"{name} -> {engine.alphabet.format_word(block)}")
 
 

@@ -95,7 +95,7 @@ class SymmetricEmbedding:
         for im, h in zip(self.images, swaps):
             for j, v in compress(enumerate(h.values_at(radius)), im.mask(radius)):
                 values[j] = v
-        return make_element(engine, radius, tuple(values))
+        return make_element(engine, radius, values)
 
     def verify_relations(self):
         """Coxeter relations for the adjacent transpositions (complete for S_n)."""
@@ -119,10 +119,6 @@ class SymmetricEmbedding:
         return True
 
 
-def symmetric_embed(moves, closet):
-    return SymmetricEmbedding(moves, closet)
-
-
 # ---------------------------------------------------------------------------
 # first-return maps and Kakutani-Rokhlin towers
 
@@ -137,7 +133,7 @@ def first_return(closet):
     src = closet.reduced()
     gap = min(max_gap(engine, w) for w in src.members)
     radius = src.radius + gap
-    return make_element(engine, radius, tuple(_return_times(src, radius, gap)))
+    return make_element(engine, radius, _return_times(src, radius, gap))
 
 
 def _return_times(src, radius, gap):
@@ -328,7 +324,7 @@ def _gw_attempt(engine, base, A, B):
             "permutation": "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()",
             "parity": "even",
         })
-    alpha = make_element(engine, radius, tuple(values))
+    alpha = make_element(engine, radius, values)
     contained = element_image(B, alpha).is_subset(A)
     index = index_mod(alpha)
     if not contained or index != 0:
@@ -341,8 +337,9 @@ def _gw_attempt(engine, base, A, B):
 
 
 class MatuiSet(NamedTuple):
+    """engine: the given engine if 4-proper, else its 4-proper RecodedEngine."""
+
     engine: object
-    recoding: object          # RecodingMap or None when already proper
     generators: tuple
     cylinder_words: tuple     # the window x[-1..1] of each generator's cylinder
 
@@ -354,10 +351,10 @@ def matui_generators(engine):
     :mod:`cantorfull.language`)."""
     if not engine.aperiodic:
         raise NotMinimal("the finite generating set needs a minimal infinite subshift")
-    proper_engine, mapping = (engine, None) if is_proper(engine, 4) else proper_recode(engine, 4)
-    words = proper_engine.allowed_words(3)
-    gens = tuple(sigma_U(CloSet.cylinder(proper_engine, -1, h)) for h in words)
-    return MatuiSet(proper_engine, mapping, gens, tuple(words))
+    engine = engine if is_proper(engine, 4) else proper_recode(engine, 4)
+    words = engine.allowed_words(3)
+    gens = tuple(sigma_U(CloSet.cylinder(engine, -1, h)) for h in words)
+    return MatuiSet(engine, gens, tuple(words))
 
 
 def matui_cylinder_sigma(engine, h):

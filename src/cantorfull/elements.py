@@ -156,9 +156,6 @@ class Element:
 
     # -- canonical form ------------------------------------------------------
 
-    def canonical_element(self):
-        return self
-
     def canonical_key(self):
         words = self.engine.allowed_words(2 * self.radius + 1)
         return (self.radius, tuple(zip(words, self.values)))
@@ -255,10 +252,11 @@ def make_element(engine, radius, values):
 def make_semigroup_element(engine, radius, values):
     """Semigroup element; bijectivity is attempted but failure is not an error.
 
-    `values` is a tuple aligned with engine.allowed_words(2 radius + 1), or a
-    {window: value} dict whose keys are exactly those windows.  PartialTable
-    names the windows left without a value; SemanticError refuses a value
-    with no window."""
+    `values` is a sequence aligned with engine.allowed_words(2 radius + 1),
+    or a {window: value} dict whose keys are exactly those windows; the
+    element keeps them as a tuple.  PartialTable names the windows left
+    without a value; SemanticError refuses a value with no window and names
+    the window of a value that is not an int (a bool is not)."""
     words = engine.allowed_words(2 * radius + 1)
     if isinstance(values, dict):
         missing = [engine.alphabet.format_word(w) for w in words if w not in values]
@@ -268,11 +266,17 @@ def make_semigroup_element(engine, radius, values):
             extra = next(w for w in values if w not in engine.word_index(2 * radius + 1))
             raise SemanticError(f"window {engine.alphabet.format_word(extra)!r} is not an "
                                 f"allowed window of radius {radius}")
-        values = tuple(int(values[w]) for w in words)
+        values = tuple(map(values.__getitem__, words))
     elif len(values) < len(words):
         raise PartialTable(map(engine.alphabet.format_word, words[len(values):]))
     elif len(values) > len(words):
         raise SemanticError(f"table has {len(values)} values for {len(words)} windows")
+    values = tuple(values)
+    # issuperset iterates the types without building a set of them
+    if not {int}.issuperset(map(type, values)):
+        w, v = next((w, v) for w, v in zip(words, values) if type(v) is not int)
+        raise SemanticError(f"window {engine.alphabet.format_word(w)!r} has value {v!r}, "
+                            f"not an integer")
     return _capped(Element(engine, radius, values, None))
 
 
@@ -476,19 +480,20 @@ def canonical_dump(f):
     return "\n".join(lines) + "\n"
 
 
-_DUMP_HEADER = r"radius=([0-9]+)(?: dbound=[0-9]+)?"
+_DUMP_HEADER = r"radius=([0-9]+)(?: dbound=([0-9]+))?"
 
 
 def parse_dump(engine, text):
     """Inverse of canonical_dump, whose header may leave out the dbound the
     table determines.  Blank lines are skipped; a ParseError names the line,
     at column 1, of a bad header, of a line without '->', of a window outside
-    the level, of a value that is not an integer and of a window given twice."""
+    the level, of a value that is not an integer, of a window given twice and,
+    at the header, of a dbound other than the table's largest |value|."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    n, head = lines[0] if lines else (1, "")
+    head_line, head = lines[0] if lines else (1, "")
     header = re.fullmatch(_DUMP_HEADER, head)
     if not header:
-        raise ParseError("dump wants a header 'radius=R dbound=D'", n, 1)
+        raise ParseError("dump wants a header 'radius=R dbound=D'", head_line, 1)
     radius = int(header[1])
     level, table = engine.word_index(2 * radius + 1), {}
     for n, ln in lines[1:]:
@@ -504,4 +509,8 @@ def parse_dump(engine, text):
             table[word] = parse_int(vtext)
         except ValueError:
             raise ParseError("value wants an integer", n, 1) from None
+    largest = max(map(abs, table.values()), default=0)
+    if header[2] is not None and int(header[2]) != largest:
+        raise ParseError(f"header dbound={header[2]}, but the table's largest |value| is "
+                         f"{largest}", head_line, 1)
     return make_semigroup_element(engine, radius, table)

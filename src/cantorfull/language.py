@@ -58,7 +58,6 @@ central window of phi^n(x) is x[-n-r .. -n+r].
 import itertools
 import math
 import operator
-from typing import NamedTuple
 
 from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
@@ -654,8 +653,8 @@ def build_engine(description):
 
 
 def recurrence_bound(engine, word, cap=None):
-    """Least R with every allowed (R-1)-word containing `word`; gaps between
-    occurrences of `word` in any point are then at most R - |word| + 1.  The
+    """Least R with every allowed (R-1)-word containing `word`; consecutive
+    occurrences of `word` in any point are then at most R - |word| apart.  The
     default `cap` comes from the word and the alphabet, not from the caps."""
     if not engine.minimal:
         raise NotMinimal("recurrence bounds require a certified-minimal engine")
@@ -670,8 +669,10 @@ def recurrence_bound(engine, word, cap=None):
 
 
 def max_gap(engine, word):
-    """Upper bound for the gap between consecutive occurrences of `word`."""
-    return recurrence_bound(engine, word) - len(word) + 1
+    """The longest gap between consecutive occurrences of `word`, R - |word|
+    for R its recurrence bound.  Exact: on a minimal engine, an allowed
+    (R-2)-word without `word` lies strictly between two such occurrences."""
+    return recurrence_bound(engine, word) - len(word)
 
 
 def is_proper(engine, d):
@@ -679,17 +680,11 @@ def is_proper(engine, d):
     return all(len(set(w)) == len(w) for w in engine.allowed_words(d + 1))
 
 
-class RecodingMap(NamedTuple):
-    block_length: int
-    letter_decode: tuple      # the source block of each recoded letter
-
-
 def proper_recode(engine, d):
-    """Conjugate d-proper engine via higher-block recoding, plus the decode map.
-
-    The block length is the least L such that no allowed (L+d)-word has a
-    period <= d; the output is checked exhaustively on its (d+1)-words.
-    """
+    """Conjugate d-proper engine via higher-block recoding: a RecodedEngine
+    whose ``block_length`` L is the least such that no allowed (L+d)-word has
+    a period <= d, and whose ``decode`` holds each letter's source block.
+    The output is checked exhaustively on its (d+1)-words."""
     if not engine.aperiodic:
         raise NotAperiodic("proper recoding requires a certified-aperiodic engine")
     if d < 1:
@@ -707,8 +702,7 @@ def proper_recode(engine, d):
     recoded = RecodedEngine(engine, block)
     if not is_proper(recoded, d):
         raise AssertionError(f"recoded engine is not {d}-proper")
-    mapping = RecodingMap(block, recoded.decode)
-    return recoded, mapping
+    return recoded
 
 
 def sft_approximation(engine, n):
@@ -734,9 +728,3 @@ def _reachable(edges, start):
                 seen.add(u)
                 stack.append(u)
     return seen
-
-
-def is_irreducible(engine):
-    if not isinstance(engine, SFTEngine):
-        raise SemanticError("irreducibility is defined here for SFT engines")
-    return engine.is_irreducible()

@@ -77,7 +77,7 @@ def enumerate_bijective(engine, radius, dmax):
     for values in itertools.product(range(-dmax, dmax + 1), repeat=len(words)):
         candidate = Element(engine, radius, values, None)
         if candidate.bijective:
-            pool.append(candidate.canonical_element())
+            pool.append(candidate)
     return pool
 
 

@@ -17,12 +17,12 @@ from cantorfull.elements import (ball_sizes, compose, equal, identity,
 from cantorfull.errors import SurplusViolated
 from cantorfull.actions import (clopen_orbit, index_mod, lef_certificate,
                                 orbit_permutation)
-from cantorfull.constructions import (cylinder, first_return, gw_transport,
+from cantorfull.constructions import (SymmetricEmbedding, cylinder,
+                                      first_return, gw_transport,
                                       houghton_profile, is_good, kr_towers,
                                       lamplighter_pair, matui_by_recursion,
                                       matui_cylinder_sigma, matui_generators,
-                                      qeqz_check, sigma_U, symmetric_embed,
-                                      van_douwen_certify,
+                                      qeqz_check, sigma_U, van_douwen_certify,
                                       van_douwen_involutions)
 from cantorfull.jm import (correlation, decay_report, hn_lower_bound,
                            identity_view, translation_view,
@@ -92,16 +92,19 @@ def test_03_mod_homomorphism(fibonacci, fib_pool):
     torsion = [sigma_U(CloSet.cylinder(fibonacci, -1, w))
                for w in fibonacci.allowed_words(3)
                if is_good(CloSet.cylinder(fibonacci, -1, w))]
-    emb = symmetric_embed([identity(fibonacci), shift(fibonacci)],
-                          cylinder(fibonacci, -1, ("a", "a", "b")))
+    emb = SymmetricEmbedding([identity(fibonacci), shift(fibonacci)],
+                             cylinder(fibonacci, -1, ("a", "a", "b")))
     torsion.append(emb.element((1, 0)))
     for t in torsion:
         assert order(t, cap=12) is not None
         assert index_mod(t) == 0
     for f in sample_elements(fib_pool, 10, 305):
         # identical values at 5 shifted basepoints (checked inside index_mod,
-        # and a sixth window here for good measure)
-        assert index_mod(f, shifts=6) == index_mod(f, shifts=5)
+        # and a sixth, phi^5 x, here for good measure)
+        d = f.dbound
+        images = f.orbit_map(fibonacci.point_window(d + f.radius + 5), d, 5)
+        assert index_mod(f) == sum(1 if n < 0 else -1 for n, m in zip(range(-d, d + 1), images)
+                                   if (n < 0) != (m < 0))
     report(3, "mod: phi -> 1, additive on 100 pairs, kills torsion, "
               "basepoint-shift invariant")
 

@@ -14,7 +14,8 @@ from cantorfull.actions import (_unrefuted, block_orbits, clopen_orbit, index_mo
                                 lef_certificate, orbit_permutation,
                                 putnam_blocks, stabilizer_check)
 from cantorfull.constructions import cylinder, first_return, is_good, sigma_U
-from cantorfull.language import proper_recode, sft_engine, sturmian_engine, substitution_engine
+from cantorfull.language import (max_gap, proper_recode, sft_engine, sturmian_engine,
+                                 substitution_engine)
 from conftest import sample_elements, segment
 from test_language import substitutions
 from test_sft_properties import (as_pair, closets, oracle_compose, sft_engines, tables,
@@ -79,13 +80,6 @@ def test_index_mod_homomorphism_sample(fib_pool):
         assert index_mod(compose(f, g)) == index_mod(f) + index_mod(g)
 
 
-def test_index_mod_needs_a_basepoint(fibonacci):
-    for shifts in (0, -1):
-        with pytest.raises(ValueError, match="shifts >= 1"):
-            index_mod(shift(fibonacci), shifts=shifts)
-    assert index_mod(shift(fibonacci), shifts=1) == 1
-
-
 def test_index_mod_needs_aperiodicity(y_engine):
     with pytest.raises(NotAperiodic):
         index_mod(shift(y_engine))
@@ -130,6 +124,16 @@ def test_putnam_recurrence_set_stays_in_the_window(fibonacci):
     result = putnam_blocks([identity(fibonacci)], 10)
     assert result.recurrence_set == tuple(range(-10, 11))
     assert result.blocks == tuple((n, n + 1) for n in range(-10, 10))
+
+
+def test_putnam_blocks_refuses_an_empty_family():
+    with pytest.raises(SemanticError, match="need at least one element"):
+        putnam_blocks([], 10)
+
+
+def test_block_orbits_refuses_an_empty_family():
+    with pytest.raises(SemanticError, match="need at least one element"):
+        block_orbits([], (0, 3))
 
 
 def test_putnam_blocks_shift_violates(fibonacci):
@@ -223,7 +227,7 @@ def minimal_engines(draw):
             assume(False)
     if kind == "recoded":
         assume(engine.aperiodic is True)
-        engine = proper_recode(engine, draw(st.integers(1, 2)))[0]
+        engine = proper_recode(engine, draw(st.integers(1, 2)))
     return engine
 
 
@@ -289,6 +293,19 @@ def test_compose_on_minimal_engines_is_the_top_radius_table(data):
 
 
 @settings(deadline=None, database=None)
+@given(minimal_engines())
+def test_max_gap_is_the_longest_return(engine):
+    """Some allowed word of length max_gap + |w| holds w at its two ends and
+    nowhere else: the gap is attained, not only a bound."""
+    for length in (1, 2, 3):
+        for w in engine.allowed_words(length):
+            gap = max_gap(engine, w)
+            # the next occurrence at gap is the word's last |w| letters
+            assert any(u.startswith(w) and u.find(w, 1) == gap
+                       for u in engine.allowed_words(gap + length)), w
+
+
+@settings(deadline=None, database=None)
 @given(st.one_of(sft_engines(), minimal_engines()))
 def test_aperiodic_is_one_rule_on_every_engine_kind(engine):
     assert engine.aperiodic is (engine.minimal and engine.local_period(b"") == 0)
@@ -328,7 +345,7 @@ def test_clopen_orbit_under_a_small_word_store(monkeypatch):
     # past radius 499
     monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
     fib = substitution_engine({"a": "ab", "b": "a"})
-    recoded = proper_recode(fib, 2)[0]
+    recoded = proper_recode(fib, 2)
     U = cylinder(fib, 0, ("b",))
     psi = first_return(U)
     for closet in (U, cylinder(fib, -1, ("a", "a", "b")), CloSet.full(fib)):
@@ -411,12 +428,12 @@ def oracle_orbit_table(psi, window, base_shift=0, point=None):
     return table
 
 
-def oracle_index_mod(psi, shifts=5):
+def oracle_index_mod(psi):
     r, d = psi.radius, psi.dbound
     kappa = psi.table
     values = []
-    for s in range(shifts):
-        point = psi.engine.point_window(d + r + shifts)
+    for s in range(5):
+        point = psi.engine.point_window(d + r + 5)
         image = {n: n + kappa[segment(point, -(n + s) - r, -(n + s) + r)] for n in range(-d, d)}
         left = sum(1 for n in range(-d, 0) if image[n] >= 0)
         right = sum(1 for n in range(0, d) if image[n] < 0)
@@ -441,7 +458,7 @@ LONG_READS = [(window, base_shift) for window in (31, 32, 63, 64, 65, 128, 1000,
 
 
 def test_orbit_reads_match_segment_oracle(fibonacci, thue_morse):
-    recoded, _ = proper_recode(fibonacci, 2)
+    recoded = proper_recode(fibonacci, 2)
     # deep enough for windows of 5000
     sturmian = sturmian_engine([1] * 30, 30)
     cases = [(fibonacci, ("a", "a", "b"), ("b",)), (sturmian, ("a", "b", "b"), ("a",)),
@@ -453,13 +470,15 @@ def test_orbit_reads_match_segment_oracle(fibonacci, thue_morse):
         for f in read_elements(engine, good, letter):
             for window, base_shift in [(f.radius + f.dbound, 0), (50, 0), (40, 7), (40, -9),
                                        *LONG_READS]:
-                perm = orbit_permutation(f, window, base_shift)
                 table = oracle_orbit_table(f, window, base_shift)
-                assert perm.images == [table[n] for n in range(-window, window + 1)]
+                expected = [table[n] for n in range(-window, window + 1)]
+                point = engine.point_window(window + f.radius + abs(base_shift))
+                assert f.orbit_map(point, window, base_shift) == expected
+                if base_shift == 0:
+                    assert orbit_permutation(f, window).images == expected
             if engine.aperiodic is not True:
                 continue
             assert index_mod(f) == oracle_index_mod(f)
-            assert index_mod(f, shifts=2) == oracle_index_mod(f, shifts=2)
 
 
 def test_orbit_map_reads_a_point_of_distinct_runs(full_shift):

@@ -17,15 +17,15 @@ from cantorfull.errors import (CantorfullError, CapExceeded, DepthCapExceeded,
 from cantorfull.language import (sft_engine, SFTEngine, sturmian_engine,
                                  substitution_engine)
 from cantorfull.words import Alphabet, factors
-from cantorfull.constructions import (HoughtonProfile, TowerPartition,
-                                      _swap_element, cylinder, first_return,
+from cantorfull.constructions import (HoughtonProfile, SymmetricEmbedding,
+                                      TowerPartition, _swap_element, cylinder, first_return,
                                       gw_transport, houghton_engine_y,
                                       houghton_engine_y3, houghton_orbit_map,
                                       houghton_profile, is_good, is_proper,
                                       kr_towers, lamplighter_pair,
                                       matui_by_recursion, matui_cylinder_sigma,
                                       matui_generators, qeqz_check,
-                                      rokhlin_base, sigma_U, symmetric_embed,
+                                      rokhlin_base, sigma_U,
                                       van_douwen_certify,
                                       van_douwen_involutions,
                                       van_douwen_walk, van_douwen_witness)
@@ -62,8 +62,8 @@ def test_bad_set_on_y(y_engine):
 
 def test_symmetric_embed_s3(fibonacci):
     phi = shift(fibonacci)
-    emb = symmetric_embed([identity(fibonacci), phi, compose(phi, phi)],
-                          cylinder(fibonacci, -1, ("a", "a", "b")))
+    emb = SymmetricEmbedding([identity(fibonacci), phi, compose(phi, phi)],
+                             cylinder(fibonacci, -1, ("a", "a", "b")))
     assert emb.verify_relations()
     cycle = emb.element((1, 2, 0))
     swap = emb.element((1, 0, 2))
@@ -75,11 +75,11 @@ def test_symmetric_embed_s3(fibonacci):
 
 
 def test_symmetric_embed_trivial_and_overlap(fibonacci):
-    emb = symmetric_embed([identity(fibonacci)], cylinder(fibonacci, -1, ("a", "a", "b")))
+    emb = SymmetricEmbedding([identity(fibonacci)], cylinder(fibonacci, -1, ("a", "a", "b")))
     assert is_identity(emb.element((0,)))
     with pytest.raises(OverlapError):
-        symmetric_embed([identity(fibonacci), identity(fibonacci)],
-                        cylinder(fibonacci, -1, ("a", "a", "b")))
+        SymmetricEmbedding([identity(fibonacci), identity(fibonacci)],
+                           cylinder(fibonacci, -1, ("a", "a", "b")))
 
 
 # -- first return and towers -----------------------------------------------
@@ -829,8 +829,8 @@ def test_gw_transport_against_slicing_oracle(request, name, pairs):
 
 def test_symmetric_embedding_against_slicing_oracle(fibonacci):
     phi = shift(fibonacci)
-    emb = symmetric_embed([identity(fibonacci), phi, compose(phi, phi)],
-                          cylinder(fibonacci, -1, ("a", "a", "b")))
+    emb = SymmetricEmbedding([identity(fibonacci), phi, compose(phi, phi)],
+                             cylinder(fibonacci, -1, ("a", "a", "b")))
     for perm in itertools.permutations(range(3)):
         swaps = [emb._swaps[(i, perm[i])] for i in range(3)]
         radius = max([im.radius for im in emb.images] + [h.radius for h in swaps])

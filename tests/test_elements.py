@@ -149,10 +149,8 @@ def test_canonical_element_holds_no_reference_to_itself(fibonacci):
     base = {w: (2 if w[0] == a else -1) for w in fibonacci.allowed_words(3)}
     f = make_semigroup_element(fibonacci, 1, base)
     padded = make_semigroup_element(fibonacci, 3, f.values_at(3))
-    reduced = padded.canonical_element()
-    assert reduced.radius == 1
-    for e in (f, reduced):
-        assert e.canonical_element() is e
+    assert padded.radius == 1
+    for e in (f, padded):
         assert not any(x is e for x in gc.get_referents(e))
 
 
@@ -343,8 +341,10 @@ def test_dump_roundtrip(fib_pool):
      "window 'bb' is not an allowed window of radius 0"),
     ("radius=0 dbound=1\na -> 1\nb -> 1\naaa -> 2\n", 4,
      "window 'aaa' is not an allowed window of radius 0"),
+    ("\nradius=0 dbound=7\na -> 1\nb -> 1\n", 2,
+     "header dbound=7, but the table's largest |value| is 1"),
 ], ids=["empty", "radius", "negative", "arrow", "no-value", "digit", "repeated",
-        "outside-bb", "outside-aaa"])
+        "outside-bb", "outside-aaa", "dbound"])
 def test_parse_dump_errors_name_the_line(fibonacci, text, line, message):
     with pytest.raises(ParseError) as err:
         parse_dump(fibonacci, text)
@@ -364,6 +364,31 @@ def test_short_table_names_the_windows_left_without_a_value(fibonacci):
 def test_long_table_is_refused(fibonacci):
     with pytest.raises(SemanticError, match="table has 5 values for 4 windows"):
         make_element(fibonacci, 1, (0, 0, 0, 0, 0))
+
+
+def test_list_table_is_kept_as_a_tuple(fibonacci):
+    f = make_element(fibonacci, 0, [1, 1])
+    assert f.values == (1, 1) and type(f.values) is tuple
+    assert hash(f.map_key()) == hash((0, (1, 1)))
+    assert ball_sizes([f], 2) == [3, 5]
+
+
+def test_bool_values_are_refused(fibonacci):
+    # a bool would print as True in the dump, which parse_dump refuses
+    with pytest.raises(SemanticError, match="window 'a' has value True, not an integer"):
+        make_element(fibonacci, 0, (True, True))
+
+
+def test_dict_values_are_not_rounded(fibonacci):
+    a, b = fibonacci.allowed_words(1)
+    with pytest.raises(SemanticError, match="window 'a' has value 1.5, not an integer"):
+        make_element(fibonacci, 0, {a: 1.5, b: 1})
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0), ("1", "1")], ids=["float", "str"])
+def test_non_int_values_are_refused(fibonacci, values):
+    with pytest.raises(SemanticError, match=f"window 'a' has value {values[0]!r}, not an integer"):
+        make_element(fibonacci, 0, values)
 
 
 def test_dict_table_refuses_a_window_outside_the_level(fibonacci):

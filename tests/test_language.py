@@ -13,8 +13,8 @@ from cantorfull.errors import (BadContinuedFraction, DepthCapExceeded,
                                EmptySubshift, MemoryCapExceeded,
                                NonPrimitiveSubstitution, NotAperiodic,
                                NotMinimal, SemanticError)
-from cantorfull.language import (RecodedEngine, build_engine, is_irreducible,
-                                 max_gap, periodic_window, proper_recode,
+from cantorfull.language import (RecodedEngine, build_engine, max_gap,
+                                 periodic_window, proper_recode,
                                  recurrence_bound, sft_approximation,
                                  sft_engine, substitution_engine,
                                  sturmian_engine)
@@ -195,7 +195,8 @@ def test_recurrence_bound_bounds_gaps(fibonacci):
         hits = [i for i in range(len(window) - len(letters) + 1)
                 if window[i:i + len(letters)] == letters]
         assert hits
-        assert all(b - a <= bound - len(letters) + 1 for a, b in zip(hits, hits[1:]))
+        assert max(b - a for a, b in zip(hits, hits[1:])) == max_gap(fibonacci, letters)
+        assert max_gap(fibonacci, letters) == bound - len(letters)
 
 
 def test_point_window_fibonacci_seed(fibonacci):
@@ -234,7 +235,7 @@ POINT_ENGINES = {
     "sft": lambda: sft_engine("ab", ["bb"]),
     "substitution": lambda: substitution_engine({"a": "ab", "b": "a"}),
     "sturmian": lambda: sturmian_engine([1] * 12, 12),
-    "recoded": lambda: proper_recode(substitution_engine({"a": "ab", "b": "a"}), 2)[0],
+    "recoded": lambda: proper_recode(substitution_engine({"a": "ab", "b": "a"}), 2),
 }
 
 
@@ -369,16 +370,16 @@ def test_point_window_refuses_a_negative_radius(kind):
 
 
 def test_proper_recode_d1(fibonacci):
-    recoded, mapping = proper_recode(fibonacci, 1)
+    recoded = proper_recode(fibonacci, 1)
     for w in recoded.allowed_words(2):
         assert w[0] != w[1]
-    assert mapping.block_length == 2
+    assert recoded.block_length == 2
 
 
 def test_proper_recode_d4(fibonacci):
-    recoded, mapping = proper_recode(fibonacci, 4)
+    recoded = proper_recode(fibonacci, 4)
     # higher-block alphabet has L+1 letters (Sturmian complexity)
-    assert len(recoded.alphabet) == mapping.block_length + 1
+    assert len(recoded.alphabet) == recoded.block_length + 1
     for w in recoded.allowed_words(5):
         for i in range(len(w)):
             for j in range(i + 1, min(len(w), i + 5)):
@@ -386,8 +387,8 @@ def test_proper_recode_d4(fibonacci):
 
 
 def test_proper_recode_decode_roundtrip(fibonacci):
-    recoded, mapping = proper_recode(fibonacci, 4)
-    L = mapping.block_length
+    recoded = proper_recode(fibonacci, 4)
+    L = recoded.block_length
     window = recoded.point_window(4)
     span = recoded.decode_word(window)
     R = 4 + L - 1
@@ -400,9 +401,9 @@ def test_proper_recode_over_a_separated_alphabet():
     """Fibonacci over the tokens x1, y2: the recoded letters are named by
     their blocks with "_" for ".", and the recoded words print and parse back."""
     source = substitution_engine({"x1": ["x1", "y2"], "y2": ["x1"]})
-    recoded, mapping = proper_recode(source, 2)
+    recoded = proper_recode(source, 2)
     names = [source.alphabet.format_word(block).replace(".", "_")
-             for block in mapping.letter_decode]
+             for block in recoded.decode]
     assert list(recoded.alphabet.letters) == names
     assert "x1_y2_x1_x1" in names and not recoded.alphabet.joined
     for w in recoded.allowed_words(3):
@@ -470,9 +471,9 @@ def test_sft_approximation_of_sft_is_itself(y_engine):
 
 
 def test_is_irreducible(fibonacci, y_engine, full_shift):
-    assert is_irreducible(sft_approximation(fibonacci, 2))
-    assert not is_irreducible(y_engine)
-    assert is_irreducible(full_shift)
+    assert sft_approximation(fibonacci, 2).is_irreducible()
+    assert not y_engine.is_irreducible()
+    assert full_shift.is_irreducible()
 
 
 def test_finite_substitution_detected():
@@ -621,7 +622,7 @@ def test_periodic_queries_are_cached(period_two):
 
 def test_every_point_is_zero_periodic(period_two, golden_mean, fibonacci, sturmian_fib):
     finite = substitution_engine({"a": "ab", "b": "ab"})
-    recoded, _ = proper_recode(fibonacci, 2)
+    recoded = proper_recode(fibonacci, 2)
     for engine in (period_two, golden_mean, fibonacci, sturmian_fib, finite, recoded):
         for w in engine.allowed_words(3):
             assert not engine.cylinder_nonperiodic_exists(w, 0)
@@ -656,7 +657,7 @@ def test_sft_minimal_only_on_one_cycle(period_two):
 def test_minimal_and_aperiodic_are_booleans(period_two, golden_mean, fibonacci, sturmian_fib):
     finite = substitution_engine({"a": "ab", "b": "ab"})
     engines = (period_two, golden_mean, fibonacci, sturmian_fib, finite,
-               proper_recode(fibonacci, 2)[0], sft_approximation(fibonacci, 3))
+               proper_recode(fibonacci, 2), sft_approximation(fibonacci, 3))
     assert [(e.minimal, e.aperiodic) for e in engines] == [
         (True, False), (False, False), (True, True), (True, True), (True, False),
         (True, True), (False, False)]

@@ -43,7 +43,7 @@ def test_caps_are_read_when_an_engine_is_built(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         shift(engine, 2)
     assert err.value.cap == 1
-    assert proper_recode(fib, 2)[0].caps is fib.caps
+    assert proper_recode(fib, 2).caps is fib.caps
     assert shift(sft_engine("01", []), 2).dbound == 2
 
 
@@ -79,7 +79,7 @@ def test_memory_caps_are_named_by_point_windows(monkeypatch):
     monkeypatch.setenv("CANTORFULL_CAPS", "word_store=1000")
     fib = substitution_engine({"a": "ab", "b": "a"})
     engines = [fib, sft_engine("ab", ["aa"]), sturmian_engine([1] * 30, 30),
-               proper_recode(fib, 2)[0]]
+               proper_recode(fib, 2)]
     for engine in engines:
         assert len(engine.point_window(400)) == 801
         # the widest window under the cap; a recoding reads past it in its source
@@ -128,6 +128,37 @@ def test_no_unreferenced_helpers():
             used |= names - set(own)
             defined += [(path.name, name) for name in own if not name.startswith("__")]
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
+def _alias_of(node):
+    """Does `node` only hand its parameters on to another public callable,
+    in order, or return self?"""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+        return False
+    value, params = body[0].value, [a.arg for a in node.args.posonlyargs + node.args.args]
+    if isinstance(value, ast.Name):
+        return params[:1] == ["self"] and value.id == "self"
+    if not isinstance(value, ast.Call) or value.keywords or node.args.vararg or node.args.kwarg:
+        return False
+    func = value.func
+    callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "_")
+    return not callee.startswith("_") and [getattr(a, "id", None) for a in value.args] == params
+
+
+def test_no_public_aliases():
+    """No public function or method of the package is another public
+    callable under a second name: a body that is one return of a call with
+    exactly its own parameters, in order, or a method that returns self."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and _alias_of(node)):
+                found.append(f"{path.name}:{node.name}")
+    assert found == []
 
 
 def test_word_store_is_compared_only_in_caps():

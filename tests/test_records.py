@@ -7,7 +7,6 @@ from cantorfull.caps import Caps, parse_caps
 from cantorfull.constructions import (GWTransport, HoughtonProfile, LamplighterPair,
                                       MatuiSet, TowerPartition)
 from cantorfull.jm import CorrelationReport
-from cantorfull.language import RecodingMap
 from cantorfull.parsing import Token
 
 CAPS_DEFAULTS = {"dbound": 64, "order": 4096, "orbit": 64, "lef_n": 8, "lef_p": 12,
@@ -16,14 +15,13 @@ CAPS_DEFAULTS = {"dbound": 64, "order": 4096, "orbit": 64, "lef_n": 8, "lef_p": 
 # record -> (field names in order, defaults)
 RECORDS = {
     Caps: (tuple(CAPS_DEFAULTS), CAPS_DEFAULTS),
-    RecodingMap: (("block_length", "letter_decode"), {}),
     Token: (("kind", "text", "line", "col"), {}),
     WindowedPermutation: (("window", "images", "c"), {}),
     PutnamBlocks: (("blocks", "recurrence_set", "displacement", "invariant"), {}),
     FiniteQuotientCert: (("alphabet", "order", "period", "points", "images", "witnesses"), {}),
     TowerPartition: (("pieces",), {}),
     GWTransport: (("alpha", "base", "towers", "contained", "index"), {}),
-    MatuiSet: (("engine", "recoding", "generators", "cylinder_words"), {}),
+    MatuiSet: (("engine", "generators", "cylinder_words"), {}),
     LamplighterPair: (("engine", "U", "V", "psi", "Psi", "sigma0", "checked_shifts"),
                       {"checked_shifts": 0}),
     HoughtonProfile: (("end_translations", "exceptional_set"), {}),
