@@ -62,15 +62,32 @@ class WindowedPermutation(NamedTuple):
 
 def orbit_permutation(psi, window):
     """The permutation n -> n + kappa(phi^n x) on [-window, window], x the
-    canonical basepoint; ``Element.orbit_map`` reads shifted basepoints."""
+    canonical basepoint; ``Element.orbit_map`` reads shifted basepoints.
+
+    Injectivity is checked over overlapping chunks: j(n) = j(m) needs
+    |n - m| = |kappa(m) - kappa(n)| <= 2d, so the chunks
+    images[lo:lo + _CHUNK + 2d], lo stepping by _CHUNK, hold every pair that
+    could collide, and no set over the whole window is built."""
     r, d = psi.radius, psi.dbound
     if window < r + d:
         raise WindowTooSmall(f"window {window} < radius+dbound = {r + d}")
     point = psi.engine.point_window(window + r)
     images = psi.orbit_map(point, window)
-    if len(set(images)) != len(images):
-        raise AssertionError("orbit restriction is not injective")
+    _check_injective(images, d)
     return WindowedPermutation(window, images, d)
+
+
+# positions per chunk of the injectivity check
+_CHUNK = 4096
+
+
+def _check_injective(images, d):
+    """AssertionError unless the values n + kappa(n), |kappa| <= d, listed
+    for consecutive n are distinct; see ``orbit_permutation``."""
+    for lo in range(0, len(images), _CHUNK):
+        chunk = images[lo:lo + _CHUNK + 2 * d]
+        if len(set(chunk)) != len(chunk):
+            raise AssertionError("orbit restriction is not injective")
 
 
 def _crossings(psi, point, shift=0):

@@ -51,13 +51,17 @@ store bounds every window, a Sturmian level's included, and the convergent
 denominator a Sturmian point and its recodings (``max_point_radius``).  A
 recoding reads L - 1 source letters past its window, without that check.
 
+Substitution windows and levels, and Sturmian windows, are copies of words
+the engine defines, built by concatenating whole blocks, not letter by
+letter: the blocks sigma^m(c) of a substitution, and the standard words of a
+Sturmian slope (Lothaire, *Algebraic Combinatorics on Words*, ch. 2).
+
 The shift convention is (phi x)(n) = x(n-1) throughout the package, so the
 central window of phi^n(x) is x[-n-r .. -n+r].
 """
 
 import itertools
 import math
-import operator
 
 from .caps import caps_from_env
 from .errors import (BadContinuedFraction, CapExceeded, DepthCapExceeded,
@@ -389,7 +393,13 @@ class SFTEngine(LanguageEngine):
 
 
 class SubstitutionEngine(LanguageEngine):
-    """Factors of the fixed points of a primitive substitution."""
+    """Factors of the fixed points of a primitive substitution.
+
+    Levels, points and ``apply_power`` are built by the block-power step:
+    sigma^(m+1)(c) is the concatenation of sigma^m(d) for d in sigma(c).  With
+    (P, (p, q)) the seed pair, the canonical point has x[-r..-1] the last r
+    letters of sigma^(kP)(p) and x[0..r] the first r + 1 of sigma^(kP)(q), for
+    every k that makes them that long."""
 
     kind = "substitution"
 
@@ -420,9 +430,16 @@ class SubstitutionEngine(LanguageEngine):
         return b"".join(map(self.rules.__getitem__, word))
 
     def apply_power(self, word, power):
-        for _ in range(power):
-            word = self.apply(word)
-        return word
+        blocks = next(itertools.islice(self._block_powers(), power, None))
+        return b"".join(map(blocks.__getitem__, word))
+
+    def _block_powers(self):
+        """The tables [sigma^m(c) for each letter c], m = 0, 1, 2, ..., each
+        built from the last by the block-power step."""
+        blocks = [bytes((c,)) for c in range(len(self.alphabet))]
+        while True:
+            yield blocks
+            blocks = [b"".join(map(blocks.__getitem__, image)) for image in self.rules]
 
     def _enumerate(self, length):
         """All length-`length` factors, read off sigma^m(a) sigma^m(b).
@@ -437,9 +454,7 @@ class SubstitutionEngine(LanguageEngine):
         lies in sigma^m(a) sigma^m(b) for an allowed 2-word ab.  Lengths 1
         and 2 take m = 0 and read the letters and 2-words off `self._pairs`.
         """
-        blocks = [bytes((c,)) for c in range(len(self.alphabet))]
-        while min(map(len, blocks)) < length - 1:
-            blocks = list(map(self.apply, blocks))
+        blocks = next(b for b in self._block_powers() if min(map(len, b)) >= length - 1)
         return {f for a, b in self._pairs for f in factors(blocks[a] + blocks[b], length)}
 
     def _allowed_pairs(self):
@@ -476,14 +491,17 @@ class SubstitutionEngine(LanguageEngine):
         raise AssertionError("the pair map has a cycle no longer than its domain")
 
     def _point_window(self, radius):
+        # each side is read at the least k long enough, and no table past
+        # the larger of the two is built
         power, (p, q) = self._seed_pair()
-        right = bytes((q,))
-        while len(right) < radius + 1:
-            right = self.apply_power(right, power)
-        left = bytes((p,))
-        while len(left) < radius:
-            left = self.apply_power(left, power)
-        return left[len(left) - radius:] + right[:radius + 1]
+        left = right = None
+        for blocks in itertools.islice(self._block_powers(), 0, None, power):
+            if left is None and len(blocks[p]) >= radius:
+                left = blocks[p][len(blocks[p]) - radius:]
+            if right is None and len(blocks[q]) > radius:
+                right = blocks[q][:radius + 1]
+            if left is not None and right is not None:
+                return left + right
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +514,13 @@ class SturmianEngine(LanguageEngine):
     L is the factors of the window of radius min(N, q - 2), N = (2 + max a) L,
     which caps.word_store bounds.  Below q the recurrence function is
     R(L) < (max a + 3) L (Morse-Hedlund), so that window holds the level; the
-    count L + 1 certifies it, and N > q raises DepthCapExceeded."""
+    count L + 1 certifies it, and N > q raises DepthCapExceeded.
+
+    The point x(n) = floor((n+1) p/q) - floor(n p/q) is read off the standard
+    words s_{-1} = 1, s_0 = 0, s_n = s_{n-1}^(d_n) s_{n-2}, d_1 = a1 - 1 and
+    d_n = a_n past it (Lothaire, *Algebraic Combinatorics on Words*, ch. 2):
+    the lower Christoffel word of p/q is 0 w 1, with w the central palindrome,
+    a prefix of s_k, so x[-r..r] = reverse(s_k[:r-1]) 1 0 s_k[:r] for r <= q - 2."""
 
     kind = "sturmian"
 
@@ -535,13 +559,25 @@ class SturmianEngine(LanguageEngine):
         return self.convergent[1] - 2
 
     def _point_window(self, radius):
-        p, q = self.convergent
+        q = self.convergent[1]
         if radius + 2 > q:
             raise DepthCapExceeded(f"window {radius} needs a convergent denominator > {radius + 1}")
-        # the letter at n is floor((n+1) p/q) - floor(n p/q)
-        floors = [n * p // q for n in range(-radius, radius + 2)]
-        bits = map(operator.sub, floors[1:], floors[:-1])
-        return bytes(bits)
+        # x[0] = 0, x[-1] = 1, x[1..radius] = s[:radius], x[-n] = x[n - 1] for n >= 2
+        s = self._standard_prefix(radius)
+        return (b"\1" + s)[:radius][::-1] + (b"\0" + s)[:radius + 1]
+
+    def _standard_prefix(self, size):
+        """A prefix of s_k of at least `size` <= q - 2 letters.  Each s_n, n >= 1,
+        is a prefix of the next, and so is s_{n-1}^j for j <= d_n: once d_n
+        copies of s_{n-1} would reach `size` letters, the fewest that do stand
+        for s_k."""
+        prev, s = b"\1", b"\0"
+        for n, a in enumerate(self.quotients):
+            d = a - (n == 0)
+            if d * len(s) >= size:
+                return s * -(-size // len(s))
+            prev, s = s, s * d + prev
+        return s
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from cantorfull.elements import (compose, element_image, equal, identity, invers
 from cantorfull.errors import (CapExceeded, DepthCapExceeded, EngineMismatch,
                                NonPrimitiveSubstitution, NotAperiodic, NotBijective, SemanticError,
                                StabilizerViolated, WindowTooSmall)
-from cantorfull.actions import (_unrefuted, block_orbits, clopen_orbit, index_mod,
-                                lef_certificate, orbit_permutation,
+from cantorfull.actions import (_check_injective, _unrefuted, block_orbits, clopen_orbit,
+                                index_mod, lef_certificate, orbit_permutation,
                                 putnam_blocks, stabilizer_check)
 from cantorfull.constructions import cylinder, first_return, is_good, sigma_U
 from cantorfull.language import (max_gap, proper_recode, sft_engine, sturmian_engine,
@@ -43,6 +43,17 @@ def test_orbit_permutation_sigma_cycles(fibonacci):
         assert perm(perm(perm(n))) == n
         assert len(cycle) == 3
         seen |= cycle
+
+
+@pytest.mark.parametrize("at", [1, 4095, 8191, 9998])
+def test_injectivity_check_sees_a_collision_across_chunks(at):
+    # images[at] takes the value of images[at + 1], a displacement of 1; at
+    # 4095 and 8191 the pair straddles the start of a chunk
+    images = list(range(-5000, 5000))
+    _check_injective(images, 1)
+    images[at] = images[at + 1]
+    with pytest.raises(AssertionError, match="not injective"):
+        _check_injective(images, 1)
 
 
 def test_orbit_permutation_window_guard(fibonacci):

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -251,6 +252,112 @@ def test_point_window_cache_matches_fresh_engine(kind):
             assert type(window) is bytes and len(window) == 2 * m + 1
             assert window == big[40 - m:40 + m + 1]
         assert engine.point_window(40) == big
+
+
+def oracle_substitution_window(engine, radius):
+    """The window built letter by letter: sigma^power applied to p and to q,
+    one sigma at a time, until each side is long enough (the seed pair of
+    the engine)."""
+    power, (p, q) = engine._seed_pair()
+
+    def grow(word):
+        for _ in range(power):
+            word = b"".join(engine.rules[c] for c in word)
+        return word
+
+    right = bytes((q,))
+    while len(right) < radius + 1:
+        right = grow(right)
+    left = bytes((p,))
+    while len(left) < radius:
+        left = grow(left)
+    return left[len(left) - radius:] + right[:radius + 1]
+
+
+def oracle_substitution_level(engine, length):
+    """The factors of length `length` of sigma^m(a) sigma^m(b) over the
+    allowed 2-words ab, each sigma^m(c) built letter by letter."""
+    blocks = [bytes((c,)) for c in range(len(engine.alphabet))]
+    while min(map(len, blocks)) < length - 1:
+        blocks = [b"".join(engine.rules[c] for c in w) for w in blocks]
+    pairs, pending = set(), list(engine.rules)
+    while pending:
+        word = pending.pop()
+        for pair in map(bytes, zip(word, word[1:])):
+            if pair not in pairs:
+                pairs.add(pair)
+                pending.append(b"".join(engine.rules[c] for c in pair))
+    return tuple(sorted({f for a, b in pairs for f in factors(blocks[a] + blocks[b], length)}))
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(substitutions(), st.integers(0, 3000))
+def test_substitution_window_and_levels_against_the_letter_by_letter_build(rules, radius):
+    try:
+        engine = substitution_engine(rules)
+    except NonPrimitiveSubstitution:
+        assume(False)
+    for r in (0, 1, radius):
+        assert engine.point_window(r) == oracle_substitution_window(engine, r)
+    for length in range(1, 21):
+        assert engine.allowed_words(length) == oracle_substitution_level(engine, length)
+
+
+@pytest.mark.parametrize("rules", [{"a": "ab", "b": "a"}, {"a": "ab", "b": "ba"},
+                                   {"a": "abc", "b": "ac", "c": "b"}])
+def test_substitution_window_holds_no_more_than_the_letter_by_letter_build(rules):
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    engine = substitution_engine(rules)
+    old = peak(lambda: oracle_substitution_window(engine, 50_000))
+    assert peak(lambda: engine.point_window(50_000)) <= old
+
+
+def oracle_mechanical_window(quotients, radius):
+    """x[-radius..radius] of the mechanical word of p/q = [0; quotients]: the
+    letter at n is floor((n+1) p/q) - floor(n p/q)."""
+    p, q = 0, 1
+    for a in reversed(quotients):
+        p, q = q, a * q + p
+    floors = [n * p // q for n in range(-radius, radius + 2)]
+    return bytes(b - a for a, b in zip(floors, floors[1:]))
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(st.data())
+def test_sturmian_window_against_the_floor_formula(data):
+    quotients = data.draw(st.lists(st.integers(1, 400), min_size=1, max_size=30))
+    engine = sturmian_engine(quotients, len(quotients))
+    while engine.convergent[1] > 10 ** 5:       # the longest prefix with q <= 10^5
+        quotients.pop()
+        engine = sturmian_engine(quotients, len(quotients))
+    q = engine.convergent[1]
+    radii = {0, 1, q - 2, data.draw(st.integers(0, max(0, q - 2)))}
+    for r in sorted(r for r in radii if 0 <= r <= q - 2):
+        assert engine.point_window(r) == oracle_mechanical_window(quotients, r)
+    with pytest.raises(DepthCapExceeded):
+        sturmian_engine(quotients, len(quotients)).point_window(q - 1)
+
+
+@pytest.mark.parametrize("quotients", [[10 ** 6], [2, 3, 10 ** 6, 2], [1, 1, 1, 10 ** 6]])
+def test_sturmian_window_past_a_large_quotient_holds_little(quotients):
+    # s_{k-1}^(10^6) alone would hold megabytes; a window of 201 letters
+    # needs a few copies of s_{k-1}
+    engine = sturmian_engine(quotients, len(quotients))
+    tracemalloc.start()
+    try:
+        window = engine.point_window(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert window == oracle_mechanical_window(quotients, 100)
 
 
 def test_sturmian_depth_cap_after_cached_window():
