@@ -528,9 +528,12 @@ def van_douwen_witness(engine, indices):
     x to phi^{-n} x, which differs from x.  x[-n-2..-2] alternates two letters.
     Returns (window, expected_total_shift)."""
     n = len(indices)
+    letters = range(len(engine.alphabet))
 
     def pick(*avoid):
-        return next(c for c in range(len(engine.alphabet)) if c not in avoid)
+        for c in letters:
+            if c not in avoid:
+                return c
 
     here = pick(indices[0], indices[-1])
     before, after = pick(here), pick(indices[-1])
@@ -542,10 +545,16 @@ def van_douwen_witness(engine, indices):
 def van_douwen_walk(sigmas, indices, window):
     """Apply sigma_{k_1}, ..., sigma_{k_n} in turn (the inverse of the reduced
     word m = sigma_{k_1} ... sigma_{k_n}) to the point of the centered
-    `window`; returns the cumulative shift."""
-    total = 0
+    `window`; returns the cumulative shift.  Each step reads the window of
+    phi^total x; IndexError when it leaves `window`."""
+    total, reach = 0, len(window) // 2
     for k in indices:
-        total += sigmas[k].orbit_map(window, 0, total)[0]
+        sigma = sigmas[k]
+        size = 2 * sigma.radius + 1
+        top = reach - total - sigma.radius
+        if top < 0 or top + size > len(window):
+            raise IndexError(f"walk at shift {total} leaves [{-reach}, {reach + 1})")
+        total += sigma.table[window[top:top + size]]
     return total
 
 

@@ -9,13 +9,14 @@ arithmetic through the engine's restriction maps
 (``LanguageEngine.restriction``), with no window sliced or hashed.
 ``table`` is a read-only {window: value} view derived from ``values`` on
 first use, for readers that look windows up by word; a reader of many windows
-takes the view once.  ``orbit_map`` is the one reader along a point: it alone
-knows where the window of phi^m x sits in a point window x[-R..R], centered
-(index R + n holds x[n]): at index R - m - r.  It returns a list of images
-aligned with range(-window, window + 1).  A long read takes the
-windows of _BLOCK consecutive n as one run of letters and reads each distinct
-run once per call: the canonical points have low complexity, so a window of
-10^5 positions on Fibonacci or a Sturmian point repeats some 80 distinct runs.
+takes the view once.  ``orbit_map`` is the reader along a point: the window of
+phi^m x sits in a point window x[-R..R], centered (index R + n holds x[n]), at
+index R - m - r, where the van Douwen walk also reads its one window per step.
+It returns a list of images aligned with range(-window, window + 1).  A long
+read takes the windows of _BLOCK consecutive n as one run of letters and reads
+each distinct run once per call: the canonical points have low complexity, so
+a window of 10^5 positions on Fibonacci or a Sturmian point repeats some 80
+distinct runs.
 
 ``_preimages`` counts, over every allowed window y of length 2(r+D)+1, the k
 in [-D, D] with table(y[k-r..k+r]) = k.  Bijectivity is certified at
@@ -28,7 +29,7 @@ radius R = max(r_g, r_f + D_g) holds the window of f it reads, but the product
 is often a function of smaller windows: compose counts up from max(r_f, r_g)
 and builds the table at the first radius where every window determines its
 value, reading f at a window that sticks out of w off the part inside w
-(``_part_values``, None where the completions of that part disagree).  So a
+(``_part_at``, None where the completions of that part disagree).  So a
 product builds no level above the radius it finds.  A minimal engine's
 levels grow by a word or two per radius, so there it composes at R alone.
 
@@ -58,14 +59,14 @@ from .errors import (CapExceeded, EngineMismatch, NotBijective, NotInjective,
 
 # the n read together by Element.orbit_map: long enough that most reads of a
 # canonical point are a hit on a run already read, short enough that those
-# points have few distinct runs of that length.  A shorter read goes window by
-# window, which costs half as much for the van Douwen walk's one-window reads.
+# points have few distinct runs of that length.  A shorter read is at most one
+# run, so it goes window by window.
 _BLOCK = 64
 
 
 class Element:
     __slots__ = ("engine", "radius", "values", "dbound", "_bijective", "_witness", "_table",
-                 "_parts")
+                 "_joined", "_parts", "_reads")
 
     def __init__(self, engine, radius, values, bijective):
         """`values` is a tuple aligned with engine.allowed_words(2 radius + 1);
@@ -76,7 +77,9 @@ class Element:
         self._bijective = bijective      # True / False / None (not yet certified)
         self._witness = None
         self._table = None
-        self._parts = None               # (start, size) -> _part_values(self, start, size)
+        self._joined = None              # values, then the part tables compose reads
+        self._parts = None               # (start, size) -> _join_part(self, start, size)
+        self._reads = None               # (size, start, part_start, part_size) -> _part_at(...)
 
     # -- basic views ---------------------------------------------------------
 
@@ -90,8 +93,11 @@ class Element:
         return self._table
 
     def values_at(self, radius):
-        """The values padded to a larger radius: a tuple aligned with
-        allowed_words(2 radius + 1)."""
+        """The values padded to radius >= self.radius: a tuple aligned with
+        allowed_words(2 radius + 1), `values` itself at the element's own
+        radius."""
+        if radius == self.radius:
+            return self.values
         if radius < self.radius:
             raise ValueError("cannot pad to a smaller radius")
         positions = self.engine.restriction(2 * radius + 1, radius - self.radius, 2 * self.radius + 1)
@@ -301,30 +307,33 @@ def compose(f, g):
     R = max(r_g, r_f + D_g), at which every window determines the product,
     and then taken down to its least radius.  A minimal engine builds it at
     R: its levels grow by a word or two per radius, so a search below R
-    would cost more than the levels it saves.  Displacements add, and
-    CapExceeded is raised past the engine's dbound cap."""
+    would cost more than the levels it saves.  Each attempt at t reads g
+    off g.values_at(t), which at t = r_g is g's own values, and f off the
+    reads kept on f (_part_at) where its window sticks out.  Displacements
+    add, and CapExceeded is raised past the engine's dbound cap."""
     _check_same_engine(f, g)
     engine, rf = f.engine, f.radius
     fsize = 2 * rf + 1
     top = max(g.radius, rf + g.dbound)
+    # a padded table holds only values of g, so one set serves every radius
+    ks = set(g.values)
     for radius in range(top if engine.minimal else max(rf, g.radius), top + 1):
         size = 2 * radius + 1
-        kg = list(map(g.values.__getitem__, engine.restriction(size, radius - g.radius, 2 * g.radius + 1)))
-        ks = set(kg)
+        kg = g.values_at(radius)
         # the window of phi^k x starts at index radius - k - r_f of the window;
         # where it sticks out, f is read off the part inside, whose table goes
-        # after f's values so that one table serves every k.  At R no window
-        # sticks out, so the loop ends there.
-        table, f_at = f.values, {}
+        # after f's values in f._joined so that one table serves every k.  At
+        # R no window sticks out, so the loop ends there.
+        f_at, holes = {}, False
         for k in ks:
             lo = radius - k - rf
             if lo < 0 or lo + fsize > size:
                 start = min(max(lo, 0), size)
                 part_size = max(min(lo + fsize, size) - start, 0)
-                part = _part_values(f, start - lo if part_size else 0, part_size)
-                f_at[k] = list(map(len(table).__add__, engine.restriction(size, start, part_size)))
-                table += part
-        if None in table and any(table[f_at[k][i]] is None for i, k in enumerate(kg) if k in f_at):
+                f_at[k], hole = _part_at(f, size, start, start - lo if part_size else 0, part_size)
+                holes |= hole
+        table = f._joined if f_at else f.values
+        if holes and any(table[f_at[k][i]] is None for i, k in enumerate(kg) if k in f_at):
             continue
         for k in ks - f_at.keys():
             f_at[k] = engine.restriction(size, radius - k - rf, fsize)
@@ -334,24 +343,39 @@ def compose(f, g):
     return _capped(Element(engine, radius, values, bij))
 
 
-def _part_values(f, start, size):
-    """f's values as a function of the factor w[start:start + size] of its
-    windows w: a tuple aligned with allowed_words(size), None where two
-    windows with that factor disagree.  Kept on f for later products."""
-    if f._parts is None:
-        f._parts = {}
-    part = f._parts.get((start, size))
-    if part is None:
-        positions = f.engine.restriction(2 * f.radius + 1, start, size)
-        part = [None] * len(f.engine.allowed_words(size))
-        for j, v in zip(positions, f.values):
-            part[j] = v
-        # a factor whose windows disagree keeps None once it has it
-        for j, v in zip(positions, f.values):
-            if part[j] != v:
-                part[j] = None
-        part = f._parts[(start, size)] = tuple(part)
-    return part
+def _part_at(f, size, start, part_start, part_size):
+    """(positions, hole) for reading f at a window that sticks out of the
+    words w of allowed_words(size): for each w, the position in f._joined of
+    f's value read off w[start:start + part_size], the factor at part_start
+    of f's windows; hole tells whether that part's table holds a None.  Kept
+    on f, so a later product at the same radius copies no positions."""
+    if f._reads is None:
+        f._joined, f._parts, f._reads = list(f.values), {}, {}
+    key = (size, start, part_start, part_size)
+    got = f._reads.get(key)
+    if got is None:
+        offset, hole = f._parts.get((part_start, part_size)) or _join_part(f, part_start, part_size)
+        positions = f.engine.restriction(size, start, part_size)
+        got = f._reads[key] = (list(map(offset.__add__, positions)), hole)
+    return got
+
+
+def _join_part(f, start, size):
+    """(offset, hole): appends to f._joined f's values as a function of the
+    factor w[start:start + size] of its windows w, a table aligned with
+    allowed_words(size) with None where two windows with that factor
+    disagree, which starts at offset; hole tells whether it holds a None."""
+    positions = f.engine.restriction(2 * f.radius + 1, start, size)
+    part = [None] * len(f.engine.allowed_words(size))
+    for j, v in zip(positions, f.values):
+        part[j] = v
+    # a factor whose windows disagree keeps None once it has it
+    for j, v in zip(positions, f.values):
+        if part[j] != v:
+            part[j] = None
+    got = f._parts[(start, size)] = (len(f._joined), None in part)
+    f._joined += part
+    return got
 
 
 def inverse(f):

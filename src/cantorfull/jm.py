@@ -86,7 +86,7 @@ def _balanced_product(values):
     if not values:
         return 1.0
     while len(values) > 1:
-        paired = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        paired = list(map(operator.mul, values[0:len(values) - 1:2], values[1::2]))
         if len(values) % 2:
             paired.append(values[-1])
         values = paired

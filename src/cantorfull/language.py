@@ -128,8 +128,11 @@ class LanguageEngine:
         key = (length, start, size)
         positions = self._restrictions.get(key)
         if positions is None:
-            index = self.word_index(size)
-            positions = tuple([index[w[start:start + size]] for w in self.allowed_words(length)])
+            if start == 0 and size == length:
+                positions = tuple(range(len(self.allowed_words(length))))
+            else:
+                index = self.word_index(size)
+                positions = tuple([index[w[start:start + size]] for w in self.allowed_words(length)])
             self._restrictions[key] = positions
         return positions
 

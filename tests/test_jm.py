@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,8 +7,8 @@ from cantorfull.errors import RangeUnavailable
 from cantorfull.actions import orbit_permutation
 from cantorfull.constructions import cylinder, sigma_U
 from cantorfull.elements import shift
-from cantorfull.jm import (EventuallyTranslation, ReflectedView, _angles, correlation,
-                           decay_report, hn_lower_bound, identity_view,
+from cantorfull.jm import (EventuallyTranslation, ReflectedView, _angles, _balanced_product,
+                           correlation, decay_report, hn_lower_bound, identity_view,
                            theta, translation_view, transposition_view)
 
 
@@ -36,6 +37,27 @@ def test_per_factor_inequality():
     b = hn_lower_bound(transposition_view(), 1)
     assert abs(b - math.exp(-2 * (math.pi / 4) ** 2)) < 1e-12
     assert b <= correlation(transposition_view(), 1)
+
+
+def list_form_balanced_product(values):
+    """Pairwise products, each round pairing neighbours and carrying an odd
+    last value, written with an index loop."""
+    if not values:
+        return 1.0
+    while len(values) > 1:
+        paired = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 7, 64, 101, 1000])
+def test_balanced_product_is_the_list_form_bit_for_bit(length):
+    rng = random.Random(length)
+    for _ in range(20):
+        values = [math.cos(rng.uniform(-1.5, 1.5)) for _ in range(length)]
+        assert _balanced_product(values).hex() == list_form_balanced_product(values).hex()
 
 
 def test_sandwich_all_views():

@@ -12,6 +12,7 @@ import functools
 import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorfull.closets import CloSet
@@ -427,6 +428,27 @@ def test_compose_below_the_top_radius_against_dict_oracle():
 
     check()
     assert any(below)
+
+
+@pytest.mark.parametrize("letters, forbidden, word", [("ab", ["bb"], "aab"), ("01", [], "001")])
+def test_compose_at_and_above_the_right_radius_against_dict_oracle(monkeypatch, letters,
+                                                                   forbidden, word):
+    """sigma_U sigma_U is built at r_g, where compose reads g's values as
+    they are; sigma_U (phi sigma_U) fails there and at r_g + 1, and is built
+    at R = r_f + D_g = 4 off g's values padded to that radius."""
+    engine = sft_engine(letters, forbidden)
+    s = sigma_U(CloSet.cylinder(engine, -1, engine.alphabet.parse_word(word)))
+    phi_s = compose(shift(engine), s)
+    assert s.values_at(s.radius) is s.values and phi_s.values_at(phi_s.radius) is phi_s.values
+    assert (s.radius, phi_s.radius, phi_s.dbound) == (2, 2, 2)
+    tried, values_at = [], Element.values_at
+    monkeypatch.setattr(Element, "values_at",
+                        lambda e, radius: tried.append(radius) or values_at(e, radius))
+    for g, radii in ((s, [2]), (phi_s, [2, 3, 4])):
+        tried.clear()
+        fg = compose(s, g)
+        assert tried == radii
+        assert as_pair(fg) == oracle_compose(engine, as_pair(s), as_pair(g))
 
 
 def widest_radius(engine, low, high, max_windows=2500):
